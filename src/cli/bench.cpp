@@ -353,7 +353,7 @@ int run_bench(const Options& opts) {
   }
   // Intra-netlist scaling sweep: each requested thread count re-times every
   // circuit with the whole budget spent inside the passes (level-parallel
-  // mapping, solver-pool CEC) and lands as a NAME@tN pseudo-circuit entry.
+  // mapping) and lands as a NAME@tN pseudo-circuit entry.
   // `total` is wall time; `total_cpu` adds the helper threads' busy time, so
   // total_cpu/total ≈ utilized workers.  Stats must match the serial
   // measurement bit-for-bit — checked here, every sweep, not just in tests.

@@ -95,8 +95,6 @@ Options parse_options(int argc, const char* const* argv) {
       opts.run_cec = false;
     } else if (arg == "--threads") {
       opts.threads = parse_int(arg, value_of(i), 1, 256);
-    } else if (arg == "--sat-portfolio") {
-      opts.sat_portfolio = true;
     } else if (arg == "--skip-checks") {
       opts.skip_checks = true;
     } else if (arg == "--passes") {
@@ -282,10 +280,6 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--json/--paper and the export options do not apply "
                        "to --serve (responses are always JSONL on stdout)");
     }
-    if (opts.sat_portfolio) {
-      throw UsageError("--sat-portfolio tunes report/bench CEC runs; serve "
-                       "jobs carry their own check configuration");
-    }
     if (!opts.incremental_from.empty()) {
       throw UsageError("--incremental-from is a report-mode option; serve "
                        "mode reuses cones across its request stream on its "
@@ -386,13 +380,9 @@ std::string usage() {
       "                              configurations in parallel, bench mode\n"
       "                              adds a batched run_many measurement.\n"
       "                              Threads left over after one per netlist\n"
-      "                              spill into the passes (parallel mapping\n"
-      "                              and per-output CEC); results are\n"
-      "                              identical at every thread count\n"
-      "  --sat-portfolio             race two solver configurations on CEC\n"
-      "                              outputs that resist a lone proof\n"
-      "                              (needs spare intra-pass workers;\n"
-      "                              verdicts are unchanged)\n"
+      "                              spill into the passes (parallel\n"
+      "                              mapping); results are identical at\n"
+      "                              every thread count\n"
       "  --skip-checks               drop the verification passes (timing,\n"
       "                              random-sim, CEC) from the pipeline\n"
       "  --passes LIST               explicit pass pipeline, comma-separated\n"

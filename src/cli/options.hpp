@@ -29,8 +29,6 @@ struct Options {
   int verify_rounds = 8;       // --verify-rounds N (random-sim self-check)
   bool run_cec = true;         // --no-cec skips SAT equivalence checking
   int threads = 1;             // --threads N (batched / parallel execution)
-  bool sat_portfolio = false;  // --sat-portfolio (race 2 solver configs on
-                               //   hard CEC outputs; needs intra workers)
   bool skip_checks = false;    // --skip-checks drops timing/sim/cec passes
   std::string passes;          // --passes LIST (explicit pipeline, e.g.
                                //   "map,t1,stage,dff"; empty = default)

@@ -89,7 +89,6 @@ t1::Pipeline build_pipeline(const Options& opts) {
 t1::FlowParams config_params(const std::string& key, const Options& opts) {
   t1::FlowParams params;
   params.verify_rounds = opts.verify_rounds;
-  params.sat_portfolio = opts.sat_portfolio;
   if (key == "baseline_1phi") {
     params.num_phases = 1;
     params.use_t1 = false;

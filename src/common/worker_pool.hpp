@@ -3,8 +3,8 @@
 ///
 /// `FlowEngine::run_many` spreads whole netlists over transient
 /// `std::thread`s; the per-pass parallel sections (level-parallel cut
-/// enumeration, the mapping DP, the solver-pool CEC) instead run many short
-/// barriers per netlist, where thread start-up latency would dominate.  A
+/// enumeration, the mapping DP) instead run many short barriers per
+/// netlist, where thread start-up latency would dominate.  A
 /// `WorkerPool` therefore keeps its helpers alive across `run` calls: one
 /// pool per `FlowScratch` serves every parallel section of every pass run on
 /// that scratch.

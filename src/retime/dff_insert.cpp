@@ -53,6 +53,7 @@ MaterializeResult insert_dffs(const Netlist& ntk, const StageAssignment& sa) {
       const std::uint32_t prev =
           c.empty() ? result.node_map[u] : c.back();
       const std::uint32_t dff = out.add_cell(CellKind::kDff, {prev});
+      out.set_origin(dff, ntk.origin(u));
       const int stage = su + static_cast<int>(c.size() + 1) * n;
       put(dff, stage);
       ++result.num_dffs;
@@ -70,6 +71,7 @@ MaterializeResult insert_dffs(const Netlist& ntk, const StageAssignment& sa) {
     for (int k = 1; k <= count; ++k) {
       const int stage = (k == count) ? r : su + k * n;
       const std::uint32_t dff = out.add_cell(CellKind::kDff, {prev});
+      out.set_origin(dff, ntk.origin(u));
       put(dff, stage);
       ++result.num_dffs;
       prev = dff;
@@ -124,6 +126,7 @@ MaterializeResult insert_dffs(const Netlist& ntk, const StageAssignment& sa) {
       }
     }
     put(new_id, sa.sigma[v]);
+    out.set_origin(new_id, ntk.origin(v));
     result.node_map[v] = new_id;
   }
 

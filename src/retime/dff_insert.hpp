@@ -14,6 +14,7 @@
 /// The returned netlist is functionally identical to the input (DFFs are
 /// identity functions) and its per-node stages satisfy the local timing
 /// rules that `check_timing` (timing_check.hpp) validates independently.
+/// Nodes keep their AIG origins (netlist.hpp); a DFF takes its driver's.
 
 #pragma once
 

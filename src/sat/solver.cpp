@@ -27,24 +27,15 @@ int Solver::new_var() {
   const int v = num_vars();
   assign_.push_back(0);
   model_.push_back(0);
-  saved_phase_.push_back(config_.default_phase_true ? 1 : -1);
+  // Saved phase false: good for Tseitin encodings whose cells are mostly
+  // falsified.
+  saved_phase_.push_back(-1);
   level_.push_back(0);
   reason_.push_back(kNoReason);
   // Tiny index-decreasing bias so activity ties branch on low-index
   // variables first (the PIs in a miter), like the pre-heap linear scan;
-  // any real bump (var_inc_ >= 1) immediately dominates it.  A portfolio
-  // seed replaces the bias with a pseudo-random tie order, giving racing
-  // solvers genuinely different early search trees.
-  if (config_.order_seed == 0) {
-    activity_.push_back(-1e-9 * v);
-  } else {
-    std::uint64_t h = static_cast<std::uint64_t>(v) +
-                      0x9E3779B97F4A7C15ull * (config_.order_seed | 1u);
-    h ^= h >> 33;
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-    activity_.push_back(-1e-9 * static_cast<double>(h & 0xFFFFFu));
-  }
+  // any real bump (var_inc_ >= 1) immediately dominates it.
+  activity_.push_back(-1e-9 * v);
   seen_.push_back(0);
   // After reset() the outer watches_ stays sized so the inner lists keep
   // their capacity; only grow past slots no previous problem used.
@@ -85,11 +76,6 @@ void Solver::reset() {
   var_inc_ = 1.0;
   clause_inc_ = 1.0;
   unsat_ = false;
-  // The cancel hook is per-solve wiring and must not dangle into the next
-  // problem; the strategy config, by contrast, survives (portfolio callers
-  // configure once, then reset-and-encode).
-  cancel_token_ = nullptr;
-  cancel_threshold_ = 0;
   seen_.clear();
   add_tmp_.clear();
   analyze_tmp_.clear();
@@ -522,12 +508,6 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
 
       if (conflict_limit >= 0 &&
           conflicts_ - start_conflicts >= conflict_limit) {
-        backtrack(0);
-        return Result::kUnknown;
-      }
-      if (cancel_token_ != nullptr &&
-          cancel_token_->load(std::memory_order_relaxed) <
-              cancel_threshold_) {
         backtrack(0);
         return Result::kUnknown;
       }

@@ -15,7 +15,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,19 +23,6 @@ namespace t1map::sat {
 
 /// Literal encoding: 2*var for the positive literal, 2*var+1 for negated.
 using Lit = std::int32_t;
-
-/// Search-strategy knobs for portfolio solving.  The default configuration
-/// reproduces the solver's historical behavior bit-for-bit; a portfolio
-/// races differently-configured solvers on the same CNF and keeps the first
-/// answer (SAT/UNSAT verdicts are configuration-independent).
-struct SolverConfig {
-  /// Initial saved phase of fresh variables (default false, good for
-  /// Tseitin encodings whose cells are mostly falsified).
-  bool default_phase_true = false;
-  /// Non-zero: perturbs the initial activity tie-break order of fresh
-  /// variables pseudo-randomly instead of the low-index-first bias.
-  std::uint32_t order_seed = 0;
-};
 
 constexpr Lit mk_lit(int var, bool negated = false) {
   return static_cast<Lit>(2 * var + (negated ? 1 : 0));
@@ -85,24 +71,6 @@ class Solver {
 
   /// Model access after kSat.
   bool model_value(int var) const { return model_.at(var) > 0; }
-
-  /// Sets the strategy configuration.  Affects variables created *after*
-  /// the call (phase / tie-break initialization happens in `new_var`), so
-  /// callers set it before encoding; it survives `reset()`.
-  void set_config(const SolverConfig& config) { config_ = config; }
-  const SolverConfig& config() const { return config_; }
-
-  /// Cooperative cancellation: while set, `solve` returns kUnknown as soon
-  /// as `token->load(relaxed) < threshold` is observed (checked once per
-  /// conflict).  This is how a solver pool abandons proofs made irrelevant
-  /// by another worker's counterexample, and how a portfolio cancels the
-  /// losing configuration.  Cleared by `reset()`; pass nullptr to clear
-  /// explicitly.  The token must outlive the solve.
-  void set_cancel(const std::atomic<std::int64_t>* token,
-                  std::int64_t threshold = 0) {
-    cancel_token_ = token;
-    cancel_threshold_ = threshold;
-  }
 
   // Statistics (cumulative across solve calls).
   std::int64_t num_conflicts() const { return conflicts_; }
@@ -198,10 +166,6 @@ class Solver {
   std::vector<int> heap_pos_;  // var -> position in heap_, -1 if absent
   double var_inc_ = 1.0;
   double clause_inc_ = 1.0;
-
-  SolverConfig config_;
-  const std::atomic<std::int64_t>* cancel_token_ = nullptr;
-  std::int64_t cancel_threshold_ = 0;
 
   bool unsat_ = false;
   std::int64_t conflicts_ = 0;

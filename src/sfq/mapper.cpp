@@ -355,6 +355,10 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   // created lazily and cached in both directions, so a consumer wanting the
   // complemented value of an output-negated cell taps the raw output for
   // free — the SFQ equivalent of AIG complemented-edge absorption.
+  //
+  // Every node records its AIG origin (netlist.hpp): a cell the literal of
+  // the node it covers in its raw polarity, an inverter the complement of
+  // its input's origin, a PI or constant its own literal.
   Netlist ntk;
   constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   std::vector<std::uint32_t> raw_signal(aig.num_nodes(), kNone);
@@ -368,6 +372,7 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
       return it->second;
     }
     const std::uint32_t inv = ntk.add_cell(CellKind::kNot, {sig});
+    ntk.set_origin(inv, lit_not(ntk.origin(sig)));
     ++local_stats.cells;
     ++local_stats.inverters;
     inverted.emplace(sig, inv);
@@ -383,7 +388,9 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   };
 
   for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
-    raw_signal[aig.pis()[i]] = ntk.add_pi(aig.pi_name(i));
+    const std::uint32_t pi = aig.pis()[i];
+    raw_signal[pi] = ntk.add_pi(aig.pi_name(i));
+    ntk.set_origin(raw_signal[pi], make_lit(pi));
   }
 
   for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
@@ -399,6 +406,7 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     }
     raw_signal[n] = ntk.add_cell(choice.config.kind, ins);
     raw_negated[n] = choice.config.output_neg;
+    ntk.set_origin(raw_signal[n], make_lit(n, choice.config.output_neg));
     ++local_stats.cells;
   }
 
@@ -409,8 +417,12 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     if (aig.is_const0(n)) {
       if (lit_is_complemented(po)) {
         sig = ntk.add_const(true);
+        ntk.set_origin(sig, Aig::kConst1);
       } else {
-        if (const0 == kNone) const0 = ntk.add_const(false);
+        if (const0 == kNone) {
+          const0 = ntk.add_const(false);
+          ntk.set_origin(const0, Aig::kConst0);
+        }
         sig = const0;
       }
       ntk.add_po(sig, aig.po_name(i));

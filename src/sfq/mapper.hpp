@@ -110,7 +110,8 @@ struct MapReuse {
 
 /// Maps `aig` to an SFQ netlist with identical PI/PO interface and
 /// function.  The result contains logic cells only (no DFFs, no T1s —
-/// T1 substitution is the separate detection pass of t1/).
+/// T1 substitution is the separate detection pass of t1/).  Every node
+/// records its AIG origin (netlist.hpp), memo-warm runs included.
 ///
 /// `workspace`, when given, supplies the cut-enumeration arena; it is reset
 /// per call, so reusing one workspace across many mappings avoids the

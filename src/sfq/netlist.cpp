@@ -10,6 +10,7 @@ std::uint32_t Netlist::push_node(Node node) {
                   "netlist fanin must precede the node");
   }
   nodes_.push_back(node);
+  if (!origins_.empty()) origins_.push_back(kNoOrigin);
   return num_nodes() - 1;
 }
 

@@ -14,6 +14,12 @@
 ///     most once per core;
 ///   * `kT1` cores are referenced by taps only (never directly by logic);
 ///   * fanins precede their node in id order.
+///
+/// A netlist the flow builds from an AIG also records, per node, the AIG
+/// literal the node realizes: its *origin*.  Origins are verification hints
+/// (`sat::check_equivalence` proves each cell against its origin), not part
+/// of the netlist's identity: digests, the exporters, `check_well_formed`
+/// and the serve codec all ignore them.
 
 #pragma once
 
@@ -70,6 +76,27 @@ class Netlist {
     T1MAP_REQUIRE(driver < nodes_.size(), "set_po_driver: no such node");
     pos_[index].driver = driver;
   }
+
+  // --- AIG origins ---------------------------------------------------------
+
+  static constexpr std::uint32_t kNoOrigin = 0xFFFFFFFFu;
+
+  /// Records that node `id` realizes AIG literal `aig_lit` (aig.hpp `Lit`).
+  /// Setting kNoOrigin on a netlist without origins stays allocation-free,
+  /// so copying passes can forward origins unconditionally.
+  void set_origin(std::uint32_t id, std::uint32_t aig_lit) {
+    T1MAP_REQUIRE(id < num_nodes(), "set_origin: no such node");
+    if (origins_.empty()) {
+      if (aig_lit == kNoOrigin) return;  // already unset
+      origins_.assign(nodes_.size(), kNoOrigin);
+    }
+    origins_[id] = aig_lit;
+  }
+  /// The node's AIG literal, or kNoOrigin.
+  std::uint32_t origin(std::uint32_t id) const {
+    return id < origins_.size() ? origins_[id] : kNoOrigin;
+  }
+  bool has_origins() const { return !origins_.empty(); }
 
   // --- Introspection -------------------------------------------------------
 
@@ -158,6 +185,7 @@ class Netlist {
   std::vector<std::uint32_t> pis_;
   std::vector<Po> pos_;
   std::vector<std::string> pi_names_;
+  std::vector<std::uint32_t> origins_;  // empty, or one per node
 };
 
 }  // namespace t1map::sfq

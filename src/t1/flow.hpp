@@ -42,10 +42,6 @@ struct FlowParams {
   /// Conflict budget of the SAT CEC pass when the pipeline includes it
   /// (flow_engine.hpp); < 0 = unlimited.
   std::int64_t cec_conflict_limit = -1;
-  /// Race two solver configurations on hard CEC outputs (sat/cec.hpp).
-  /// Strategy-only: needs intra-pass workers to take effect and never
-  /// changes verdicts, so it is excluded from `params_fingerprint`.
-  bool sat_portfolio = false;
 };
 
 /// The quantities Table I reports (plus a few internals).

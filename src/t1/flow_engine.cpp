@@ -275,20 +275,21 @@ bool SatCecPass::run(FlowContext& ctx) const {
                                       "(run dff before cec)");
   T1MAP_REQUIRE(ctx.aig != nullptr, "SatCecPass: context carries no source "
                                     "AIG");
-  sat::CecResult result;
-  if (ctx.scratch != nullptr) {
-    sat::CecOptions options;
-    options.conflict_limit = ctx.params.cec_conflict_limit;
-    options.pool = ctx.scratch->pool();
-    options.worker_solvers = &ctx.scratch->cec_solvers;
-    options.portfolio = ctx.params.sat_portfolio;
-    result = sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                    options, ctx.scratch->solver);
-  } else {
-    result = sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                    ctx.params.cec_conflict_limit);
-  }
+  const sat::CecResult result =
+      ctx.scratch != nullptr
+          ? sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
+                                   ctx.params.cec_conflict_limit,
+                                   ctx.scratch->solver)
+          : sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
+                                   ctx.params.cec_conflict_limit);
   ctx.cec = cec_verdict_name(result.verdict);
+  ctx.diagnostics.info(
+      name(), std::to_string(result.cells_local) + " cells proved locally, " +
+                  std::to_string(result.cells_sat) + " by SAT, " +
+                  std::to_string(result.hints_refuted) +
+                  " hints refuted, " + std::to_string(result.po_queries) +
+                  " PO queries, " + std::to_string(result.conflicts) +
+                  " conflicts");
   if (result.verdict == sat::CecResult::Verdict::kNotEquivalent) {
     ctx.fail(FlowStatus::kNotEquivalent, name(),
              "SAT CEC refuted equivalence: mapped netlist differs from the "
@@ -426,9 +427,6 @@ std::uint64_t params_fingerprint(const FlowParams& params) {
   h = absorb(h, static_cast<std::uint64_t>(params.mapper.cuts.max_cuts));
   h = absorb(h, static_cast<std::uint64_t>(params.verify_rounds));
   h = absorb(h, static_cast<std::uint64_t>(params.cec_conflict_limit));
-  // Deliberately excluded: `sat_portfolio` — a search-strategy knob that
-  // never changes the mapped netlist, statistics, or verdicts, so results
-  // computed with and without it are cache-interchangeable.
   return h;
 }
 
@@ -660,14 +658,17 @@ std::vector<EngineResult> FlowEngine::run_many(
           intra);
     }
     // Only ok-results are offered: a failed run carries partial state that
-    // must not masquerade as a mapped design on a later hit.
+    // must not masquerade as a mapped design on a later hit, and an
+    // inconclusive CEC must not come back as a hit that looks verified.
     for (const std::size_t i : miss) {
-      if (results[i].ok()) cache->store(keys[i], results[i]);
+      if (results[i].ok() && results[i].cec != "unknown") {
+        cache->store(keys[i], results[i]);
+      }
     }
   }
 
   // Aliases re-read through the cache so hit counters stay truthful; a
-  // non-ok representative (never stored) is copied directly instead.
+  // representative that was never stored is copied directly instead.
   for (const auto& [i, rep] : alias) {
     if (cache->lookup(keys[i], results[i])) {
       if (cached != nullptr) (*cached)[i] = 1;

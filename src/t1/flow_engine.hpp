@@ -127,11 +127,10 @@ struct FlowScratch {
   ConeMemo* memo = nullptr;
 
   /// Workers available for parallel sections *inside* passes (level-parallel
-  /// mapping, solver-pool CEC).  1 = serial.  Results are identical at any
-  /// setting; see cut/cut_enum.hpp and sat/cec.hpp for why.
+  /// mapping).  1 = serial.  Results are identical at any setting; see
+  /// cut/cut_enum.hpp for why.
   int intra_threads = 1;
-  ParallelCutScratch par_cuts;        // MapPass level-parallel buffers
-  std::vector<sat::Solver> cec_solvers;  // SatCecPass per-helper arenas
+  ParallelCutScratch par_cuts;  // MapPass level-parallel buffers
 
   /// Lazily (re)built pool of `intra_threads` workers; nullptr when serial.
   WorkerPool* pool();
@@ -253,8 +252,9 @@ class SimEquivPass final : public Pass {
   const char* requires_pass() const override { return "dff"; }
 };
 
-/// SAT CEC of the materialized netlist against the source AIG; records the
-/// verdict in `ctx.cec`.
+/// CEC of the materialized netlist against the source AIG (the sweep of
+/// sat/cec.hpp); records the verdict in `ctx.cec` and the sweep's work
+/// counters in an info diagnostic.
 class SatCecPass final : public Pass {
  public:
   const char* name() const override { return "cec"; }
@@ -313,7 +313,8 @@ class RunCache {
   virtual ~RunCache() = default;
   /// Fills `out` and returns true when `key` is present.
   virtual bool lookup(const RunKey& key, EngineResult& out) = 0;
-  /// Offers a freshly computed successful result for retention.
+  /// Offers a freshly computed successful result for retention (never one
+  /// whose CEC came back inconclusive).
   virtual void store(const RunKey& key, const EngineResult& result) = 0;
   /// Counter snapshot; the default (an empty snapshot) keeps trivial test
   /// fakes trivial.
@@ -441,7 +442,9 @@ class FlowEngine {
   /// Cache-aware batched execution: consults `cache` (keyed by the caller-
   /// supplied `keys`, index-aligned with `aigs`) before dispatching.  Hits
   /// are filled without touching the flow; duplicate keys within the batch
-  /// compute once; fresh ok-results are offered back via `store`.  When
+  /// compute once; fresh ok-results are offered back via `store`, except
+  /// those whose CEC verdict is "unknown" (an exhausted budget must never
+  /// come back as a hit that looks verified).  When
   /// `cached` is non-null it receives one flag per index (1 = served from
   /// the cache or deduplicated against an earlier batch entry).  Results
   /// are bit-for-bit identical to the uncached overload.

@@ -408,7 +408,10 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
   //   * matched roots are *replaced by taps* — their signal survives, so
   //     they may still serve as another group's leaf (this is exactly the
   //     ripple-carry chain: bit i's MAJ3 root feeds bit i+1's T1 inputs);
-  //   * leaves must keep existing (not vanish as someone's interior node).
+  //   * leaves must keep existing (not vanish as someone's interior node);
+  //   * two leaves must not be roots of one earlier group with the same
+  //     output kind: rewriting turns both into one tap, and the T1 would
+  //     read a single signal twice.
   // Topological order of cuts guarantees the resulting tap-to-tap feeding
   // is acyclic (leaves always precede roots).
   std::sort(candidates.begin(), candidates.end(),
@@ -416,6 +419,11 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
               return a.gain != b.gain ? a.gain > b.gain : a.leaves < b.leaves;
             });
   ws.claim.assign(n, 0);
+  ws.root_tap.resize(n);
+  const auto same_tap = [&ws](std::uint32_t a, std::uint32_t b) {
+    return (ws.claim[a] & ws.claim[b] & kClaimRoot) != 0 &&
+           ws.root_tap[a] == ws.root_tap[b];
+  };
   for (T1Candidate& cand : candidates) {
     if (cand.gain < params.min_gain) break;  // sorted: the rest are worse
     const std::uint32_t epoch = next_epoch(ws);  // root marks of this group
@@ -435,11 +443,20 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
     for (const std::uint32_t l : cand.leaves) {
       if (ws.claim[l] & kClaimInterior) ok = false;  // signal would vanish
     }
+    const auto& l = cand.leaves;
+    if (same_tap(l[0], l[1]) || same_tap(l[0], l[2]) || same_tap(l[1], l[2])) {
+      ok = false;  // two T1 inputs would be one signal
+    }
     if (!ok) continue;
     for (const std::uint32_t v : cand.mffc) {
       ws.claim[v] |= ws.in_set[v] == epoch ? kClaimRoot : kClaimInterior;
     }
-    for (const std::uint32_t l : cand.leaves) ws.claim[l] |= kClaimLeaf;
+    for (const T1Match& m : cand.matches) {
+      ws.root_tap[m.node] =
+          static_cast<std::uint32_t>(result.accepted.size()) * 5 +
+          static_cast<std::uint32_t>(m.output);
+    }
+    for (const std::uint32_t leaf : cand.leaves) ws.claim[leaf] |= kClaimLeaf;
     result.accepted.push_back(std::move(cand));
   }
   result.used = static_cast<int>(result.accepted.size());

@@ -160,8 +160,10 @@ struct DetectScratch {
   std::vector<std::uint32_t> frontier;
   std::vector<std::uint32_t> members;
 
-  // Conflict-resolution flags, one byte per node (kClaim* bits).
+  // Conflict-resolution flags, one byte per node (kClaim* bits), and for
+  // each claimed root the tap it becomes (accepted index * 5 + output).
   std::vector<std::uint8_t> claim;
+  std::vector<std::uint32_t> root_tap;
 };
 
 /// Runs detection on a mapped (T1-free) netlist.  `workspace`, when given,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "aig/aig.hpp"
+
 namespace t1map::t1 {
 
 namespace {
@@ -41,6 +43,9 @@ Netlist apply_t1_rewrite(const Netlist& ntk,
       return it->second;
     }
     const std::uint32_t inv = out.add_cell(CellKind::kNot, {new_sig});
+    const std::uint32_t origin = out.origin(new_sig);
+    out.set_origin(inv,
+                   origin == Netlist::kNoOrigin ? origin : lit_not(origin));
     not_cache.emplace(new_sig, inv);
     ++local.input_inverters;
     return inv;
@@ -64,6 +69,7 @@ Netlist apply_t1_rewrite(const Netlist& ntk,
       const int idx = static_cast<int>(m.output);
       if (tap_id[idx] == kNone) {
         tap_id[idx] = out.add_t1_tap(core, tap_kind(m.output));
+        out.set_origin(tap_id[idx], ntk.origin(m.node));
         ++local.taps;
       }
       map[m.node] = tap_id[idx];
@@ -103,8 +109,8 @@ Netlist apply_t1_rewrite(const Netlist& ntk,
         break;
       }
     }
+    out.set_origin(map[v], ntk.origin(v));
   }
-  local.removed_cells += 0;
 
   for (const auto& po : ntk.pos()) {
     T1MAP_REQUIRE(map[po.driver] != kNone, "PO driver removed");

@@ -7,6 +7,9 @@
 /// the (possibly inverted) leaves, adds one tap per distinct matched output,
 /// reroutes every consumer of a matched root to the corresponding tap, and
 /// drops the group MFFC.  Input inverters are shared across candidates.
+/// AIG origins carry through: surviving nodes keep theirs, a tap takes the
+/// origin of the root it replaces, an input inverter the complement of its
+/// input's.
 /// The result is functionally equivalent to the input by construction (each
 /// tap's function equals the replaced root's cut function); tests verify
 /// this by exhaustive/random simulation and SAT.

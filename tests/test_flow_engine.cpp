@@ -149,6 +149,71 @@ TEST(FlowEngine, CecPassRecordsVerdictAndTiming) {
   EXPECT_GE(r.times.cec, 0.0);
 }
 
+/// A final pass whose CEC came back inconclusive, as an exhausted budget
+/// reports it.
+class InconclusiveCecPass final : public Pass {
+ public:
+  const char* name() const override { return "cec"; }
+  bool run(FlowContext& ctx) const override {
+    ctx.cec = "unknown";
+    return true;
+  }
+};
+
+/// Counts what `run_many` offers and finds.
+class RecordingCache final : public RunCache {
+ public:
+  bool lookup(const RunKey& key, EngineResult& out) override {
+    for (const auto& [k, r] : entries_) {
+      if (k == key) {
+        out = r;
+        return true;
+      }
+    }
+    return false;
+  }
+  void store(const RunKey& key, const EngineResult& result) override {
+    entries_.emplace_back(key, result);
+  }
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  std::vector<std::pair<RunKey, EngineResult>> entries_;
+};
+
+TEST(FlowEngine, InconclusiveCecIsNeverCached) {
+  const Aig aig = gen::ripple_adder(4);
+  const std::vector<const Aig*> batch = {&aig, &aig};  // the same job twice
+  const std::vector<RunKey> keys = {RunKey{1, 2}, RunKey{1, 2}};
+  RecordingCache cache;
+  std::vector<std::uint8_t> cached;
+
+  Pipeline pipeline = Pipeline::parse("map,t1,stage,dff");
+  pipeline.add(std::make_unique<InconclusiveCecPass>());
+  FlowEngine engine(std::move(pipeline));
+  const auto first = engine.run_many(batch, FlowParams{}, 1, &cache, keys,
+                                     &cached);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_TRUE(first[0].ok());
+  EXPECT_EQ(first[0].cec, "unknown");
+  EXPECT_EQ(first[1].cec, "unknown");  // the duplicate copies the result
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0}));
+
+  // A repeat of the job misses the cache and runs again.
+  const auto again = engine.run_many(batch, FlowParams{}, 1, &cache, keys,
+                                     &cached);
+  EXPECT_EQ(again[0].cec, "unknown");
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0}));
+
+  // A conclusive run of the same job is stored and then hit.
+  FlowEngine verified(Pipeline::default_flow(/*with_cec=*/true));
+  verified.run_many(batch, FlowParams{}, 1, &cache, keys, &cached);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 1}));
+}
+
 TEST(FlowEngine, SkippingChecksStillProducesGoldenStats) {
   const Aig aig = gen::make_named("adder16");
   FlowParams params;

@@ -4,11 +4,7 @@
 //   * the flow is bit-identical at 1 vs. N intra-pass threads (BLIF of the
 //     mapped and materialized netlists plus every statistic) on the seven
 //     golden generators and the deep cordic28 / log2_16 chains;
-//   * level-parallel cut enumeration reproduces the serial cut sets;
-//   * solver-pool CEC: equivalent designs stay equivalent at every worker
-//     count; a seeded inequivalence reports the deterministic lowest
-//     failing output and an identical counterexample serial vs. pooled
-//     vs. portfolio; finite budgets stay deterministic.
+//   * level-parallel cut enumeration reproduces the serial cut sets.
 //
 // This suite runs under TSan in CI — the threaded paths here are the data
 // they validate.
@@ -26,7 +22,6 @@
 #include "gen/registry.hpp"
 #include "golden_flow.hpp"
 #include "io/blif.hpp"
-#include "sat/cec.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map {
@@ -199,151 +194,6 @@ TEST(ParallelFlow, RunManySpillIdentical) {
         << i;
     EXPECT_EQ(stats_key(serial[i].stats), stats_key(spilled[i].stats)) << i;
   }
-}
-
-// --- Solver-pool CEC ---------------------------------------------------------
-
-sat::CecResult check_with_pool(const Aig& aig, const sfq::Netlist& ntk,
-                               WorkerPool* pool, bool portfolio = false) {
-  sat::CecOptions options;
-  options.pool = pool;
-  options.portfolio = portfolio;
-  sat::Solver solver;
-  return sat::check_equivalence(aig, ntk, options, solver);
-}
-
-TEST(ParallelCec, EquivalentAtEveryWorkerCount) {
-  t1::FlowEngine engine;
-  t1::FlowParams params;
-  params.verify_rounds = 0;
-  for (const char* name : {"adder16", "comparator16", "voter25"}) {
-    const Aig aig = gen::make_named(name);
-    const t1::EngineResult flow = engine.run(aig, params);
-    ASSERT_TRUE(flow.ok()) << name;
-    const sfq::Netlist& ntk = flow.materialized.netlist;
-
-    WorkerPool pool2(2);
-    WorkerPool pool4(4);
-    for (WorkerPool* pool :
-         std::vector<WorkerPool*>{nullptr, &pool2, &pool4}) {
-      const sat::CecResult r = check_with_pool(aig, ntk, pool);
-      EXPECT_EQ(r.verdict, sat::CecResult::Verdict::kEquivalent) << name;
-      EXPECT_EQ(r.failing_output, -1) << name;
-    }
-  }
-}
-
-/// Replay-copy of `src` with the listed PO indices complemented.
-/// Structural hashing replays identically, so node ids are preserved and
-/// the two AIGs differ exactly on the flipped outputs.
-Aig copy_with_flipped_pos(const Aig& src,
-                          const std::vector<std::uint32_t>& flips) {
-  Aig out;
-  std::vector<Lit> node_lit(src.num_nodes(), 0);  // node 0 = const0
-  std::uint32_t pi_index = 0;
-  for (std::uint32_t id = 1; id < src.num_nodes(); ++id) {
-    if (src.is_pi(id)) {
-      node_lit[id] = out.create_pi(src.pi_name(pi_index++));
-    } else {
-      const Lit f0 = src.fanin0(id);
-      const Lit f1 = src.fanin1(id);
-      node_lit[id] = out.create_and(
-          lit_notif(node_lit[lit_node(f0)], lit_is_complemented(f0)),
-          lit_notif(node_lit[lit_node(f1)], lit_is_complemented(f1)));
-    }
-  }
-  for (std::uint32_t i = 0; i < src.num_pos(); ++i) {
-    const Lit po = src.po(i);
-    Lit mapped = lit_notif(node_lit[lit_node(po)], lit_is_complemented(po));
-    for (const std::uint32_t f : flips) {
-      if (f == i) mapped = lit_notif(mapped, true);
-    }
-    out.create_po(mapped, src.po_name(i));
-  }
-  return out;
-}
-
-sat::CecResult check_aigs_with_pool(const Aig& a, const Aig& b,
-                                    WorkerPool* pool,
-                                    bool portfolio = false) {
-  sat::CecOptions options;
-  options.pool = pool;
-  options.portfolio = portfolio;
-  sat::Solver solver;
-  return sat::check_equivalence(a, b, options, solver);
-}
-
-TEST(ParallelCec, SeededInequivalenceIsDeterministic) {
-  const Aig aig = gen::make_named("mul8");
-  // Flip POs 2 and 9: the verdict must blame the *lowest* differing output
-  // regardless of which worker finds which counterexample first.
-  const Aig flipped = copy_with_flipped_pos(aig, {2, 9});
-
-  const sat::CecResult serial = check_aigs_with_pool(aig, flipped, nullptr);
-  ASSERT_EQ(serial.verdict, sat::CecResult::Verdict::kNotEquivalent);
-  EXPECT_EQ(serial.failing_output, 2);
-  ASSERT_EQ(serial.counterexample.size(), aig.num_pis());
-
-  WorkerPool pool(4);
-  for (const bool portfolio : {false, true}) {
-    const sat::CecResult pooled =
-        check_aigs_with_pool(aig, flipped, &pool, portfolio);
-    EXPECT_EQ(pooled.verdict, sat::CecResult::Verdict::kNotEquivalent)
-        << "portfolio=" << portfolio;
-    EXPECT_EQ(pooled.failing_output, 2) << "portfolio=" << portfolio;
-    EXPECT_EQ(pooled.counterexample, serial.counterexample)
-        << "portfolio=" << portfolio;
-  }
-}
-
-TEST(ParallelCec, FiniteBudgetStaysSerialAndDeterministic) {
-  const Aig aig = gen::make_named("mul8");
-  const Aig same = copy_with_flipped_pos(aig, {});
-
-  // A zero budget cannot complete any real proof: the check must come back
-  // unknown and blame the same output every time — even when a pool is
-  // supplied, because finite budgets force the serial path.
-  WorkerPool pool(4);
-  sat::CecResult first;
-  for (int round = 0; round < 2; ++round) {
-    sat::CecOptions options;
-    options.conflict_limit = 0;
-    options.pool = &pool;
-    sat::Solver solver;
-    const sat::CecResult r = sat::check_equivalence(aig, same, options,
-                                                    solver);
-    EXPECT_EQ(r.verdict, sat::CecResult::Verdict::kUnknown);
-    EXPECT_GE(r.failing_output, 0);
-    if (round == 0) {
-      first = r;
-    } else {
-      EXPECT_EQ(r.failing_output, first.failing_output);
-    }
-  }
-
-  // A budget large enough for the whole proof reports equivalence and a
-  // clean failing_output.
-  sat::CecOptions roomy;
-  roomy.conflict_limit = 1 << 24;
-  sat::Solver solver;
-  const sat::CecResult ok = sat::check_equivalence(aig, same, roomy, solver);
-  EXPECT_EQ(ok.verdict, sat::CecResult::Verdict::kEquivalent);
-  EXPECT_EQ(ok.failing_output, -1);
-}
-
-TEST(ParallelCec, PortfolioEquivalentSmoke) {
-  const Aig aig = gen::make_named("voter25");
-  t1::FlowEngine engine;
-  t1::FlowParams params;
-  params.verify_rounds = 0;
-  const t1::EngineResult flow = engine.run(aig, params);
-  ASSERT_TRUE(flow.ok());
-
-  WorkerPool pool(2);
-  const sat::CecResult r = check_with_pool(
-      aig, flow.materialized.netlist, &pool, /*portfolio=*/true);
-  EXPECT_EQ(r.verdict, sat::CecResult::Verdict::kEquivalent);
-  EXPECT_EQ(r.failing_output, -1);
 }
 
 }  // namespace

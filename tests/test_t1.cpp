@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "aig/aig.hpp"
+#include "fuzz/random_aig.hpp"
 #include "retime/dff_insert.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/mapper.hpp"
 #include "sfq/netlist_sim.hpp"
+#include "t1/flow_engine.hpp"
 #include "t1/phase_ilp.hpp"
 #include "t1/t1_detect.hpp"
 #include "t1/t1_rewrite.hpp"
@@ -196,6 +198,24 @@ TEST(Rewrite, OverlapResolutionIsDisjoint) {
   EXPECT_EQ(det.used, 2);
   const Netlist rewritten = apply_t1_rewrite(n, det.accepted);
   EXPECT_EQ(rewritten.num_t1(), 2u);
+}
+
+TEST(Rewrite, SharedTapNeverFeedsOneT1Twice) {
+  // Regression: on this random AIG an accepted group used, as two of its
+  // leaves, two roots of an earlier group with one output kind.  Rewriting
+  // maps both roots to one tap, and the T1 core threw "T1 data inputs must
+  // be three distinct signals".
+  fuzz::RandomAigOptions options;
+  options.seed = 3891;
+  options.num_pis = 16;
+  options.num_pos = 12;
+  options.num_ops = 291;
+  const Aig aig = fuzz::random_aig(options);
+  FlowEngine engine(Pipeline::default_flow(/*with_cec=*/true));
+  const EngineResult r = engine.run(aig, FlowParams{});
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
+  EXPECT_EQ(r.cec, "equivalent");
+  EXPECT_GT(r.stats.t1_used, 0);
 }
 
 TEST(PhaseIlp, MatchesHeuristicOnSmallNets) {
