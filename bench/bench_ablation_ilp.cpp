@@ -1,4 +1,4 @@
-// Ablation A3 (DESIGN.md §3): optimality gap of the scalable coordinate-
+// Ablation A3: optimality gap of the scalable coordinate-
 // descent phase assignment against the exact ILP (our simplex + branch &
 // bound) on small circuits, with and without T1 cells.  The ILP model is
 // the paper's §II-B formulation.

@@ -1,4 +1,4 @@
-// Ablation A1 (DESIGN.md §3): sweep the phase count n = 1..8 for the
+// Ablation A1: sweep the phase count n = 1..8 for the
 // baseline and (n >= 3) T1 flows on three representative circuits.  Shows
 // where the multiphase DFF savings saturate and how the T1 advantage
 // depends on n — context for the paper's choice of 4 phases.

@@ -1,4 +1,4 @@
-// Ablation A2 (DESIGN.md §3): sensitivity of the detection stage —
+// Ablation A2: sensitivity of the detection stage —
 // the ΔA acceptance threshold of eq. (2) and the input-negation matching
 // dimension.  Shows how candidate count, realized area and DFFs respond.
 

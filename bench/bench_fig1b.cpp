@@ -2,7 +2,7 @@
 // cell through its characteristic protocol — T pulses toggling the
 // quantizing loop (Q* then C* outputs), the loop-current trace, and R
 // readout pulses (rejected in state 0).  Prints ASCII waveforms plus a
-// pulse-event table.  Experiment E2 in DESIGN.md §3.
+// pulse-event table.
 
 #include <algorithm>
 #include <cmath>
@@ -107,7 +107,7 @@ int main() {
     }
   }
   std::printf("\nstate-1 readout: peak sin(phi_JS) = %.3f of critical "
-              "(see EXPERIMENTS.md)\n", max_sin);
+              "(T1Params in jj/cells.hpp)\n", max_sin);
   std::printf("paper behaviours reproduced: toggle Q*/C* alternation, "
               "fluxon storage, state-0 rejection\n");
   return 0;

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the substrate layers: cut
 // enumeration, technology mapping, T1 detection, stage assignment, DFF
 // insertion, netlist simulation, SAT CEC and the analog engine.  These
-// track the flow's scaling behaviour; see DESIGN.md §3 (M1).
+// track the flow's scaling behaviour.
 
 #include <benchmark/benchmark.h>
 

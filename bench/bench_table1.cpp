@@ -2,8 +2,7 @@
 // circuits, runs single-phase (1φ), four-phase (4φ) and T1-aware (T1)
 // flows and reports path-balancing DFFs, area in JJs and depth in cycles,
 // with the same ratio columns the paper prints, next to the published
-// numbers.  See DESIGN.md §3 (experiment E1) and EXPERIMENTS.md for the
-// paper-vs-measured discussion.
+// numbers.
 
 #include <chrono>
 #include <cstdio>
@@ -114,7 +113,7 @@ int main() {
   }
   std::printf(
       "\nNotes: circuits are structural equivalents generated at the sizes\n"
-      "documented in DESIGN.md §4 (the 128-bit adder matches the paper\n"
+      "chosen in gen/registry.cpp (the 128-bit adder matches the paper\n"
       "exactly); compare ratios and trends, not absolute counts.\n");
   return 0;
 }

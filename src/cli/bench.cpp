@@ -127,6 +127,14 @@ io::Json reuse_json(const t1::ReuseCounters& r) {
   return j;
 }
 
+/// Every timed run of the flow bench must be cold: a memo splice would time
+/// the splice, not the flow.
+void require_cold(const t1::ReuseCounters& r, const std::string& name) {
+  T1MAP_REQUIRE(r.map_cones_reused == 0 && r.t1_cones_reused == 0 &&
+                    !r.t1_exact && !r.stage_spliced,
+                "bench: a timed run of " + name + " reused memoized work");
+}
+
 /// Near-duplicate incremental measurement (--bench-set nearduplicate): each
 /// base circuit is mapped cold as the reference, then one-gate mutants are
 /// mapped on an engine whose cone memo was just re-warmed with the base
@@ -281,10 +289,15 @@ int run_bench(const Options& opts) {
   // every circuit, which is exactly how a long-lived mapping service runs.
   // The pipeline is the same one report mode would run (--passes is
   // rejected in bench mode, so this is the skip_checks/CEC selection).
+  // The cone memo is off: with it, every repetition after the first would
+  // splice the previous one and time the splice, not the flow.  Warm runs
+  // are the nearduplicate set's business.
   t1::FlowEngine engine(build_pipeline(opts));
+  engine.set_incremental(false);
 
   io::Json root = io::Json::object();
   root.set("bench", "flow");
+  root.set("regime", "cold");
   root.set("config", "t1");
   root.set("phases", opts.phases);
   root.set("runs", opts.bench_runs);
@@ -325,6 +338,7 @@ int run_bench(const Options& opts) {
           std::chrono::duration<double>(Clock::now() - t0).count();
       T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
                                    flow.diagnostics.first_error());
+      require_cold(flow.reuse, name);
       bench.map.add(flow.times.map);
       bench.t1_detect.add(flow.times.t1_detect);
       bench.stage_assign.add(flow.times.stage_assign);
@@ -369,6 +383,7 @@ int run_bench(const Options& opts) {
         T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + circuits[c] +
                                      "@t" + std::to_string(threads) + ": " +
                                      flow.diagnostics.first_error());
+        require_cold(flow.reuse, circuits[c]);
         bench.map.add(flow.times.map);
         if (with_cec) bench.cec.add(flow.times.cec);
         bench.total.add(flow.times.total_wall);

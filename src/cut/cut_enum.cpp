@@ -2,29 +2,6 @@
 
 namespace t1map {
 
-bool merge_leaves(std::span<const std::uint32_t> a,
-                  std::span<const std::uint32_t> b, int k, CutLeaves& out) {
-  out.clear();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t count = 0;
-  while (i < a.size() || j < b.size()) {
-    std::uint32_t next;
-    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
-      next = a[i++];
-    } else if (i == a.size() || b[j] < a[i]) {
-      next = b[j++];
-    } else {
-      next = a[i];
-      ++i;
-      ++j;
-    }
-    if (static_cast<int>(++count) > k) return false;
-    out.push_back(next);
-  }
-  return true;
-}
-
 bool leaves_subset(std::span<const std::uint32_t> a,
                    std::span<const std::uint32_t> b) {
   if (a.size() > b.size()) return false;

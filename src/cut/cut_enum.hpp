@@ -114,6 +114,14 @@ inline std::uint64_t leaf_sig(std::uint32_t id) {
   return 1ull << (id & 63u);
 }
 
+/// True if `sig` has more than `k` bits set, which proves the leaf union
+/// too large (ids sharing `id mod 64` can only make the count smaller).
+/// Cheaper than a popcount on targets without a popcount instruction.
+inline bool sig_exceeds(std::uint64_t sig, int k) {
+  for (int i = 0; i < k; ++i) sig &= sig - 1;
+  return sig != 0;
+}
+
 /// Tuning knobs for enumeration.
 struct CutParams {
   /// Maximum number of leaves per cut.
@@ -123,9 +131,32 @@ struct CutParams {
   int max_cuts = 16;
 };
 
-/// Merges two sorted leaf lists; returns false if the union exceeds `k`.
-bool merge_leaves(std::span<const std::uint32_t> a,
-                  std::span<const std::uint32_t> b, int k, CutLeaves& out);
+/// Merges two sorted leaf lists into `out`; returns false if the union
+/// exceeds `k`.  Bit j of `in_a` (`in_b`) is set when out[j] is a leaf of
+/// `a` (`b`): the positions `Tt::expand` takes to re-express each side's
+/// function over `out`.  Inline: it runs once per candidate pair.
+inline bool merge_leaves(std::span<const std::uint32_t> a,
+                         std::span<const std::uint32_t> b, int k,
+                         CutLeaves& out, std::uint32_t& in_a,
+                         std::uint32_t& in_b) {
+  out.clear();
+  in_a = 0;
+  in_b = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  int count = 0;
+  while (i < a.size() || j < b.size()) {
+    if (count == k) return false;
+    const bool take_a = j == b.size() || (i < a.size() && a[i] <= b[j]);
+    const bool take_b = i == a.size() || (j < b.size() && b[j] <= a[i]);
+    if (take_a) in_a |= 1u << count;
+    if (take_b) in_b |= 1u << count;
+    out.push_back(take_a ? a[i++] : b[j]);
+    if (take_b) ++j;
+    ++count;
+  }
+  return true;
+}
 
 /// True if `a`'s leaves are a subset of `b`'s (then `a` dominates `b`).
 bool leaves_subset(std::span<const std::uint32_t> a,
@@ -176,14 +207,6 @@ struct CutScratch {
   std::vector<Cut> kept;
 };
 
-/// The cut function re-expressed over the superset leaf list `to`.  Both
-/// lists are sorted (`cut.leaves` ⊆ `to`), so equal sizes mean identical
-/// lists and the remap is skipped entirely.
-inline Tt expand_cut_tt(const Cut& cut, const CutLeaves& to) {
-  if (cut.leaves.size() == to.size()) return cut.tt;
-  return expand_to_leaves(cut.tt, cut.leaves, to);
-}
-
 /// Dominance filter: `scratch.fresh` (sorted by size then lex leaves) is
 /// reduced into `scratch.kept`, dropping duplicates and dominated cuts.
 /// The signature test rejects most pairs before any element compare.
@@ -212,18 +235,23 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
 
   CutLeaves merged;
   CutLeaves all;
+  std::uint32_t in_a = 0;
+  std::uint32_t in_b = 0;
+  std::uint32_t in_ab = 0;
+  std::uint32_t in_c = 0;
   scratch.fresh.clear();
-  // Arity-specialized cross-merge of the fanins' cut sets.
+  // Arity-specialized cross-merge of the fanins' cut sets.  Each fanin's
+  // function is re-expressed over the merged leaves at the positions the
+  // merge reports.
   const std::span<const Cut> c0 = cuts[fanin[0]];
   switch (nf) {
     case 1: {
       // Single fanin: every cut carries over with the local function
       // (BUF/NOT) applied on top; the leaf set is unchanged.
       for (const Cut& a : c0) {
-        const Tt fanin_tt[1] = {a.tt};
+        const Tt fanin_tts[1] = {a.tt};
         scratch.fresh.push_back(
-            Cut{a.leaves, a.sig,
-                compose(local, std::span<const Tt>(fanin_tt, 1))});
+            Cut{a.leaves, a.sig, compose(local, fanin_tts)});
       }
       break;
     }
@@ -232,13 +260,13 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
       for (const Cut& a : c0) {
         for (const Cut& b : c1) {
           const std::uint64_t sig = a.sig | b.sig;
-          if (__builtin_popcountll(sig) > params.k) continue;
-          if (!merge_leaves(a.leaves, b.leaves, params.k, merged)) continue;
-          Tt fanin_tts[2] = {detail::expand_cut_tt(a, merged),
-                             detail::expand_cut_tt(b, merged)};
-          scratch.fresh.push_back(
-              Cut{merged, sig,
-                  compose(local, std::span<const Tt>(fanin_tts, 2))});
+          if (sig_exceeds(sig, params.k)) continue;
+          if (!merge_leaves(a.leaves, b.leaves, params.k, merged, in_a, in_b)) {
+            continue;
+          }
+          const int n = static_cast<int>(merged.size());
+          const Tt fanin_tts[2] = {a.tt.expand(n, in_a), b.tt.expand(n, in_b)};
+          scratch.fresh.push_back(Cut{merged, sig, compose(local, fanin_tts)});
         }
       }
       break;
@@ -250,18 +278,24 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
       for (const Cut& a : c0) {
         for (const Cut& b : c1) {
           const std::uint64_t sig_ab = a.sig | b.sig;
-          if (__builtin_popcountll(sig_ab) > params.k) continue;
-          if (!merge_leaves(a.leaves, b.leaves, params.k, merged)) continue;
+          if (sig_exceeds(sig_ab, params.k)) continue;
+          if (!merge_leaves(a.leaves, b.leaves, params.k, merged, in_a, in_b)) {
+            continue;
+          }
+          const int nab = static_cast<int>(merged.size());
+          const Tt tt_a = a.tt.expand(nab, in_a);
+          const Tt tt_b = b.tt.expand(nab, in_b);
           for (const Cut& c : c2) {
             const std::uint64_t sig = sig_ab | c.sig;
-            if (__builtin_popcountll(sig) > params.k) continue;
-            if (!merge_leaves(merged, c.leaves, params.k, all)) continue;
-            Tt fanin_tts[3] = {detail::expand_cut_tt(a, all),
-                               detail::expand_cut_tt(b, all),
-                               detail::expand_cut_tt(c, all)};
-            scratch.fresh.push_back(
-                Cut{all, sig,
-                    compose(local, std::span<const Tt>(fanin_tts, 3))});
+            if (sig_exceeds(sig, params.k)) continue;
+            if (!merge_leaves(merged, c.leaves, params.k, all, in_ab, in_c)) {
+              continue;
+            }
+            const int n = static_cast<int>(all.size());
+            const Tt fanin_tts[3] = {tt_a.expand(n, in_ab),
+                                     tt_b.expand(n, in_ab),
+                                     c.tt.expand(n, in_c)};
+            scratch.fresh.push_back(Cut{all, sig, compose(local, fanin_tts)});
           }
         }
       }

@@ -6,7 +6,6 @@
 /// reproduce the circuits' *arithmetic structure* — ripple-carry chains,
 /// partial-product arrays and 3:2 compressor trees — which is what makes
 /// them T1-rich (every full adder is an XOR3/MAJ3 pair over one leaf set).
-/// See DESIGN.md §4 for the substitution rationale.
 ///
 /// All generators are verified against reference integer arithmetic by the
 /// test suite.

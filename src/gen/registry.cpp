@@ -23,7 +23,7 @@ const std::vector<std::string>& table1_names() {
 Aig make_benchmark(const std::string& name) {
   // Sizes are chosen to reproduce each benchmark's structure at laptop-
   // friendly scale; the `adder` matches the paper's 128 bits exactly
-  // (it is the headline result).  See DESIGN.md §4.
+  // (it is the headline result).
   if (name == "adder") return ripple_adder(128);
   if (name == "c7552") return adder_comparator(34);
   if (name == "c6288") return array_multiplier(16);

@@ -2,8 +2,8 @@
 /// \brief Named benchmark registry mirroring Table I of the paper.
 ///
 /// Maps the eight benchmark names to generator instantiations at the sizes
-/// documented in DESIGN.md §4, and carries the *published* Table I numbers
-/// so benches and EXPERIMENTS.md can print paper-vs-measured side by side.
+/// `make_benchmark` (registry.cpp) chooses, and carries the *published*
+/// Table I numbers so benches can print paper-vs-measured side by side.
 
 #pragma once
 

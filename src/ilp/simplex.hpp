@@ -2,8 +2,8 @@
 /// \brief Dense two-phase primal simplex for small linear programs.
 ///
 /// This is the LP engine underneath the branch-and-bound ILP solver used for
-/// *exact* multiphase phase assignment (paper §II-B replaces Google OR-Tools;
-/// see DESIGN.md §2 row 10).  It targets the instance sizes produced by
+/// *exact* multiphase phase assignment (in place of the Google OR-Tools
+/// solver of paper §II-B).  It targets the instance sizes produced by
 /// test circuits — hundreds of variables and constraints — with a dense
 /// tableau and Bland's anti-cycling rule; it is deliberately simple rather
 /// than fast.

@@ -51,8 +51,8 @@ DffHandle make_dff(Circuit& ckt, const JjParams& params = {});
 /// parameter sweeps in the test suite; they give clean toggle (Q*/C*
 /// alternation over repeated cycles), solid fluxon storage and state-0
 /// pulse rejection with >=10% drive margins.  The destructive S readout of
-/// this layout reaches sin(φ_S) = 0.996 — see EXPERIMENTS.md for the
-/// documented deviation.
+/// this layout reaches sin(φ_S) = 0.996 of critical, not 1; `bench_fig1b`
+/// prints the measured peak.
 struct T1Params {
   JjParams jq{0.20e-3, 4.0, 0.10e-12};
   JjParams jc{0.14e-3, 4.0, 0.10e-12};   // ratioed low: toggle partner

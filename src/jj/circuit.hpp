@@ -1,6 +1,6 @@
 /// \file circuit.hpp
 /// \brief Superconductive circuit description for the analog transient
-/// simulator (the in-tree stand-in for JoSIM; DESIGN.md §2 row 12).
+/// simulator (the in-tree stand-in for JoSIM).
 ///
 /// Elements: resistors, inductors, capacitors, DC current sources, pulsed
 /// current sources, and Josephson junctions in the RCSJ (resistively and

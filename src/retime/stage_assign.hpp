@@ -2,8 +2,7 @@
 /// \brief Multiphase stage (clock phase) assignment — paper §II-B.
 ///
 /// Every clocked element g gets a stage `σ(g) = n·S(g) + φ(g)` (epoch S,
-/// phase φ, n phases per cycle).  Model (paper [10] + §II-B, summarized in
-/// DESIGN.md §6):
+/// phase φ, n phases per cycle).  Model (paper [10] + §II-B):
 ///
 ///   * PIs and constants sit at stage 0; all POs are captured together at
 ///     `σ_PO`.

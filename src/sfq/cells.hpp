@@ -5,7 +5,7 @@
 /// Areas are expressed in Josephson-junction (JJ) counts, the unit Table I
 /// of the paper uses.  The values approximate the Yorozu et al. standard
 /// cell library (paper ref. [6]) and were calibrated against Table I's own
-/// numbers (see DESIGN.md §5):
+/// numbers:
 ///   * `T1 = 29` JJ is the paper's headline full-adder figure and includes
 ///     the pulse-merging confluence buffers at the T input;
 ///   * a conventional full adder (XOR3 + MAJ3 = 72 JJ) then costs exactly

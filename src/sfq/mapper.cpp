@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
-#include <map>
 #include <span>
-#include <unordered_map>
 
 #include "aig/aig_digest.hpp"
 #include "common/hash_mix.hpp"
@@ -93,41 +90,63 @@ const MatchTables& match_tables() {
   return tables;
 }
 
-/// Removes non-support variables, returning the compressed table and the
-/// surviving leaf ids (subset of `leaves` in order).
-Tt compress_support(const Tt& tt, std::span<const std::uint32_t> leaves,
-                    std::vector<std::uint32_t>& active_leaves) {
-  active_leaves.clear();
-  const std::uint32_t support = tt.support_mask();
-  std::vector<int> where;
-  int next = 0;
-  for (int v = 0; v < tt.num_vars(); ++v) {
-    if (support & (1u << v)) {
-      active_leaves.push_back(leaves[v]);
-      where.push_back(next++);
-    } else {
-      where.push_back(0);  // placeholder; variable unused
-    }
-  }
-  const int new_arity = next;
-  // Project: evaluate tt with non-support vars fixed to 0.
-  Tt reduced(new_arity);
-  for (std::uint64_t i = 0; i < reduced.num_bits(); ++i) {
-    std::uint64_t src = 0;
-    for (int v = 0; v < tt.num_vars(); ++v) {
-      if ((support & (1u << v)) && ((i >> where[v]) & 1u)) {
-        src |= (1ull << v);
+/// The support reduction of every function of 0..3 variables, indexed by
+/// arity-offset truth-table bits (2 + 4 + 16 + 256 entries), so the covering
+/// DP resolves each cut with one load.
+class ReductionTable {
+ public:
+  ReductionTable() {
+    for (int nvars = 0; nvars <= 3; ++nvars) {
+      const std::uint64_t num_functions = 1ull << (1u << nvars);
+      for (std::uint64_t bits = 0; bits < num_functions; ++bits) {
+        const Tt tt(nvars, bits);
+        SupportReduction& entry = entries_[kOffset[nvars] + bits];
+        entry.support = static_cast<std::uint8_t>(tt.support_mask());
+        entry.tt = project(tt, entry.support);
+        entry.configs = match_function(entry.tt);
       }
     }
-    if (tt.bit(src)) reduced.set_bit(i, true);
   }
-  return reduced;
+
+  const SupportReduction& operator[](const Tt& tt) const {
+    return entries_[kOffset[tt.num_vars()] + tt.bits()];
+  }
+
+ private:
+  static constexpr std::size_t kOffset[4] = {0, 2, 6, 22};
+
+  /// `tt` over the variables in `support` (in order), the others fixed to 0.
+  static Tt project(const Tt& tt, std::uint32_t support) {
+    Tt reduced(__builtin_popcount(support));
+    for (std::uint64_t i = 0; i < reduced.num_bits(); ++i) {
+      std::uint64_t src = 0;
+      int next = 0;
+      for (int v = 0; v < tt.num_vars(); ++v) {
+        if ((support & (1u << v)) == 0) continue;
+        if (((i >> next++) & 1u) != 0) src |= 1ull << v;
+      }
+      reduced.set_bit(i, tt.bit(src));
+    }
+    return reduced;
+  }
+
+  std::array<SupportReduction, 278> entries_;
+};
+
+const ReductionTable& reduction_table() {
+  static const ReductionTable table;
+  return table;
 }
 
 }  // namespace
 
 const std::vector<CellConfig>& match_function(const Tt& tt) {
   return match_tables().lookup(tt);
+}
+
+const SupportReduction& reduce_support(const Tt& tt) {
+  T1MAP_REQUIRE(tt.num_vars() <= 3, "support reduction covers arity 0..3");
+  return reduction_table()[tt];
 }
 
 std::uint64_t mapper_params_key(const MapperParams& params) {
@@ -202,35 +221,49 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   // The full DP step for one AND node.  Reads arrival/flow/planned_neg only
   // at the cut leaves — strictly lower topological levels — and writes only
   // this node's slots, which is what makes whole levels safe to compute
-  // concurrently.  `active` is caller-provided scratch (one per worker).
-  const auto compute_node = [&](std::uint32_t n,
-                                std::vector<std::uint32_t>& active) {
+  // concurrently.
+  const ReductionTable& reductions = reduction_table();
+  const auto compute_node = [&](std::uint32_t n) {
     MapChoice chosen;
+    const double fanout_div = std::max<std::uint32_t>(1, fanout[n]);
     for (const Cut& cut : cuts[n]) {
       if (cut.is_trivial(n)) continue;
-      const Tt reduced = compress_support(cut.tt, cut.leaves, active);
-      if (reduced.num_vars() == 0) {
-        // Constant function of the leaves (reconvergence artifact): realize
-        // below via the fanin-pair fallback instead.
-        continue;
+      // Constant functions of the leaves (reconvergence artifacts) match no
+      // config; the fanin-pair fallback below realizes them.
+      const SupportReduction& reduced = reductions[cut.tt];
+      if (reduced.configs.empty()) continue;
+      // The active leaves and their DP values, read once per cut.
+      std::array<std::uint32_t, 3> active;
+      std::array<int, 3> leaf_arr;
+      std::array<std::uint8_t, 3> leaf_neg;
+      std::array<double, 3> leaf_flow;
+      std::size_t num_active = 0;
+      for (std::uint32_t m = reduced.support; m != 0; m &= m - 1) {
+        const std::uint32_t leaf = cut.leaves[__builtin_ctz(m)];
+        active[num_active] = leaf;
+        leaf_arr[num_active] = arrival[leaf];
+        leaf_neg[num_active] = planned_neg[leaf];
+        leaf_flow[num_active] = flow[leaf];
+        ++num_active;
       }
-      for (const CellConfig& config : match_function(reduced)) {
+      for (const CellConfig& config : reduced.configs) {
         int arr = 0;
         double fl = static_cast<double>(config.area);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          const bool want_neg = ((config.input_neg >> i) & 1u) != 0;
-          arr = std::max(arr, leaf_arrival(active[i], want_neg));
-          fl += flow[active[i]];
+        for (std::size_t i = 0; i < num_active; ++i) {
+          const std::uint8_t want_neg = (config.input_neg >> i) & 1u;
+          arr = std::max(
+              arr, leaf_arr[i] + (leaf_neg[i] != want_neg ? not_stage : 0));
+          fl += leaf_flow[i];
         }
         arr += 1;  // the cell itself; raw polarity = config.output_neg
-        fl /= std::max<std::uint32_t>(1, fanout[n]);
+        fl /= fanout_div;
         const bool better =
             !chosen.valid || arr < chosen.arrival ||
             (arr == chosen.arrival && fl < chosen.flow - 1e-12);
         if (better) {
-          chosen.num_leaves = static_cast<std::uint8_t>(active.size());
-          std::copy(active.begin(), active.end(), chosen.leaves.begin());
-          chosen.tt = reduced;
+          chosen.num_leaves = static_cast<std::uint8_t>(num_active);
+          std::copy_n(active.begin(), num_active, chosen.leaves.begin());
+          chosen.tt = reduced.tt;
           chosen.config = config;
           chosen.arrival = arr;
           chosen.flow = fl;
@@ -276,12 +309,11 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     // Clean nodes take the memoized DP verdict with leaf ids translated;
     // the clean predicate (digests, fanouts, fanins transitively) makes the
     // copied arrival/flow/polarity exactly what recomputation would yield.
-    std::vector<std::uint32_t> active;
     for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
       if (!aig.is_and(n)) continue;
       const std::uint32_t o = corr.new_to_old[n];
       if (o == kNoCorrespondent) {
-        compute_node(n, active);
+        compute_node(n);
         continue;
       }
       MapChoice c = memo->choices[o];
@@ -302,28 +334,23 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     const LevelSchedule& levels = parallel.cuts->levels;
     WorkerPool& pool = *parallel.pool;
     const int num_workers = pool.num_workers();
-    std::vector<std::vector<std::uint32_t>> active_scratch(
-        static_cast<std::size_t>(num_workers));
     for (std::size_t l = 1; l < levels.num_levels(); ++l) {
       const std::span<const std::uint32_t> ids = levels.level(l);
       if (ids.size() < kMinParallelLevelNodes) {
-        for (const std::uint32_t id : ids) {
-          compute_node(id, active_scratch[0]);
-        }
+        for (const std::uint32_t id : ids) compute_node(id);
         continue;
       }
       pool.run([&](int w) {
         const std::size_t begin = ids.size() * w / num_workers;
         const std::size_t end = ids.size() * (w + 1) / num_workers;
         for (std::size_t i = begin; i < end; ++i) {
-          compute_node(ids[i], active_scratch[static_cast<std::size_t>(w)]);
+          compute_node(ids[i]);
         }
       });
     }
   } else {
-    std::vector<std::uint32_t> active;
     for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      if (aig.is_and(n)) compute_node(n, active);
+      if (aig.is_and(n)) compute_node(n);
     }
   }
 
@@ -352,7 +379,7 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   //
   // Each mapped node keeps its *raw* cell output plus a polarity flag
   // (configs with output negation produce the complement).  Inverters are
-  // created lazily and cached in both directions, so a consumer wanting the
+  // created lazily, at most one per node, so a consumer wanting the
   // complemented value of an output-negated cell taps the raw output for
   // free — the SFQ equivalent of AIG complemented-edge absorption.
   //
@@ -362,29 +389,24 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   Netlist ntk;
   constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   std::vector<std::uint32_t> raw_signal(aig.num_nodes(), kNone);
+  std::vector<std::uint32_t> inverted_signal(aig.num_nodes(), kNone);
   std::vector<bool> raw_negated(aig.num_nodes(), false);
-  std::unordered_map<std::uint32_t, std::uint32_t> inverted;
   std::uint32_t const0 = kNone;
 
   MapStats local_stats;
-  const auto get_inverted = [&](std::uint32_t sig) {
-    if (const auto it = inverted.find(sig); it != inverted.end()) {
-      return it->second;
-    }
-    const std::uint32_t inv = ntk.add_cell(CellKind::kNot, {sig});
-    ntk.set_origin(inv, lit_not(ntk.origin(sig)));
-    ++local_stats.cells;
-    ++local_stats.inverters;
-    inverted.emplace(sig, inv);
-    inverted.emplace(inv, sig);  // NOT(NOT(x)) = x: reuse both ways
-    return inv;
-  };
   /// The node's value in the requested polarity.
   const auto get_signal = [&](std::uint32_t node, bool want_negated) {
     const std::uint32_t sig = raw_signal[node];
     T1MAP_ASSERT(sig != kNone);
     if (raw_negated[node] == want_negated) return sig;
-    return get_inverted(sig);
+    std::uint32_t& inv = inverted_signal[node];
+    if (inv == kNone) {
+      inv = ntk.add_cell(CellKind::kNot, {sig});
+      ntk.set_origin(inv, lit_not(ntk.origin(sig)));
+      ++local_stats.cells;
+      ++local_stats.inverters;
+    }
+    return inv;
   };
 
   for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
@@ -398,13 +420,14 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     const MapChoice& choice = best[n];
     T1MAP_ASSERT(choice.valid);
 
-    std::vector<std::uint32_t> ins;
-    ins.reserve(choice.num_leaves);
+    std::array<std::uint32_t, kMaxCutLeaves> ins;
     for (std::size_t i = 0; i < choice.num_leaves; ++i) {
       const bool want_neg = ((choice.config.input_neg >> i) & 1u) != 0;
-      ins.push_back(get_signal(choice.leaves[i], want_neg));
+      ins[i] = get_signal(choice.leaves[i], want_neg);
     }
-    raw_signal[n] = ntk.add_cell(choice.config.kind, ins);
+    raw_signal[n] = ntk.add_cell(
+        choice.config.kind,
+        std::span<const std::uint32_t>(ins.data(), choice.num_leaves));
     raw_negated[n] = choice.config.output_neg;
     ntk.set_origin(raw_signal[n], make_lit(n, choice.config.output_neg));
     ++local_stats.cells;

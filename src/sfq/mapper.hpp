@@ -61,6 +61,21 @@ struct CellConfig {
 /// (possible only for some 3-variable functions).
 const std::vector<CellConfig>& match_function(const Tt& tt);
 
+/// A cut function restricted to its functional support: the covering DP's
+/// per-cut lookup.
+struct SupportReduction {
+  /// The function over its support variables, in order.
+  Tt tt;
+  /// Bit v is set when the function depends on variable v.
+  std::uint8_t support = 0;
+  /// `match_function(tt)`; empty for the constants.
+  std::span<const CellConfig> configs;
+};
+
+/// The support reduction of `tt` (arity 0..3), precomputed for all 278
+/// such functions.
+const SupportReduction& reduce_support(const Tt& tt);
+
 /// The covering DP's decision for one AND node: the chosen cut (active
 /// leaves in truth-table variable order), its function, the cell config
 /// realizing it, and the DP values downstream consumers read.  Flat and

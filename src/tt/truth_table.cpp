@@ -3,22 +3,6 @@
 #include <algorithm>
 
 namespace t1map {
-namespace {
-
-/// Bit pattern of the projection onto variable v in a 6-variable space,
-/// truncated by the caller's mask.  kProjection[v] has bit i set iff bit v of
-/// i is set.
-constexpr std::uint64_t kProjection[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
-};
-
-}  // namespace
-
-Tt Tt::var(int nvars, int v) {
-  T1MAP_REQUIRE(v >= 0 && v < nvars, "projection variable out of range");
-  return Tt(nvars, kProjection[v]);
-}
 
 bool Tt::depends_on(int v) const { return cofactor0(v) != cofactor1(v); }
 
@@ -32,21 +16,21 @@ std::uint32_t Tt::support_mask() const {
 
 Tt Tt::cofactor0(int v) const {
   T1MAP_REQUIRE(v >= 0 && v < nvars_, "cofactor variable out of range");
-  const std::uint64_t lo = bits_ & ~kProjection[v];
+  const std::uint64_t lo = bits_ & ~detail::kProjection[v];
   return Tt(nvars_, lo | (lo << (1u << v)));
 }
 
 Tt Tt::cofactor1(int v) const {
   T1MAP_REQUIRE(v >= 0 && v < nvars_, "cofactor variable out of range");
-  const std::uint64_t hi = bits_ & kProjection[v];
+  const std::uint64_t hi = bits_ & detail::kProjection[v];
   return Tt(nvars_, hi | (hi >> (1u << v)));
 }
 
 Tt Tt::flip_var(int v) const {
   T1MAP_REQUIRE(v >= 0 && v < nvars_, "flip variable out of range");
   const unsigned shift = 1u << v;
-  const std::uint64_t hi = bits_ & kProjection[v];
-  const std::uint64_t lo = bits_ & ~kProjection[v];
+  const std::uint64_t hi = bits_ & detail::kProjection[v];
+  const std::uint64_t lo = bits_ & ~detail::kProjection[v];
   return Tt(nvars_, (hi >> shift) | (lo << shift));
 }
 
@@ -98,59 +82,6 @@ std::string Tt::to_string() const {
     s.push_back(bit(i) ? '1' : '0');
   }
   return s;
-}
-
-Tt compose(const Tt& local, std::span<const Tt> fanins) {
-  T1MAP_REQUIRE(static_cast<std::size_t>(local.num_vars()) == fanins.size(),
-                "compose: local arity must match fanin count");
-  if (fanins.empty()) return local;  // zero-variable constant
-  const int nvars = fanins[0].num_vars();
-  for (const Tt& f : fanins) {
-    T1MAP_REQUIRE(f.num_vars() == nvars, "compose: fanin arity mismatch");
-  }
-  // Word-parallel Shannon expansion: every minterm of `local` contributes
-  // the AND of its fanin tables (complemented where the minterm has a 0),
-  // all 2^nvars result rows at once.
-  const std::uint64_t full = Tt::ones(nvars).bits();
-  std::uint64_t result = 0;
-  for (std::uint64_t row = 0; row < local.num_bits(); ++row) {
-    if (!local.bit(row)) continue;
-    std::uint64_t term = full;
-    for (std::size_t k = 0; k < fanins.size() && term != 0; ++k) {
-      const std::uint64_t f = fanins[k].bits();
-      term &= ((row >> k) & 1u) != 0 ? f : ~f;
-    }
-    result |= term;
-  }
-  return Tt(nvars, result);
-}
-
-Tt expand_to_leaves(const Tt& tt, std::span<const std::uint32_t> from,
-                    std::span<const std::uint32_t> to) {
-  T1MAP_REQUIRE(static_cast<int>(from.size()) == tt.num_vars(),
-                "expand: leaf list must match arity");
-  T1MAP_REQUIRE(static_cast<int>(to.size()) <= Tt::kMaxVars,
-                "expand: target leaf list too large");
-  // Allocation-free: both lists are sorted, so one merged walk resolves the
-  // variable positions.  This runs per candidate cut in enumeration.
-  int where[Tt::kMaxVars];
-  std::size_t j = 0;
-  for (std::size_t v = 0; v < from.size(); ++v) {
-    while (j < to.size() && to[j] < from[v]) ++j;
-    T1MAP_REQUIRE(j < to.size() && to[j] == from[v],
-                  "expand: source leaf missing from target leaf set");
-    where[v] = static_cast<int>(j++);
-  }
-  const int nto = static_cast<int>(to.size());
-  std::uint64_t out = 0;
-  for (std::uint64_t i = 0; i < (1ull << nto); ++i) {
-    std::uint64_t src = 0;
-    for (std::size_t v = 0; v < from.size(); ++v) {
-      src |= ((i >> where[v]) & 1u) << v;
-    }
-    out |= static_cast<std::uint64_t>(tt.bit(src)) << i;
-  }
-  return Tt(nto, out);
 }
 
 namespace tts {

@@ -20,6 +20,18 @@
 
 namespace t1map {
 
+namespace detail {
+
+/// Bit pattern of the projection onto variable v in a 6-variable space,
+/// truncated by the caller's mask.  kProjection[v] has bit i set iff bit v of
+/// i is set.
+inline constexpr std::uint64_t kProjection[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
+};
+
+}  // namespace detail
+
 /// A complete Boolean function of `num_vars()` <= 6 variables.
 ///
 /// Invariant: bits above position 2^num_vars() are zero, so `==` is plain
@@ -36,7 +48,10 @@ class Tt {
       : bits_(bits & mask(check_arity(nvars))), nvars_(nvars) {}
 
   /// Projection onto variable `var` within an `nvars`-variable space.
-  static Tt var(int nvars, int var);
+  static Tt var(int nvars, int var) {
+    T1MAP_REQUIRE(var >= 0 && var < nvars, "projection variable out of range");
+    return Tt(nvars, detail::kProjection[var]);
+  }
 
   /// Constant-one function.
   static Tt ones(int nvars) { return Tt(nvars, ~0ull); }
@@ -95,6 +110,36 @@ class Tt {
   /// new variable `where[i]`.  `new_nvars` must accommodate every target.
   Tt remap(int new_nvars, std::span<const int> where) const;
 
+  /// The order-preserving `remap`: old variable `i` becomes the `i`-th set
+  /// bit of `positions` (one per old variable, all below `new_nvars`); the
+  /// other new variables are don't-cares.  One is inserted at position j by
+  /// spreading the table's 2^j-row blocks apart and doubling each block
+  /// into the gap after it: a few word operations, not a pass over the
+  /// rows.  Inline: cut
+  /// enumeration runs it per fanin of every candidate cut, with the
+  /// positions `merge_leaves` reports.
+  Tt expand(int new_nvars, std::uint32_t positions) const {
+    constexpr const char* kMisuse =
+        "expand: needs one position below new_nvars per variable";
+    T1MAP_REQUIRE(new_nvars >= 0 && new_nvars <= kMaxVars &&
+                      (positions >> new_nvars) == 0,
+                  kMisuse);
+    std::uint64_t bits = bits_;
+    int nvars = nvars_;
+    for (int j = 0; j < new_nvars; ++j) {
+      if ((positions >> j) & 1u) continue;
+      T1MAP_REQUIRE(nvars < kMaxVars, kMisuse);
+      for (int u = nvars - 1; u >= j; --u) {
+        const std::uint64_t hi = bits & detail::kProjection[u];
+        bits = (bits ^ hi) | (hi << (1u << u));
+      }
+      bits |= bits << (1u << j);
+      ++nvars;
+    }
+    T1MAP_REQUIRE(nvars == new_nvars, kMisuse);
+    return Tt(nvars, bits);
+  }
+
   /// Binary string, most significant assignment first (e.g. "1000" for AND2).
   std::string to_string() const;
 
@@ -138,13 +183,29 @@ class Tt {
 /// fanin functions, producing a function over the fanins' shared variable
 /// space.  All fanin tables must have equal arity.  This is how a cut's
 /// function is computed from per-node local functions.
-Tt compose(const Tt& local, std::span<const Tt> fanins);
-
-/// The function of `tt` (over `from` leaves, ascending ids) re-expressed over
-/// the superset leaf list `to` (ascending).  Every id in `from` must occur in
-/// `to`.
-Tt expand_to_leaves(const Tt& tt, std::span<const std::uint32_t> from,
-                    std::span<const std::uint32_t> to);
+inline Tt compose(const Tt& local, std::span<const Tt> fanins) {
+  T1MAP_REQUIRE(static_cast<std::size_t>(local.num_vars()) == fanins.size(),
+                "compose: local arity must match fanin count");
+  if (fanins.empty()) return local;  // zero-variable constant
+  const int nvars = fanins[0].num_vars();
+  for (const Tt& f : fanins) {
+    T1MAP_REQUIRE(f.num_vars() == nvars, "compose: fanin arity mismatch");
+  }
+  // Word-parallel Shannon expansion: every minterm of `local` contributes
+  // the AND of its fanin tables (complemented where the minterm has a 0),
+  // all 2^nvars result rows at once.  Branch-free, so that the
+  // enumerator's fixed fanin counts unroll it.
+  std::uint64_t result = 0;
+  for (std::uint64_t row = 0; row < local.num_bits(); ++row) {
+    std::uint64_t term = 0 - ((local.bits() >> row) & 1u);
+    for (std::size_t k = 0; k < fanins.size(); ++k) {
+      const std::uint64_t f = fanins[k].bits();
+      term &= ((row >> k) & 1u) != 0 ? f : ~f;
+    }
+    result |= term;
+  }
+  return Tt(nvars, result);
+}
 
 /// Common 2- and 3-input functions used by the SFQ cell library and the T1
 /// matcher.

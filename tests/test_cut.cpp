@@ -36,11 +36,19 @@ Aig random_aig(Rng& rng, int num_pis, int num_ands) {
 
 TEST(CutEnum, MergeLeaves) {
   CutLeaves out;
-  EXPECT_TRUE(merge_leaves(CutLeaves{1, 3}, CutLeaves{2, 3}, 3, out));
+  std::uint32_t in_a = 0;
+  std::uint32_t in_b = 0;
+  EXPECT_TRUE(
+      merge_leaves(CutLeaves{1, 3}, CutLeaves{2, 3}, 3, out, in_a, in_b));
   EXPECT_EQ(to_vec(out), (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_FALSE(merge_leaves(CutLeaves{1, 2}, CutLeaves{3, 4}, 3, out));
-  EXPECT_TRUE(merge_leaves(CutLeaves{}, CutLeaves{5}, 3, out));
+  EXPECT_EQ(in_a, 0b101u);
+  EXPECT_EQ(in_b, 0b110u);
+  EXPECT_FALSE(
+      merge_leaves(CutLeaves{1, 2}, CutLeaves{3, 4}, 3, out, in_a, in_b));
+  EXPECT_TRUE(merge_leaves(CutLeaves{}, CutLeaves{5}, 3, out, in_a, in_b));
   EXPECT_EQ(to_vec(out), (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(in_a, 0u);
+  EXPECT_EQ(in_b, 0b1u);
 }
 
 TEST(CutEnum, LeavesSubset) {

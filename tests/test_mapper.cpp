@@ -46,6 +46,34 @@ TEST(MatchFunction, SomeThreeVarFunctionsAreNotSingleCell) {
   EXPECT_FALSE(match_function(tts::or3().apply_polarity(0b101)).empty());
 }
 
+TEST(SupportReduction, EveryFunctionUpToThreeVars) {
+  // All 2 + 4 + 16 + 256 entries: the support is the function's support,
+  // the reduced function re-expanded onto it gives the function back and
+  // depends on every variable it keeps, and the configs are its matches.
+  int entries = 0;
+  for (int arity = 0; arity <= 3; ++arity) {
+    const std::uint64_t space = 1ull << (1u << arity);
+    for (std::uint64_t bits = 0; bits < space; ++bits) {
+      const Tt tt(arity, bits);
+      const SupportReduction& reduced = reduce_support(tt);
+      EXPECT_EQ(reduced.support, tt.support_mask()) << tt.to_string();
+      std::vector<int> where;
+      for (int v = 0; v < arity; ++v) {
+        if ((reduced.support >> v) & 1u) where.push_back(v);
+      }
+      ASSERT_EQ(reduced.tt.num_vars(), static_cast<int>(where.size()));
+      EXPECT_EQ(reduced.tt.remap(arity, where), tt) << tt.to_string();
+      EXPECT_EQ(reduced.tt.support_mask(), (1u << where.size()) - 1);
+      const std::vector<CellConfig>& configs = match_function(reduced.tt);
+      EXPECT_EQ(reduced.configs.data(), configs.data());
+      EXPECT_EQ(reduced.configs.size(), configs.size());
+      ++entries;
+    }
+  }
+  EXPECT_EQ(entries, 278);
+  EXPECT_THROW(reduce_support(Tt(4)), ContractError);
+}
+
 TEST(Mapper, FullAdderMapsToXor3Maj3) {
   Aig aig;
   const Lit a = aig.create_pi();

@@ -103,12 +103,44 @@ TEST(Tt, RemapIntoLargerSpace) {
   EXPECT_EQ(f, Tt::var(3, 2) & Tt::var(3, 0));
 }
 
-TEST(Tt, ExpandToLeaves) {
-  // tt over leaves {10, 30} expanded into {10, 20, 30}.
-  const std::uint32_t from[] = {10, 30};
-  const std::uint32_t to[] = {10, 20, 30};
-  const Tt f = expand_to_leaves(tts::xor2(), from, to);
-  EXPECT_EQ(f, Tt::var(3, 0) ^ Tt::var(3, 2));
+TEST(Tt, Expand) {
+  // xor2 over a 3-variable space, its variables at positions 0 and 2.
+  EXPECT_EQ(tts::xor2().expand(3, 0b101), Tt::var(3, 0) ^ Tt::var(3, 2));
+}
+
+TEST(Tt, ExpandMatchesRemapExhaustively) {
+  // Every placement of |from| variables among |to| <= 4 positions (one per
+  // sorted from ⊆ to of a cut merge) and every function over `from`,
+  // against the generic remap.
+  long checked = 0;
+  for (int nto = 0; nto <= 4; ++nto) {
+    for (std::uint32_t positions = 0; positions < (1u << nto); ++positions) {
+      std::vector<int> where;
+      for (int j = 0; j < nto; ++j) {
+        if ((positions >> j) & 1u) where.push_back(j);
+      }
+      const int nfrom = static_cast<int>(where.size());
+      for (std::uint64_t bits = 0; bits < (1ull << (1u << nfrom)); ++bits) {
+        const Tt tt(nfrom, bits);
+        ASSERT_EQ(tt.expand(nto, positions), tt.remap(nto, where))
+            << "positions " << positions << " of " << nto << ", f "
+            << tt.to_string();
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 + (4 + 2) + (16 + 2 * 4 + 2) +
+                         (256 + 3 * 16 + 3 * 4 + 2) +
+                         (65536 + 4 * 256 + 6 * 16 + 4 * 4 + 2));
+}
+
+TEST(Tt, ExpandRejectsMisuse) {
+  // One position per variable, all below the new arity, at most 6 in all.
+  EXPECT_THROW(tts::xor2().expand(3, 0b001), ContractError);
+  EXPECT_THROW(tts::xor2().expand(3, 0b111), ContractError);
+  EXPECT_THROW(tts::xor2().expand(2, 0b100), ContractError);
+  EXPECT_THROW(Tt(6).expand(6, 0), ContractError);
+  EXPECT_THROW(tts::xor2().expand(7, 0b11), ContractError);
 }
 
 TEST(Tt, ComposeFullAdder) {
@@ -119,18 +151,41 @@ TEST(Tt, ComposeFullAdder) {
   EXPECT_EQ(compose(tts::xor2(), fanins), tts::xor3());
 }
 
-TEST(Tt, ComposeRandomAgainstPointwise) {
-  Rng rng(99);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Tt local(2, rng.next() & 0xF);
-    const Tt f0(3, rng.next() & 0xFF);
-    const Tt f1(3, rng.next() & 0xFF);
-    const Tt fanins[] = {f0, f1};
+TEST(Tt, ComposeAgainstPointwise) {
+  // Every local function of 1 or 2 variables on every pair of 2-variable
+  // fanin tables, and every 3-variable local on random 3-variable fanins.
+  const auto check = [](const Tt& local, std::span<const Tt> fanins) {
     const Tt got = compose(local, fanins);
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      const std::uint64_t point =
-          (f0.bit(i) ? 1u : 0u) | (f1.bit(i) ? 2u : 0u);
-      EXPECT_EQ(got.bit(i), local.bit(point));
+    ASSERT_EQ(got.num_vars(), fanins[0].num_vars());
+    for (std::uint64_t i = 0; i < got.num_bits(); ++i) {
+      std::uint64_t point = 0;
+      for (std::size_t k = 0; k < fanins.size(); ++k) {
+        if (fanins[k].bit(i)) point |= 1ull << k;
+      }
+      ASSERT_EQ(got.bit(i), local.bit(point))
+          << "local " << local.to_string() << " row " << i;
+    }
+  };
+  for (std::uint64_t l = 0; l < 4; ++l) {
+    for (std::uint64_t f0 = 0; f0 < 16; ++f0) {
+      const Tt fanins[] = {Tt(2, f0)};
+      check(Tt(1, l), fanins);
+    }
+  }
+  for (std::uint64_t l = 0; l < 16; ++l) {
+    for (std::uint64_t f0 = 0; f0 < 16; ++f0) {
+      for (std::uint64_t f1 = 0; f1 < 16; ++f1) {
+        const Tt fanins[] = {Tt(2, f0), Tt(2, f1)};
+        check(Tt(2, l), fanins);
+      }
+    }
+  }
+  Rng rng(99);
+  for (std::uint64_t l = 0; l < 256; ++l) {
+    for (int trial = 0; trial < 16; ++trial) {
+      const Tt fanins[] = {Tt(3, rng.next()), Tt(3, rng.next()),
+                           Tt(3, rng.next())};
+      check(Tt(3, l), fanins);
     }
   }
 }
