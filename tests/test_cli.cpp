@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "io/json.hpp"
 
@@ -188,6 +189,108 @@ TEST(Cli, AigerExportImportRoundTrip) {
   }
   std::remove(aag.c_str());
   std::remove(aig.c_str());
+}
+
+/// `report` without each configuration's wall-clock `seconds`: the part of
+/// the JSON report that must not depend on scheduling.
+io::Json without_seconds(const io::Json& report) {
+  io::Json out = io::Json::object();
+  for (const auto& [key, value] : report.members()) {
+    if (key != "configs") {
+      out.set(key, value);
+      continue;
+    }
+    io::Json configs = io::Json::object();
+    for (const auto& [name, config] : value.members()) {
+      io::Json c = io::Json::object();
+      for (const auto& [field, v] : config.members()) {
+        if (field != "seconds") c.set(field, v);
+      }
+      configs.set(name, std::move(c));
+    }
+    out.set("configs", std::move(configs));
+  }
+  return out;
+}
+
+TEST(Cli, ThreadCountDoesNotChangeTheReport) {
+  std::string serial;
+  std::string threaded;
+  ASSERT_EQ(run_command(kCli + " --gen mul8 --json --threads 1 2>/dev/null",
+                        serial),
+            0);
+  ASSERT_EQ(run_command(kCli + " --gen mul8 --json --threads 3 2>/dev/null",
+                        threaded),
+            0);
+  EXPECT_EQ(without_seconds(io::Json::parse(threaded)).dump(),
+            without_seconds(io::Json::parse(serial)).dump());
+}
+
+TEST(Cli, IncrementalFromTheSameDesignSplicesEveryCone) {
+  const std::string aag = "/tmp/t1map_cli_inc_mul8.aag";
+  std::string out;
+  ASSERT_EQ(run_command(kCli + " --gen mul8 --export-aiger " + aag +
+                            " --json 2>/dev/null",
+                        out),
+            0);
+  std::string cold_text;
+  std::string warm_text;
+  ASSERT_EQ(run_command(kCli + " --input " + aag + " --json 2>/dev/null",
+                        cold_text),
+            0);
+  ASSERT_EQ(run_command(kCli + " --input " + aag + " --incremental-from " +
+                            aag + " --json 2>/dev/null",
+                        warm_text),
+            0);
+  const io::Json cold = io::Json::parse(cold_text);
+  const io::Json warm = io::Json::parse(warm_text);
+  EXPECT_EQ(warm.at("incremental_from").as_string(), aag);
+
+  // Each configuration is primed with the very design it then maps, so
+  // every mapper cone and the whole stage assignment splice, and the T1
+  // detector reuses its whole result.
+  const io::Json& configs = warm.at("configs");
+  ASSERT_EQ(configs.members().size(), 3u);
+  for (const auto& [key, config] : configs.members()) {
+    const io::Json& reuse = config.at("reuse");
+    EXPECT_EQ(reuse.at("map_cones_total").as_number(), 584) << key;
+    EXPECT_EQ(reuse.at("map_cones_reused").as_number(), 584) << key;
+    EXPECT_TRUE(reuse.at("stage_spliced").as_bool()) << key;
+    EXPECT_EQ(reuse.at("t1_exact").as_bool(), key == "t1") << key;
+    // Splices are bit-identical to a cold run.
+    const io::Json& ref = cold.at("configs").at(key);
+    for (const char* field :
+         {"phases", "use_t1", "jj_total", "dffs", "depth_cycles",
+          "num_stages", "logic_cells", "splitters", "t1_found", "t1_used",
+          "cec"}) {
+      EXPECT_EQ(config.at(field).dump(), ref.at(field).dump())
+          << key << '.' << field;
+    }
+  }
+  std::remove(aag.c_str());
+}
+
+TEST(Cli, IncrementalFromAnUnrelatedDesignReusesNoCone) {
+  const std::string aag = "/tmp/t1map_cli_inc_adder16.aag";
+  std::string out;
+  ASSERT_EQ(run_command(kCli + " --gen adder16 --export-aiger " + aag +
+                            " --json 2>/dev/null",
+                        out),
+            0);
+  ASSERT_EQ(run_command(kCli + " --gen mul8 --incremental-from " + aag +
+                            " --json 2>/dev/null",
+                        out),
+            0);
+  const io::Json report = io::Json::parse(out);
+  for (const auto& [key, config] : report.at("configs").members()) {
+    const io::Json& reuse = config.at("reuse");
+    EXPECT_EQ(reuse.at("map_cones_total").as_number(), 584) << key;
+    EXPECT_EQ(reuse.at("map_cones_reused").as_number(), 0) << key;
+    EXPECT_EQ(reuse.at("t1_cones_reused").as_number(), 0) << key;
+    EXPECT_FALSE(reuse.at("t1_exact").as_bool()) << key;
+    EXPECT_FALSE(reuse.at("stage_spliced").as_bool()) << key;
+  }
+  std::remove(aag.c_str());
 }
 
 TEST(Cli, ListGensAndHelp) {
