@@ -7,12 +7,20 @@
 #include <string>
 #include <vector>
 
+#include "common/require.hpp"
 #include "gen/registry.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main() {
   using namespace t1map;
   const std::vector<std::string> circuits = {"adder", "c6288", "square"};
+  t1::FlowEngine engine;
+  // A failed check pass stops the program, naming the pass's reason.
+  const auto stats_of = [&](const Aig& aig, const t1::FlowParams& params) {
+    const t1::EngineResult r = engine.run(aig, params);
+    T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
+    return r.stats;
+  };
 
   std::printf("Ablation: phase count sweep (baseline vs T1 flow)\n");
   std::printf("=================================================\n");
@@ -26,14 +34,14 @@ int main() {
       base.num_phases = n;
       base.use_t1 = false;
       base.verify_rounds = 1;
-      const auto rb = t1::run_flow(aig, base).stats;
+      const t1::FlowStats rb = stats_of(aig, base);
 
       if (n >= 3) {
         t1::FlowParams with;
         with.num_phases = n;
         with.use_t1 = true;
         with.verify_rounds = 1;
-        const auto rt = t1::run_flow(aig, with).stats;
+        const t1::FlowStats rt = stats_of(aig, with);
         std::printf("  %d | %9ld %9ld %6d | %9ld %9ld %6d %5d\n", n, rb.dffs,
                     rb.area_jj, rb.depth_cycles, rt.dffs, rt.area_jj,
                     rt.depth_cycles, rt.t1_used);

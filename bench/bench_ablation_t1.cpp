@@ -6,12 +6,20 @@
 #include <string>
 #include <vector>
 
+#include "common/require.hpp"
 #include "gen/registry.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main() {
   using namespace t1map;
   const std::vector<std::string> circuits = {"adder", "multiplier", "sin"};
+  t1::FlowEngine engine;
+  // A failed check pass stops the program, naming the pass's reason.
+  const auto stats_of = [&](const Aig& aig, const t1::FlowParams& params) {
+    const t1::EngineResult r = engine.run(aig, params);
+    T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
+    return r.stats;
+  };
 
   std::printf("Ablation: T1 detection parameters\n");
   std::printf("=================================\n");
@@ -27,7 +35,7 @@ int main() {
       p.use_t1 = true;
       p.verify_rounds = 1;
       p.detect.min_gain = threshold;
-      const auto s = t1::run_flow(aig, p).stats;
+      const t1::FlowStats s = stats_of(aig, p);
       std::printf("  %8ld | %5d %5d | %9ld %9ld %6d\n", threshold,
                   s.t1_found, s.t1_used, s.dffs, s.area_jj, s.depth_cycles);
     }
@@ -41,7 +49,7 @@ int main() {
       p.use_t1 = true;
       p.verify_rounds = 1;
       p.detect.allow_input_negation = allow;
-      const auto s = t1::run_flow(aig, p).stats;
+      const t1::FlowStats s = stats_of(aig, p);
       std::printf("  %8s | %5d %5d | %9ld %9ld\n", allow ? "on" : "off",
                   s.t1_found, s.t1_used, s.dffs, s.area_jj);
     }

@@ -13,7 +13,7 @@
 #include "sat/cec.hpp"
 #include "sfq/mapper.hpp"
 #include "sfq/netlist_sim.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 #include "t1/t1_detect.hpp"
 
 namespace {
@@ -71,8 +71,10 @@ void BM_FullFlow(benchmark::State& state) {
   const Aig aig = gen::ripple_adder(static_cast<int>(state.range(0)));
   t1::FlowParams params;
   params.verify_rounds = 0;
+  t1::FlowEngine engine;
+  engine.set_incremental(false);  // every iteration maps cold
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t1::run_flow(aig, params));
+    benchmark::DoNotOptimize(engine.run(aig, params));
   }
 }
 BENCHMARK(BM_FullFlow)->Arg(16)->Arg(64)->Arg(128);

@@ -9,14 +9,16 @@
 #include <string>
 #include <vector>
 
+#include "common/require.hpp"
 #include "gen/registry.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace {
 
+using t1map::t1::EngineResult;
+using t1map::t1::FlowEngine;
 using t1map::t1::FlowParams;
 using t1map::t1::FlowStats;
-using t1map::t1::run_flow;
 
 struct Row {
   std::string name;
@@ -35,15 +37,23 @@ FlowParams config(int phases, bool use_t1) {
 }  // namespace
 
 int main() {
+  FlowEngine engine;
+  // A failed check pass stops the program, naming the pass's reason.
+  const auto stats_of = [&](const t1map::Aig& aig, const FlowParams& params) {
+    const EngineResult r = engine.run(aig, params);
+    T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
+    return r.stats;
+  };
+
   std::vector<Row> rows;
   for (const std::string& name : t1map::gen::table1_names()) {
     const auto start = std::chrono::steady_clock::now();
     const t1map::Aig aig = t1map::gen::make_benchmark(name);
     Row row;
     row.name = name;
-    row.s1 = run_flow(aig, config(1, false)).stats;
-    row.s4 = run_flow(aig, config(4, false)).stats;
-    row.st = run_flow(aig, config(4, true)).stats;
+    row.s1 = stats_of(aig, config(1, false));
+    row.s4 = stats_of(aig, config(4, false));
+    row.st = stats_of(aig, config(4, true));
     row.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -6,20 +6,24 @@
 
 #include <cstdio>
 
+#include "common/require.hpp"
 #include "gen/arith.hpp"
 #include "gen/registry.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main() {
   using namespace t1map;
 
   const Aig adder = gen::ripple_adder(128);
 
+  t1::FlowEngine engine;
   const auto run = [&](int phases, bool use_t1) {
     t1::FlowParams p;
     p.num_phases = phases;
     p.use_t1 = use_t1;
-    return t1::run_flow(adder, p).stats;
+    const t1::EngineResult r = engine.run(adder, p);
+    T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
+    return r.stats;
   };
 
   std::printf("128-bit adder (the paper's headline benchmark)\n");

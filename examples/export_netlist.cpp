@@ -11,7 +11,7 @@
 #include "gen/arith.hpp"
 #include "io/blif.hpp"
 #include "io/dot.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace t1map;
@@ -21,7 +21,12 @@ int main(int argc, char** argv) {
   const Aig mult = gen::array_multiplier(4);
   t1::FlowParams params;
   params.num_phases = 4;
-  const t1::FlowResult r = t1::run_flow(mult, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(mult, params);
+  if (!r.ok()) {
+    std::cerr << "flow failed:\n" << r.diagnostics.to_string();
+    return 1;
+  }
 
   {
     std::ofstream os(blif_path);

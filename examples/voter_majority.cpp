@@ -11,7 +11,7 @@
 #include "gen/voter.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist_sim.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main() {
   using namespace t1map;
@@ -23,10 +23,17 @@ int main() {
   t1::FlowParams params;
   params.num_phases = 4;
   params.use_t1 = true;
-  const t1::FlowResult r = t1::run_flow(voter, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(voter, params);
 
   params.use_t1 = false;
-  const t1::FlowResult base = t1::run_flow(voter, params);
+  const t1::EngineResult base = engine.run(voter, params);
+  if (!r.ok() || !base.ok()) {
+    std::fprintf(stderr, "flow failed:\n%s%s",
+                 r.diagnostics.to_string().c_str(),
+                 base.diagnostics.to_string().c_str());
+    return 1;
+  }
 
   std::printf("\nT1 cells: %d found, %d used\n", r.stats.t1_found,
               r.stats.t1_used);
@@ -38,7 +45,7 @@ int main() {
   std::printf("depth: %d -> %d cycles\n", base.stats.depth_cycles,
               r.stats.depth_cycles);
 
-  // Re-run the safety nets explicitly (run_flow already did internally).
+  // Re-run the safety nets explicitly (the default pipeline already did).
   const bool equivalent =
       sfq::random_equivalent(voter, r.materialized.netlist, 32);
   const auto timing =

@@ -1,10 +1,11 @@
 /// \file flow_engine.hpp
-/// \brief Public surface: the composable pass-pipeline flow API.
+/// \brief Public surface: the Table-I flow.
 ///
-/// `t1map::t1::FlowEngine` executes a `Pipeline` of `Pass` objects with
-/// reusable scratch state, structured `Diagnostics`, and deterministic
-/// batched execution (`run_many`).  This is the embedding point for
-/// services that map many circuits.
+/// `t1map::t1::FlowEngine` maps AIGs through the full paper pipeline, one at
+/// a time (`run`) or as a batch of `FlowJob`s on its persistent workers
+/// (`run_many`), and returns an `EngineResult`: netlists, Table-I
+/// statistics and structured `Diagnostics`.  `FlowParams` selects phases /
+/// T1 / verification.
 
 #pragma once
 

@@ -9,7 +9,6 @@
 
 #include <t1map/aig.hpp>
 #include <t1map/cec.hpp>
-#include <t1map/flow.hpp>
 #include <t1map/flow_engine.hpp>
 #include <t1map/generators.hpp>
 #include <t1map/io.hpp>

@@ -11,7 +11,6 @@
 
 #include "cli/report.hpp"
 #include "common/require.hpp"
-#include "cut/cut_enum.hpp"
 #include "fuzz/mutate.hpp"
 #include "gen/registry.hpp"
 #include "io/json.hpp"
@@ -73,8 +72,7 @@ struct StageSamples {
 };
 
 struct CircuitBench {
-  StageSamples cut_enum;  // standalone enumeration on the source AIG
-  StageSamples map;       // technology mapping (includes its own cut enum)
+  StageSamples map;  // technology mapping, cut enumeration included
   StageSamples t1_detect;
   StageSamples stage_assign;
   StageSamples dff_insert;
@@ -85,7 +83,6 @@ struct CircuitBench {
 
 io::Json bench_json(const CircuitBench& b, bool with_cec) {
   io::Json stages = io::Json::object();
-  stages.set("cut_enum", b.cut_enum.json());
   stages.set("map", b.map.json());
   stages.set("t1_detect", b.t1_detect.json());
   stages.set("stage_assign", b.stage_assign.json());
@@ -320,19 +317,7 @@ int run_bench(const Options& opts) {
     t1::FlowStats stats;
 
     for (int run = 0; run < opts.bench_runs; ++run) {
-      Clock::time_point t0 = Clock::now();
-      // Standalone cut enumeration over the source AIG, with the mapper's
-      // parameters.  The mapping stage repeats this internally; timing it
-      // separately isolates the enumerator from the covering DP.  The
-      // engine's arena is reused here too, so this stage also shows the
-      // scratch-reuse effect across runs.
-      {
-        enumerate_cuts_into(aig, params.mapper.cuts, engine.scratch().cuts);
-        bench.cut_enum.add(
-            std::chrono::duration<double>(Clock::now() - t0).count());
-      }
-
-      t0 = Clock::now();
+      const Clock::time_point t0 = Clock::now();
       const t1::EngineResult flow = engine.run(aig, params);
       const double run_total =
           std::chrono::duration<double>(Clock::now() - t0).count();
@@ -412,23 +397,21 @@ int run_bench(const Options& opts) {
                        static_cast<double>(bench.total.count));
     }
   }
-  if (!opts.bench_threads.empty()) engine.set_threads(1);
-
   root.set("circuits", std::move(circuits_json));
 
   // Batched throughput: the whole circuit set through run_many.  With
   // --threads > 1 this measures multi-worker scaling (a single-circuit set
-  // still emits the entry, with the worker count clamped to 1); stats must
+  // still emits the entry, with one worker taking the job); stats must
   // not depend on the thread count, which the engine guarantees and CI's
   // TSan job checks.
   if (opts.threads > 1) {
-    std::vector<const Aig*> batch;
+    std::vector<t1::FlowJob> batch;
     batch.reserve(aigs.size());
-    for (const Aig& aig : aigs) batch.push_back(&aig);
+    for (const Aig& aig : aigs) batch.push_back({&aig, params, {}});
 
+    engine.set_threads(opts.threads);
     const Clock::time_point t0 = Clock::now();
-    const std::vector<t1::EngineResult> results =
-        engine.run_many(batch, params, opts.threads);
+    const std::vector<t1::EngineResult> results = engine.run_many(batch);
     const double wall_ms =
         1e3 * std::chrono::duration<double>(Clock::now() - t0).count();
     for (std::size_t i = 0; i < results.size(); ++i) {

@@ -1,16 +1,13 @@
 #include "cli/report.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "common/require.hpp"
 #include "gen/registry.hpp"
 #include "serve/json_out.hpp"
-#include "t1/cone_memo.hpp"
 
 namespace t1map::cli {
 
@@ -18,53 +15,6 @@ namespace {
 
 std::string nphi_key(int phases) {
   return "baseline_" + std::to_string(phases) + "phi";
-}
-
-/// Scoped hook of a cone memo onto a scratch; restores the previous hook
-/// even when the flow throws.
-class MemoAttach {
- public:
-  MemoAttach(t1::FlowScratch& scratch, t1::ConeMemo& memo)
-      : scratch_(scratch), saved_(scratch.memo) {
-    scratch_.memo = &memo;
-  }
-  ~MemoAttach() { scratch_.memo = saved_; }
-  MemoAttach(const MemoAttach&) = delete;
-  MemoAttach& operator=(const MemoAttach&) = delete;
-
- private:
-  t1::FlowScratch& scratch_;
-  t1::ConeMemo* saved_;
-};
-
-/// One configuration through the shared pipeline; throws ContractError when
-/// a check pass failed so the driver exits non-zero exactly as the
-/// monolithic flow did.  With `prime`, that design is mapped first (untimed)
-/// to warm a cone memo that the measured run then splices from.
-ConfigResult run_one_config(const t1::Pipeline& pipeline, const Aig& aig,
-                            const std::string& key, const Options& opts,
-                            t1::FlowScratch& scratch, const Aig* prime) {
-  ConfigResult result;
-  result.key = key;
-  result.params = config_params(key, opts);
-
-  t1::ConeMemo memo;
-  std::optional<MemoAttach> attach;
-  if (prime != nullptr) {
-    attach.emplace(scratch, memo);
-    (void)t1::FlowEngine::run_with(pipeline, *prime, result.params, scratch);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  result.flow =
-      t1::FlowEngine::run_with(pipeline, aig, result.params, scratch);
-  const auto end = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(end - start).count();
-  result.cec = result.flow.cec;
-  T1MAP_REQUIRE(result.flow.ok(),
-                "config " + key + " failed: " +
-                    result.flow.diagnostics.first_error());
-  return result;
 }
 
 }  // namespace
@@ -108,8 +58,11 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
                                       const Options& opts,
                                       const Aig* prime) {
-  const t1::Pipeline pipeline = build_pipeline(opts);
   std::vector<ConfigResult> results(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    results[i].key = keys[i];
+    results[i].params = config_params(keys[i], opts);
+  }
 
   const bool parallel = opts.threads > 1 && keys.size() > 1;
   if (!opts.json) {
@@ -124,17 +77,33 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
       }
     }
   }
-  // Configurations first, surplus threads into the passes of each.
-  const int outer =
-      std::clamp(opts.threads, 1, static_cast<int>(keys.size()));
-  const int intra = std::max(1, opts.threads / outer);
-  t1::for_each_with_scratch(
-      keys.size(), opts.threads,
-      [&](std::size_t i, t1::FlowScratch& scratch) {
-        results[i] =
-            run_one_config(pipeline, aig, keys[i], opts, scratch, prime);
-      },
-      intra);
+  if (prime == nullptr) {
+    // One cold batch: configurations first, surplus threads into the
+    // passes of each.
+    t1::FlowEngine engine(build_pipeline(opts));
+    engine.set_incremental(false);
+    engine.set_threads(opts.threads);
+    std::vector<t1::FlowJob> jobs;
+    for (const ConfigResult& c : results) jobs.push_back({&aig, c.params, {}});
+    std::vector<t1::EngineResult> flows = engine.run_many(jobs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      results[i].flow = std::move(flows[i]);
+    }
+  } else {
+    // Each configuration primes a fresh cone memo with `prime` (untimed),
+    // then maps `aig`, splicing from it on the same worker.
+    for (ConfigResult& c : results) {
+      t1::FlowEngine engine(build_pipeline(opts));
+      engine.set_threads(opts.threads);
+      (void)engine.run(*prime, c.params);
+      c.flow = engine.run(aig, c.params);
+    }
+  }
+  // A failed check pass makes the driver exit non-zero.
+  for (const ConfigResult& c : results) {
+    T1MAP_REQUIRE(c.flow.ok(), "config " + c.key + " failed: " +
+                                   c.flow.diagnostics.first_error());
+  }
   return results;
 }
 
@@ -167,8 +136,8 @@ io::Json report_json(const Report& report) {
     for (const auto& [key, value] : stats.members()) {
       j.set(key, value);
     }
-    j.set("cec", c.cec);
-    j.set("seconds", c.seconds);
+    j.set("cec", c.flow.cec);
+    j.set("seconds", c.flow.times.total_wall);
     if (!report.incremental_from.empty()) {
       const t1::ReuseCounters& r = c.flow.reuse;
       io::Json reuse = io::Json::object();
@@ -232,7 +201,8 @@ std::string report_text(const Report& report, bool with_paper) {
                   "%-16s %6d %8d %8ld %9ld %9ld %6ld %6d %12s %7.2fs\n",
                   c.key.c_str(), c.params.num_phases, s.t1_used,
                   s.logic_cells, s.splitters, s.dffs, s.area_jj,
-                  s.depth_cycles, c.cec.c_str(), c.seconds);
+                  s.depth_cycles, c.flow.cec.c_str(),
+                  c.flow.times.total_wall);
     os << line;
   }
 

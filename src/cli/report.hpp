@@ -19,9 +19,6 @@ struct ConfigResult {
   std::string key;  // "baseline_1phi", "baseline_<n>phi" or "t1"
   t1::FlowParams params;
   t1::EngineResult flow;
-  /// "equivalent" | "not_equivalent" | "unknown" | "skipped"
-  std::string cec = "skipped";
-  double seconds = 0.0;
 };
 
 /// The full run: input summary plus every executed configuration.
@@ -51,13 +48,14 @@ t1::Pipeline build_pipeline(const Options& opts);
 /// Flow parameters for one configuration key.
 t1::FlowParams config_params(const std::string& key, const Options& opts);
 
-/// Runs every configuration in `keys` on `aig` through a shared
-/// `FlowEngine` pipeline — with `--threads`, configurations run in
-/// parallel (one scratch per worker; results stay in `keys` order).
-/// `prime`, when given (--incremental-from), is mapped first on each
-/// worker's scratch to warm a cone memo; the timed run then splices from
-/// it and its reuse counters land in the results.  Throws ContractError if
-/// any configuration's check passes fail.
+/// Runs every configuration in `keys` on `aig` through the `opts` pipeline:
+/// one cold `FlowEngine::run_many` batch (with `--threads`, configurations
+/// run in parallel; results stay in `keys` order).  `prime`, when given
+/// (--incremental-from), instead runs the configurations one after
+/// another, each on a fresh engine that maps `prime` first to warm its cone
+/// memo; the timed run then splices from it and its reuse counters land in
+/// the results.  Throws ContractError if any configuration's check passes
+/// fail.
 std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
                                       const Options& opts,

@@ -1,13 +1,13 @@
 /// \file worker_pool.hpp
-/// \brief Persistent worker-thread pool for intra-netlist parallelism.
+/// \brief Persistent worker-thread pool: the flow's one thread substrate.
 ///
-/// `FlowEngine::run_many` spreads whole netlists over transient
-/// `std::thread`s; the per-pass parallel sections (level-parallel cut
-/// enumeration, the mapping DP) instead run many short barriers per
-/// netlist, where thread start-up latency would dominate.  A
-/// `WorkerPool` therefore keeps its helpers alive across `run` calls: one
-/// pool per `FlowScratch` serves every parallel section of every pass run on
-/// that scratch.
+/// A `FlowEngine` owns one pool whose workers take whole jobs of a
+/// `run_many` batch, and each worker's `FlowScratch` owns another for the
+/// per-pass parallel sections (level-parallel cut enumeration, the mapping
+/// DP).  Those run many short barriers per netlist, where thread start-up
+/// latency would dominate, so a `WorkerPool` keeps its helpers alive across
+/// `run` calls: a pool serves every batch, or every parallel section of
+/// every pass run on its scratch.
 ///
 /// The calling thread always participates as worker 0, so a pool of N
 /// workers spawns only N-1 threads and `WorkerPool(1)` spawns none (every

@@ -216,16 +216,14 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
 
   for (const std::uint64_t group : groups) {
     std::vector<std::size_t> members;
-    std::vector<const Aig*> aigs;
-    std::vector<t1::RunKey> keys;
+    std::vector<t1::FlowJob> jobs;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      Job& job = batch[i];
+      const Job& job = batch[i];
       if (!job.error.empty() || !job.cmd.empty() || job.group != group) {
         continue;
       }
       members.push_back(i);
-      aigs.push_back(&job.aig);
-      keys.push_back(job.key);
+      jobs.push_back({&job.aig, job.params, job.key});
     }
 
     const Job& first = batch[members.front()];
@@ -235,8 +233,8 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
             : t1::Pipeline::default_flow(/*with_cec=*/first.with_cec));
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::uint8_t> cached;
-    std::vector<t1::EngineResult> results = engine.run_many(
-        aigs, first.params, config_.threads, &cache_, keys, &cached);
+    std::vector<t1::EngineResult> results =
+        engine.run_many(jobs, &cache_, &cached);
     const double dispatch_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
@@ -378,9 +376,11 @@ void Server::write_response(Connection& conn, const Job& job) {
 }
 
 void Server::run_session(Connection& conn, Transport& transport) {
-  // Each session owns its engine (pipeline state is per-session) and
-  // hasher; the cache and the counters are the shared state.
+  // Each session owns its engine (pipeline state, workers and cone memo
+  // are per-session) and hasher; the cache and the counters are the shared
+  // state.
   t1::FlowEngine engine;
+  engine.set_threads(config_.threads);
   AigHasher hasher;
   connections_.fetch_add(1, std::memory_order_relaxed);
 

@@ -25,15 +25,15 @@
 /// runs one session thread per connection.  Each session reads requests in
 /// batches (up to `ServeConfig::batch_size` lines), hashes them
 /// (`AigHasher`), groups by configuration fingerprint, and dispatches
-/// group-wise onto the cache-aware `FlowEngine::run_many` — hits fill
-/// without touching the flow, misses run on `threads` workers, duplicates
-/// within a batch compute once.  Sessions share one `TieredCache`
-/// (in-memory `FlowCache`, optionally backed by a persistent `DiskCache`
-/// under `cache_dir`), so any client's cold run is every client's warm
-/// hit — across server restarts when the disk tier is on.  Everything
-/// except the timing fields is deterministic: a given request script
-/// produces byte-identical responses regardless of worker count or
-/// transport.
+/// group-wise onto the session engine's cache-aware `FlowEngine::run_many`
+/// — hits fill without touching the flow, misses run on the engine's
+/// `threads` persistent workers, duplicates within a batch compute once.
+/// Sessions share one `TieredCache` (in-memory `FlowCache`, optionally
+/// backed by a persistent `DiskCache` under `cache_dir`), so any client's
+/// cold run is every client's warm hit — across server restarts when the
+/// disk tier is on.  Everything except the timing fields is deterministic:
+/// a given request script produces byte-identical responses regardless of
+/// worker count or transport.
 ///
 /// Shutdown: a `quit` command (or `Transport::shutdown()`, e.g. from a
 /// SIGTERM handler) stops the accept loop and asks every session to
@@ -74,8 +74,8 @@ struct JobDefaults {
 };
 
 struct ServeConfig {
-  /// Worker threads for cache-miss dispatch (`FlowEngine::run_many`),
-  /// per session.
+  /// Worker threads of each session's `FlowEngine`, which computes the
+  /// cache misses of a batch (`FlowEngine::run_many`).
   int threads = 1;
   /// Maximum requests pulled into one dispatch batch.
   int batch_size = 16;
@@ -149,9 +149,9 @@ class Server {
 
   // Cone-memo (incremental mapping) reuse, accumulated over every computed
   // (non-cached) flow run; the `stats` response reports them with hit
-  // rates.  Single-threaded dispatch runs on the engine's own scratch and
-  // splices from its memo; multi-worker dispatch uses per-worker scratches
-  // without a memo, so these stay zero there by construction.
+  // rates.  A group whose misses run on worker 0 alone (one thread, or one
+  // miss) splices from the session engine's memo; misses spread over
+  // several workers run cold and add to the totals only.
   std::atomic<std::uint64_t> inc_flow_runs_{0};
   std::atomic<std::uint64_t> inc_map_total_{0};
   std::atomic<std::uint64_t> inc_map_reused_{0};

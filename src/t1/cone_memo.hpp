@@ -5,15 +5,16 @@
 /// One `ConeMemo` aggregates the per-pass memos — the mapper's cut sets and
 /// DP choices (`sfq::MapMemo`), the T1 detector's cut sets and whole-pass
 /// result (`DetectMemo`), and the stage assigner's whole-pass result
-/// (`StageMemo`).  A `FlowEngine` owns one and threads it through its
-/// `FlowScratch`; each pass decides independently how much of its memo is
-/// usable (params fingerprints and structural digests gate every splice),
-/// so a memo can never make a run produce anything but the bit-identical
-/// cold result — at worst it is ignored.
+/// (`StageMemo`).  A `FlowEngine` owns one and hands it to the passes
+/// through the `FlowContext`; each pass decides independently how much of
+/// its memo is usable (params fingerprints and structural digests gate
+/// every splice), so a memo can never make a run produce anything but the
+/// bit-identical cold result — at worst it is ignored.
 ///
 /// The memo is engine-local and single-threaded by design: `FlowEngine`
-/// attaches it only to its own scratch (never to the per-worker scratches
-/// of `for_each_with_scratch`), and spliced passes run their serial paths.
+/// passes it only to runs on worker 0 alone (`run`, and batches that use a
+/// single worker), never to a batch spread over several workers, and
+/// spliced passes run their serial paths.
 
 #pragma once
 

@@ -1,15 +1,17 @@
 /// \file flow.hpp
-/// \brief The complete T1-aware technology-mapping flow (paper §II) plus the
-/// 1φ / nφ baselines of Table I.
+/// \brief Parameters, Table-I statistics and stage times of the T1-aware
+/// technology-mapping flow (paper §II) and of the 1φ / nφ baselines of
+/// Table I.
 ///
 /// Pipeline:
 ///   AIG  ──mapper──►  SFQ netlist  ──[T1 detect + rewrite]──►
 ///        ──stage assignment (§II-B)──►  DFF insertion (§II-C)──►
 ///        materialized netlist + Table-I statistics.
 ///
-/// Every run self-checks: the materialized netlist passes the independent
-/// timing validator and (optionally) random-simulation equivalence against
-/// the source AIG.
+/// A `FlowEngine` (flow_engine.hpp) runs it.  The default pipeline
+/// self-checks: the materialized netlist passes the independent timing
+/// validator and (optionally) random-simulation equivalence against the
+/// source AIG.
 
 #pragma once
 
@@ -57,8 +59,9 @@ struct FlowStats {
   int num_stages = 0;     // σ_PO
 };
 
-/// Wall-clock seconds per flow stage, filled by every `run_flow` call (the
-/// bench harness aggregates these into `BENCH_flow.json`).
+/// Wall-clock seconds per flow stage, filled by every run of a `FlowEngine`
+/// (flow_engine.hpp; the bench harness aggregates these into
+/// `BENCH_flow.json`).
 struct StageTimes {
   double map = 0.0;          // technology mapping (incl. cut enumeration)
   double t1_detect = 0.0;    // T1 detection + substitution
@@ -72,25 +75,5 @@ struct StageTimes {
   double total_wall = 0.0;
   double total_cpu = 0.0;
 };
-
-struct FlowResult {
-  sfq::Netlist mapped;                   // pre-retiming network
-  retime::MaterializeResult materialized;
-  FlowStats stats;
-  StageTimes times;
-};
-
-/// Runs the full flow on `aig`.  Throws ContractError if any internal
-/// validity check fails (timing, equivalence).
-///
-/// Compatibility wrapper: executes the default `FlowEngine` pipeline
-/// (flow_engine.hpp) with fresh scratch state, so results are bit-for-bit
-/// identical to the pre-engine monolithic implementation.  Callers running
-/// the flow more than once should hold a `FlowEngine` instead.
-FlowResult run_flow(const Aig& aig, const FlowParams& params = {});
-
-/// Formats a Table-I-style row:
-/// `name  found used  logic split  dffs  area  stages depth`.
-std::string format_stats_row(const std::string& name, const FlowStats& s);
 
 }  // namespace t1map::t1

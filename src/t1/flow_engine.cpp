@@ -1,12 +1,8 @@
 #include "t1/flow_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/hash_mix.hpp"
@@ -29,17 +25,6 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 std::uint64_t absorb(std::uint64_t acc, std::uint64_t value) {
   return mix64(acc ^ value);
 }
-
-/// Restores a scratch's `intra_threads` on scope exit (the sequential
-/// `run_many` paths borrow the engine scratch with a different setting).
-struct IntraThreadsGuard {
-  FlowScratch& scratch;
-  int saved;
-  IntraThreadsGuard(FlowScratch& s, int intra) : scratch(s), saved(s.intra_threads) {
-    scratch.intra_threads = std::max(1, intra);
-  }
-  ~IntraThreadsGuard() { scratch.intra_threads = saved; }
-};
 
 }  // namespace
 
@@ -137,19 +122,12 @@ void FlowContext::fail(FlowStatus failure, std::string pass,
 // --- Passes ------------------------------------------------------------------
 
 bool MapPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.aig != nullptr, "MapPass: context carries no source AIG");
   sfq::MapStats map_stats;
-  sfq::MapParallel parallel;
-  if (ctx.scratch != nullptr) {
-    parallel.pool = ctx.scratch->pool();
-    parallel.cuts = &ctx.scratch->par_cuts;
-  }
-  ConeMemo* memo = ctx.scratch != nullptr ? ctx.scratch->memo : nullptr;
+  const sfq::MapParallel parallel{ctx.scratch.pool(), &ctx.scratch.par_cuts};
   sfq::MapReuse map_reuse;
   ctx.mapped = sfq::map_to_sfq(
-      *ctx.aig, ctx.params.mapper, &map_stats,
-      ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr, parallel,
-      memo != nullptr ? &memo->map : nullptr, &map_reuse);
+      ctx.aig, ctx.params.mapper, &map_stats, &ctx.scratch.cuts, parallel,
+      ctx.memo != nullptr ? &ctx.memo->map : nullptr, &map_reuse);
   ctx.reuse.map_cones_total = map_reuse.cones_total;
   ctx.reuse.map_cones_reused = map_reuse.cones_reused;
   ctx.mapped.check_well_formed();
@@ -163,13 +141,11 @@ bool T1DetectPass::run(FlowContext& ctx) const {
   if (!ctx.params.use_t1) return true;  // disabled by configuration
   T1MAP_REQUIRE(ctx.params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
-  ConeMemo* memo = ctx.scratch != nullptr ? ctx.scratch->memo : nullptr;
   DetectReuse det_reuse;
   const DetectResult det = detect_t1(
-      ctx.mapped, ctx.params.detect,
-      ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr,
-      ctx.scratch != nullptr ? &ctx.scratch->t1_detect : nullptr,
-      memo != nullptr ? &memo->detect : nullptr, &det_reuse);
+      ctx.mapped, ctx.params.detect, &ctx.scratch.cuts,
+      &ctx.scratch.t1_detect,
+      ctx.memo != nullptr ? &ctx.memo->detect : nullptr, &det_reuse);
   ctx.reuse.t1_cones_total = det_reuse.cones_total;
   ctx.reuse.t1_cones_reused = det_reuse.cones_reused;
   ctx.reuse.t1_exact = det_reuse.exact;
@@ -192,11 +168,10 @@ bool StageAssignPass::run(FlowContext& ctx) const {
   // is no sound cone-level splice here; instead an identity-digest match of
   // the (post-T1) netlist reuses the whole memoized assignment — the common
   // case when the upstream passes absorbed an edit or on exact re-runs.
-  ConeMemo* memo = ctx.scratch != nullptr ? ctx.scratch->memo : nullptr;
-  if (memo != nullptr) {
+  if (ctx.memo != nullptr) {
     const std::uint64_t key = stage_params_key(stage_params);
     const std::uint64_t identity = sfq::netlist_identity_digest(ctx.mapped);
-    StageMemo& sm = memo->stage;
+    StageMemo& sm = ctx.memo->stage;
     if (sm.valid && sm.params_key == key && sm.identity == identity) {
       ctx.assignment = sm.assignment;
       ctx.reuse.stage_spliced = true;
@@ -254,12 +229,10 @@ bool TimingCheckPass::run(FlowContext& ctx) const {
 bool SimEquivPass::run(FlowContext& ctx) const {
   T1MAP_REQUIRE(ctx.has_materialized, "SimEquivPass: no materialized netlist "
                                       "(run dff before sim)");
-  T1MAP_REQUIRE(ctx.aig != nullptr, "SimEquivPass: context carries no source "
-                                    "AIG");
   if (ctx.params.verify_rounds <= 0) return true;
   const std::optional<sfq::Mismatch> mismatch = sfq::find_sim_mismatch(
-      *ctx.aig, ctx.materialized.netlist, ctx.params.verify_rounds,
-      /*seed=*/1, ctx.scratch != nullptr ? &ctx.scratch->sim : nullptr);
+      ctx.aig, ctx.materialized.netlist, ctx.params.verify_rounds,
+      /*seed=*/1, &ctx.scratch.sim);
   if (mismatch.has_value()) {
     ctx.fail(FlowStatus::kNotEquivalent, name(),
              "flow result is not functionally equivalent to the source AIG "
@@ -273,15 +246,10 @@ bool SimEquivPass::run(FlowContext& ctx) const {
 bool SatCecPass::run(FlowContext& ctx) const {
   T1MAP_REQUIRE(ctx.has_materialized, "SatCecPass: no materialized netlist "
                                       "(run dff before cec)");
-  T1MAP_REQUIRE(ctx.aig != nullptr, "SatCecPass: context carries no source "
-                                    "AIG");
   const sat::CecResult result =
-      ctx.scratch != nullptr
-          ? sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                   ctx.params.cec_conflict_limit,
-                                   ctx.scratch->solver)
-          : sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                   ctx.params.cec_conflict_limit);
+      sat::check_equivalence(ctx.aig, ctx.materialized.netlist,
+                             ctx.params.cec_conflict_limit,
+                             ctx.scratch.solver);
   ctx.cec = cec_verdict_name(result.verdict);
   ctx.diagnostics.info(
       name(), std::to_string(result.cells_local) + " cells proved locally, " +
@@ -443,19 +411,18 @@ std::uint64_t fingerprint_string(std::string_view text) {
 
 FlowEngine::FlowEngine() : FlowEngine(Pipeline::default_flow()) {}
 
-FlowEngine::FlowEngine(Pipeline pipeline) : pipeline_(std::move(pipeline)) {
+FlowEngine::FlowEngine(Pipeline pipeline)
+    : pipeline_(std::move(pipeline)), workers_(1) {
   set_incremental(true);
 }
 
 FlowEngine::~FlowEngine() = default;
 
 void FlowEngine::set_incremental(bool enabled) {
-  if (enabled) {
-    if (memo_ == nullptr) memo_ = std::make_unique<ConeMemo>();
-    scratch_.memo = memo_.get();
-  } else {
-    scratch_.memo = nullptr;
+  if (!enabled) {
     memo_.reset();
+  } else if (memo_ == nullptr) {
+    memo_ = std::make_unique<ConeMemo>();
   }
 }
 
@@ -463,18 +430,21 @@ void FlowEngine::set_pipeline(Pipeline pipeline) {
   pipeline_ = std::move(pipeline);
 }
 
-EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
-                                  const FlowParams& params,
-                                  FlowScratch& scratch) {
+void FlowEngine::set_threads(int threads) {
+  threads = std::max(1, threads);
+  if (threads == this->threads()) return;
+  workers_.resize(static_cast<std::size_t>(threads));
+  pool_ = threads > 1 ? std::make_unique<WorkerPool>(threads) : nullptr;
+}
+
+EngineResult FlowEngine::run_with(const Aig& aig, const FlowParams& params,
+                                  FlowScratch& scratch, ConeMemo* memo) const {
   T1MAP_REQUIRE(params.num_phases >= 1, "need at least one phase");
   T1MAP_REQUIRE(!params.use_t1 || params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
-  T1MAP_REQUIRE(!pipeline.empty(), "FlowEngine: empty pipeline");
+  T1MAP_REQUIRE(!pipeline_.empty(), "FlowEngine: empty pipeline");
 
-  FlowContext ctx;
-  ctx.aig = &aig;
-  ctx.params = params;
-  ctx.scratch = &scratch;
+  FlowContext ctx(aig, params, scratch, memo);
 
   const Clock::time_point flow_start = Clock::now();
   // Resolve the pool for the current `intra_threads` *before* sampling its
@@ -483,8 +453,8 @@ EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
   // below underflow.
   scratch.pool();
   const std::uint64_t busy_before = scratch.pool_busy_ns();
-  for (std::size_t i = 0; i < pipeline.size(); ++i) {
-    const Pass& pass = pipeline[i];
+  for (std::size_t i = 0; i < pipeline_.size(); ++i) {
+    const Pass& pass = pipeline_[i];
     const Clock::time_point t0 = Clock::now();
     const bool keep_going = pass.run(ctx);
     ctx.times.*pass.time_slot() += seconds_between(t0, Clock::now());
@@ -517,160 +487,78 @@ EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
 }
 
 EngineResult FlowEngine::run(const Aig& aig, const FlowParams& params) {
-  return run_with(pipeline_, aig, params, scratch_);
-}
-
-void FlowEngine::set_threads(int threads) {
-  threads_ = std::max(1, threads);
-  scratch_.intra_threads = threads_;
-}
-
-void for_each_with_scratch(
-    std::size_t count, int workers,
-    const std::function<void(std::size_t, FlowScratch&)>& fn,
-    int intra_threads) {
-  if (count == 0) return;
-  workers = std::clamp(workers, 1, static_cast<int>(count));
-  intra_threads = std::max(1, intra_threads);
-  if (workers == 1) {
-    FlowScratch scratch;
-    scratch.intra_threads = intra_threads;
-    for (std::size_t i = 0; i < count; ++i) fn(i, scratch);
-    return;
-  }
-
-  // Work-stealing over a shared index; each worker owns its scratch, so a
-  // callback writing only index-distinct state is race-free and its output
-  // independent of the interleaving.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const auto worker = [&]() {
-    FlowScratch scratch;
-    scratch.intra_threads = intra_threads;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        fn(i, scratch);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers));
-  for (int t = 0; t < workers; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  const FlowJob job{&aig, params, {}};
+  return std::move(run_many(std::span(&job, 1)).front());
 }
 
 std::vector<EngineResult> FlowEngine::run_many(
-    std::span<const Aig* const> aigs, const FlowParams& params,
-    int num_threads) {
-  for (const Aig* aig : aigs) {
-    T1MAP_REQUIRE(aig != nullptr, "run_many: null AIG in batch");
-  }
-  std::vector<EngineResult> results(aigs.size());
-  if (aigs.empty()) return results;
-
-  // One thread budget, netlists first: the batch takes up to `num_threads`
-  // workers, and whatever the batch cannot absorb spills into the parallel
-  // sections inside each run.
-  const int outer =
-      std::clamp(num_threads, 1, static_cast<int>(aigs.size()));
-  const int intra = std::max(1, num_threads / outer);
-  if (outer == 1) {
-    // Sequential runs stay on the engine's own scratch so capacity keeps
-    // accumulating across run()/run_many() calls.
-    const IntraThreadsGuard guard(scratch_, intra);
-    for (std::size_t i = 0; i < aigs.size(); ++i) {
-      results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
-    }
-    return results;
-  }
-  for_each_with_scratch(
-      aigs.size(), num_threads,
-      [&](std::size_t i, FlowScratch& scratch) {
-        results[i] = run_with(pipeline_, *aigs[i], params, scratch);
-      },
-      intra);
-  return results;
-}
-
-std::vector<EngineResult> FlowEngine::run_many(
-    std::span<const Aig* const> aigs, const FlowParams& params,
-    int num_threads, RunCache* cache, std::span<const RunKey> keys,
+    std::span<const FlowJob> jobs, RunCache* cache,
     std::vector<std::uint8_t>* cached) {
-  if (cache == nullptr) {
-    if (cached != nullptr) cached->assign(aigs.size(), 0);
-    return run_many(aigs, params, num_threads);
+  for (const FlowJob& job : jobs) {
+    T1MAP_REQUIRE(job.aig != nullptr, "run_many: null AIG in batch");
   }
-  T1MAP_REQUIRE(keys.size() == aigs.size(),
-                "run_many: cache keys must be index-aligned with the batch");
-  for (const Aig* aig : aigs) {
-    T1MAP_REQUIRE(aig != nullptr, "run_many: null AIG in batch");
-  }
-
-  std::vector<EngineResult> results(aigs.size());
-  if (cached != nullptr) cached->assign(aigs.size(), 0);
+  std::vector<EngineResult> results(jobs.size());
+  if (cached != nullptr) cached->assign(jobs.size(), 0);
 
   // Partition the batch: cache hits are filled immediately, the first
-  // occurrence of each unseen key is scheduled, and later duplicates of a
-  // scheduled key become aliases served after the representative computes.
-  std::vector<std::size_t> miss;               // representative indices
+  // occurrence of each unseen key is computed, and later duplicates of a
+  // computed key become aliases served after it.  Without a cache every
+  // job computes.
+  std::vector<std::size_t> compute;
   std::vector<std::pair<std::size_t, std::size_t>> alias;  // (index, rep)
-  for (std::size_t i = 0; i < aigs.size(); ++i) {
-    if (cache->lookup(keys[i], results[i])) {
-      if (cached != nullptr) (*cached)[i] = 1;
-      continue;
-    }
-    bool duplicate = false;
-    for (const std::size_t m : miss) {
-      if (keys[m] == keys[i]) {
-        alias.emplace_back(i, m);
-        duplicate = true;
-        break;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (cache != nullptr) {
+      if (cache->lookup(jobs[i].key, results[i])) {
+        if (cached != nullptr) (*cached)[i] = 1;
+        continue;
+      }
+      const auto rep =
+          std::find_if(compute.begin(), compute.end(), [&](std::size_t m) {
+            return jobs[m].key == jobs[i].key;
+          });
+      if (rep != compute.end()) {
+        alias.emplace_back(i, *rep);
+        continue;
       }
     }
-    if (!duplicate) miss.push_back(i);
+    compute.push_back(i);
   }
 
-  if (!miss.empty()) {
-    const int outer =
-        std::clamp(num_threads, 1, static_cast<int>(miss.size()));
-    const int intra = std::max(1, num_threads / outer);
-    if (outer == 1) {
-      const IntraThreadsGuard guard(scratch_, intra);
-      for (const std::size_t i : miss) {
-        results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
-      }
-    } else {
-      for_each_with_scratch(
-          miss.size(), num_threads,
-          [&](std::size_t m, FlowScratch& scratch) {
-            const std::size_t i = miss[m];
-            results[i] = run_with(pipeline_, *aigs[i], params, scratch);
-          },
-          intra);
+  if (!compute.empty()) {
+    // One thread budget, jobs first: up to `outer` workers take jobs, and
+    // whatever the batch cannot absorb spills into the passes of each job.
+    // A single worker runs inline on worker 0, the only one that splices
+    // from the cone memo.
+    const int outer = std::min(threads(), static_cast<int>(compute.size()));
+    for (FlowScratch& worker : workers_) {
+      worker.intra_threads = threads() / outer;
     }
-    // Only ok-results are offered: a failed run carries partial state that
-    // must not masquerade as a mapped design on a later hit, and an
-    // inconclusive CEC must not come back as a hit that looks verified.
-    for (const std::size_t i : miss) {
-      if (results[i].ok() && results[i].cec != "unknown") {
-        cache->store(keys[i], results[i]);
-      }
+    ConeMemo* memo = outer == 1 ? memo_.get() : nullptr;
+    for_each_chunk(outer == 1 ? nullptr : pool_.get(), compute.size(),
+                   /*grain=*/1,
+                   [&](std::size_t begin, std::size_t end, int worker) {
+                     for (std::size_t c = begin; c < end; ++c) {
+                       const FlowJob& job = jobs[compute[c]];
+                       results[compute[c]] = run_with(
+                           *job.aig, job.params,
+                           workers_[static_cast<std::size_t>(worker)], memo);
+                     }
+                   });
+  }
+  if (cache == nullptr) return results;
+
+  // Only ok-results are offered: a failed run carries partial state that
+  // must not masquerade as a mapped design on a later hit, and an
+  // inconclusive CEC must not come back as a hit that looks verified.
+  for (const std::size_t i : compute) {
+    if (results[i].ok() && results[i].cec != "unknown") {
+      cache->store(jobs[i].key, results[i]);
     }
   }
-
   // Aliases re-read through the cache so hit counters stay truthful; a
   // representative that was never stored is copied directly instead.
   for (const auto& [i, rep] : alias) {
-    if (cache->lookup(keys[i], results[i])) {
+    if (cache->lookup(jobs[i].key, results[i])) {
       if (cached != nullptr) (*cached)[i] = 1;
     } else {
       results[i] = results[rep];

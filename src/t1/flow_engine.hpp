@@ -1,11 +1,11 @@
 /// \file flow_engine.hpp
-/// \brief Composable pass-pipeline API over the Table-I flow.
+/// \brief The Table-I flow as a composable pass pipeline, run by one engine.
 ///
-/// `run_flow()` (flow.hpp) is a one-shot convenience wrapper; callers that
-/// map many circuits — or one circuit under many configurations — use a
-/// `FlowEngine`, which owns reusable scratch state (cut-enumeration arenas,
-/// the SAT solver, simulation buffers) and executes an explicit `Pipeline`
-/// of `Pass` objects over a shared `FlowContext`.
+/// A `FlowEngine` is the one way to run the flow, once or many times.  It
+/// owns the reusable state: a persistent pool of worker threads, one
+/// `FlowScratch` per worker (cut-enumeration arenas, the SAT solver,
+/// simulation buffers) and the cone memo of incremental mapping.  It
+/// executes an explicit `Pipeline` of `Pass` objects over a `FlowContext`.
 ///
 /// Design points:
 ///   * Passes are stateless and const; all evolving data lives in the
@@ -17,9 +17,9 @@
 ///     records plus a `FlowStatus` the caller inspects — not bare throws.
 ///     Contract violations on API misuse (e.g. a pipeline that inserts DFFs
 ///     before mapping) still throw `ContractError`.
-///   * `FlowEngine::run_many` executes the pipeline over a batch of AIGs on
-///     a thread pool with per-thread scratch; results are index-aligned and
-///     bit-for-bit independent of the thread count.
+///   * `FlowEngine::run_many` deals a batch of `FlowJob`s over the engine's
+///     workers, optionally through a `RunCache`; results are index-aligned
+///     and bit-for-bit independent of the thread count.
 ///
 /// Minimal embedding:
 /// \code
@@ -32,7 +32,7 @@
 
 #pragma once
 
-#include <functional>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -71,8 +71,8 @@ class Diagnostics {
   const std::vector<Diagnostic>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   bool has_errors() const;
-  /// Message of the first error record ("" when none) — what the
-  /// `run_flow()` compatibility wrapper rethrows.
+  /// Message of the first error record ("" when none): the one-line reason
+  /// a failed run reports.
   std::string first_error() const;
   /// Multi-line `severity [pass] message` rendering.
   std::string to_string() const;
@@ -98,9 +98,9 @@ const char* cec_verdict_name(sat::CecResult::Verdict verdict);
 
 struct ConeMemo;  // cone_memo.hpp — the incremental-mapping retained store
 
-/// Cone/pass reuse counters of one run.  All zeros (and false flags) on a
-/// cold run or when the scratch carries no memo; the counters never affect
-/// the mapped result — splices are bit-identical by construction.
+/// Cone/pass reuse counters of one run.  Zero reuse (and false flags) on a
+/// cold run, one without a cone memo; the counters never affect the mapped
+/// result — splices are bit-identical by construction.
 struct ReuseCounters {
   std::uint32_t map_cones_total = 0;   // AND cones seen by the mapper
   std::uint32_t map_cones_reused = 0;  // … spliced from the memo
@@ -119,13 +119,6 @@ struct FlowScratch {
   sat::Solver solver;       // SatCecPass clause arena
   sfq::SimScratch sim;      // SimEquivPass stimulus buffer
 
-  /// Incremental-mapping store (cone_memo.hpp), or null for always-cold
-  /// runs.  Unlike the fields above this is a non-owning hook: `FlowEngine`
-  /// points it at its own `ConeMemo` (see `set_incremental`), and the
-  /// per-worker scratches of `for_each_with_scratch` leave it null — the
-  /// memo is single-threaded state.
-  ConeMemo* memo = nullptr;
-
   /// Workers available for parallel sections *inside* passes (level-parallel
   /// mapping).  1 = serial.  Results are identical at any setting; see
   /// cut/cut_enum.hpp for why.
@@ -143,12 +136,20 @@ struct FlowScratch {
 
 /// The shared state a pipeline evolves.  Passes read what upstream passes
 /// produced and write their own products; the `has_*` flags gate the
-/// ordering contracts.
+/// ordering contracts.  Only the engine builds one.
 struct FlowContext {
-  // Inputs, set by the engine before the first pass.
-  const Aig* aig = nullptr;
+  FlowContext(const Aig& source, const FlowParams& flow_params,
+              FlowScratch& worker, ConeMemo* cone_memo)
+      : aig(source), params(flow_params), scratch(worker), memo(cone_memo) {}
+
+  // Inputs.
+  const Aig& aig;
   FlowParams params;
-  FlowScratch* scratch = nullptr;  // may be null: passes fall back to locals
+  FlowScratch& scratch;  // the allocations of the worker running the pipeline
+  /// Incremental-mapping store (cone_memo.hpp), or null for a cold run.
+  /// The engine passes its memo only to runs on worker 0 alone: the memo is
+  /// single-threaded state.
+  ConeMemo* memo;
 
   // Evolving netlist state.
   sfq::Netlist mapped;  // post-mapping (and post-T1-rewrite) network
@@ -303,8 +304,8 @@ struct CacheStats {
   }
 };
 
-/// Cache interface the cached `run_many` overload consults before
-/// dispatching work.  Implementations must be safe for concurrent callers
+/// Cache interface `run_many` consults, when given one, before dispatching
+/// work.  Implementations must be safe for concurrent callers
 /// (serve::FlowCache / serve::TieredCache are the production ones): several
 /// engines dispatching against one shared cache — e.g. one per serve
 /// connection — may call `lookup` and `store` simultaneously.
@@ -330,19 +331,6 @@ std::uint64_t params_fingerprint(const FlowParams& params);
 /// spec) into cache keys.
 std::uint64_t fingerprint_string(std::string_view text);
 
-/// Shared worker-pool core: invokes `fn(index, scratch)` for every index in
-/// [0, count) on `workers` threads (1 = inline on the calling thread), one
-/// `FlowScratch` per worker, and rethrows the first worker exception on the
-/// caller.  `fn` must write only index-distinct state.  `FlowEngine::run_many`
-/// and the CLI's parallel configuration runner both sit on this.
-/// `intra_threads` is stamped on every worker's scratch: one `--threads`
-/// budget splits across items first, with the surplus spilled into the
-/// intra-pass parallel sections of each item.
-void for_each_with_scratch(
-    std::size_t count, int workers,
-    const std::function<void(std::size_t, FlowScratch&)>& fn,
-    int intra_threads = 1);
-
 // --- Pipeline ----------------------------------------------------------------
 
 /// An ordered, owned sequence of passes.  Move-only.
@@ -360,7 +348,7 @@ class Pipeline {
   /// Comma-joined pass names, `parse`-compatible.
   std::string spec() const;
 
-  /// The Table-I flow `run_flow` executes:
+  /// The Table-I flow a default `FlowEngine` executes:
   /// map,t1,stage,dff,timing,sim.  Pass `with_cec` to append SAT CEC.
   static Pipeline default_flow(bool with_cec = false);
   /// Builds from a comma-separated name list (e.g. "map,t1,stage,dff").
@@ -375,9 +363,10 @@ class Pipeline {
 
 // --- Engine ------------------------------------------------------------------
 
-/// What `FlowEngine::run` returns: the `run_flow` payload plus the
-/// structured outcome.  On failure (`!ok()`), the netlist fields are filled
-/// up to the failing pass, so callers can post-mortem the partial result.
+/// What one run of the flow returns: the netlists, the Table-I statistics
+/// and the structured outcome.  On failure (`!ok()`), the netlist fields are
+/// filled up to the failing pass, so callers can post-mortem the partial
+/// result.
 struct EngineResult {
   FlowStatus status = FlowStatus::kOk;
   bool ok() const { return status == FlowStatus::kOk; }
@@ -398,9 +387,18 @@ struct EngineResult {
   std::string cec = "skipped";
 };
 
-/// Executes a `Pipeline` over AIGs, owning the reusable scratch state.  Not
-/// itself thread-safe: use one engine per thread, or `run_many`, which
-/// spawns per-thread scratch internally.
+/// One mapping problem of a `run_many` batch.
+struct FlowJob {
+  const Aig* aig = nullptr;
+  FlowParams params;
+  /// Cache address of the job (see `RunKey`); read only when `run_many` is
+  /// given a cache.
+  RunKey key;
+};
+
+/// Executes a `Pipeline` over AIGs on a persistent pool of workers, each
+/// with its own `FlowScratch`.  Not itself thread-safe: use one engine per
+/// calling thread.
 class FlowEngine {
  public:
   /// Engine over the default Table-I pipeline (no CEC).
@@ -412,59 +410,54 @@ class FlowEngine {
   void set_pipeline(Pipeline pipeline);
 
   /// Cone-level incremental mapping across this engine's runs (default on):
-  /// consecutive `run`s splice per-cone artifacts of the previous run where
-  /// structural digests match, which makes re-running after a small edit —
-  /// or an exact re-run — cheap.  Results are always bit-identical to cold
-  /// runs; `EngineResult::reuse` reports how much was spliced.  Turning it
-  /// off drops the retained store.
+  /// consecutive runs on worker 0 splice per-cone artifacts of the previous
+  /// run where structural digests match, which makes re-running after a
+  /// small edit — or an exact re-run — cheap.  Results are always
+  /// bit-identical to cold runs; `EngineResult::reuse` reports how much was
+  /// spliced.  Turning it off drops the retained store.
   void set_incremental(bool enabled);
-  bool incremental() const { return scratch_.memo != nullptr; }
+  bool incremental() const { return memo_ != nullptr; }
 
-  /// Total worker budget for this engine's runs.  `run` spends all of it on
-  /// intra-pass parallelism; `run_many` splits it across the batch first and
-  /// spills the surplus into passes (`threads / min(threads, batch)` each).
-  /// Results never depend on the setting.
+  /// Total worker budget for this engine's runs (default 1).  `run` spends
+  /// all of it inside the passes of its one job; `run_many` deals its jobs
+  /// to `outer = min(threads, jobs to compute)` workers and gives each job
+  /// `threads / outer` workers inside its passes.  The workers, their
+  /// scratch and their pools persist across calls.  Results never depend on
+  /// the setting.
   void set_threads(int threads);
-  int threads() const { return threads_; }
+  int threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs the pipeline on one AIG, reusing this engine's scratch.
+  /// Runs the pipeline on one AIG on worker 0.
   EngineResult run(const Aig& aig, const FlowParams& params = {});
 
-  /// Deterministic batched execution: maps every AIG with `num_threads`
-  /// workers (clamped to [1, aigs.size()]), one `FlowScratch` per worker.
-  /// Results are index-aligned with `aigs` and identical to sequential
-  /// execution regardless of the thread count.  The first exception thrown
-  /// by a worker (contract violation) is rethrown on the calling thread.
-  std::vector<EngineResult> run_many(std::span<const Aig* const> aigs,
-                                     const FlowParams& params,
-                                     int num_threads);
-
-  /// Cache-aware batched execution: consults `cache` (keyed by the caller-
-  /// supplied `keys`, index-aligned with `aigs`) before dispatching.  Hits
-  /// are filled without touching the flow; duplicate keys within the batch
-  /// compute once; fresh ok-results are offered back via `store`, except
-  /// those whose CEC verdict is "unknown" (an exhausted budget must never
-  /// come back as a hit that looks verified).  When
-  /// `cached` is non-null it receives one flag per index (1 = served from
-  /// the cache or deduplicated against an earlier batch entry).  Results
-  /// are bit-for-bit identical to the uncached overload.
-  std::vector<EngineResult> run_many(
-      std::span<const Aig* const> aigs, const FlowParams& params,
-      int num_threads, RunCache* cache, std::span<const RunKey> keys,
-      std::vector<std::uint8_t>* cached = nullptr);
-
-  FlowScratch& scratch() { return scratch_; }
-
-  /// Stateless core shared by `run`, `run_many` and `run_flow`: executes
-  /// `pipeline` on `aig` with caller-supplied scratch.
-  static EngineResult run_with(const Pipeline& pipeline, const Aig& aig,
-                               const FlowParams& params, FlowScratch& scratch);
+  /// Deterministic batched execution; results are index-aligned with `jobs`
+  /// and identical to running each job alone, at any thread count.  A batch
+  /// that runs on worker 0 alone (one job to compute, or one thread) splices
+  /// from the cone memo; a batch spread over several workers runs cold.  The
+  /// first exception a job throws (a contract violation) is rethrown on the
+  /// calling thread, and the engine stays usable.
+  ///
+  /// With a `cache`, each job's `key` is looked up first: hits are filled
+  /// without touching the flow, and duplicate keys within the batch compute
+  /// once.  Fresh ok-results are offered back via `store`, except those
+  /// whose CEC verdict is "unknown" (an exhausted budget must never come
+  /// back as a hit that looks verified).  When `cached` is non-null it
+  /// receives one flag per job (1 = served from the cache).
+  std::vector<EngineResult> run_many(std::span<const FlowJob> jobs,
+                                     RunCache* cache = nullptr,
+                                     std::vector<std::uint8_t>* cached =
+                                         nullptr);
 
  private:
+  /// Executes the pipeline on `aig` with `scratch`, splicing from `memo`
+  /// when it is not null.
+  EngineResult run_with(const Aig& aig, const FlowParams& params,
+                        FlowScratch& scratch, ConeMemo* memo) const;
+
   Pipeline pipeline_;
-  FlowScratch scratch_;
-  std::unique_ptr<ConeMemo> memo_;  // scratch_.memo points here when enabled
-  int threads_ = 1;
+  std::unique_ptr<ConeMemo> memo_;  // null when incremental mapping is off
+  std::deque<FlowScratch> workers_;   // one per thread; worker 0 runs `run`
+  std::unique_ptr<WorkerPool> pool_;  // the batch workers; null at 1 thread
 };
 
 }  // namespace t1map::t1

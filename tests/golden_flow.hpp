@@ -1,8 +1,8 @@
 /// \file golden_flow.hpp
 /// \brief The seed-captured Table-I golden statistics, shared by
-/// `test_flow_regression` (via `run_flow`) and `test_flow_engine` (via the
-/// `FlowEngine` pipeline API) — both entry points must reproduce these
-/// numbers bit-for-bit.
+/// `test_flow_regression` (a fresh `FlowEngine` per row: cold runs on fresh
+/// scratch) and `test_flow_engine` (one engine across all rows, reusing its
+/// scratch) — both must reproduce these numbers bit-for-bit.
 
 #pragma once
 

@@ -89,8 +89,8 @@ TEST(Cli, BenchModeEmitsStageTimings) {
   const io::Json& circuit = bench.at("circuits").at("adder8");
   EXPECT_GT(circuit.at("stats").at("jj_total").as_number(), 0);
   const io::Json& stages = circuit.at("stages");
-  for (const char* stage : {"cut_enum", "map", "t1_detect", "stage_assign",
-                            "dff_insert", "self_check", "cec", "total"}) {
+  for (const char* stage : {"map", "t1_detect", "stage_assign", "dff_insert",
+                            "self_check", "cec", "total"}) {
     ASSERT_TRUE(stages.contains(stage)) << stage;
     const io::Json& s = stages.at(stage);
     EXPECT_GE(s.at("mean_ms").as_number(), s.at("min_ms").as_number());

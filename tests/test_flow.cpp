@@ -10,7 +10,7 @@
 #include "retime/timing_check.hpp"
 #include "sat/cec.hpp"
 #include "sfq/netlist_sim.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map::t1 {
 namespace {
@@ -32,9 +32,13 @@ FlowParams with_t1(int phases = 4) {
 TEST(Flow, AdderAllThreeConfigs) {
   const Aig aig = gen::ripple_adder(16);
 
-  const FlowResult r1 = run_flow(aig, baseline(1));
-  const FlowResult r4 = run_flow(aig, baseline(4));
-  const FlowResult rt = run_flow(aig, with_t1(4));
+  FlowEngine engine;
+  const EngineResult r1 = engine.run(aig, baseline(1));
+  ASSERT_TRUE(r1.ok()) << r1.diagnostics.to_string();
+  const EngineResult r4 = engine.run(aig, baseline(4));
+  ASSERT_TRUE(r4.ok()) << r4.diagnostics.to_string();
+  const EngineResult rt = engine.run(aig, with_t1(4));
+  ASSERT_TRUE(rt.ok()) << rt.diagnostics.to_string();
 
   // Multiphase kills most path-balancing DFFs (paper: 4φ/1φ ≈ 0.18-0.52).
   EXPECT_LT(r4.stats.dffs, r1.stats.dffs / 2);
@@ -50,7 +54,9 @@ TEST(Flow, AdderAllThreeConfigs) {
 
 TEST(Flow, AdderT1SatEquivalence) {
   const Aig aig = gen::ripple_adder(8);
-  const FlowResult rt = run_flow(aig, with_t1(4));
+  FlowEngine engine;
+  const EngineResult rt = engine.run(aig, with_t1(4));
+  ASSERT_TRUE(rt.ok()) << rt.diagnostics.to_string();
   // The flow already ran random equivalence; prove it with SAT too.
   const auto cec = sat::check_equivalence(aig, rt.materialized.netlist);
   EXPECT_EQ(cec.verdict, sat::CecResult::Verdict::kEquivalent);
@@ -58,15 +64,19 @@ TEST(Flow, AdderT1SatEquivalence) {
 
 TEST(Flow, T1RequiresThreePhases) {
   const Aig aig = gen::ripple_adder(4);
-  EXPECT_THROW(run_flow(aig, with_t1(2)), ContractError);
+  FlowEngine engine;
+  EXPECT_THROW(engine.run(aig, with_t1(2)), ContractError);
 }
 
 TEST(Flow, TimingValidatedInternally) {
-  // run_flow itself checks timing; re-validate here for belt and braces.
+  // The default pipeline checks timing; re-validate here for belt and
+  // braces.
   const Aig aig = gen::squarer(8);
+  FlowEngine engine;
   for (const auto& params :
        {baseline(1), baseline(4), with_t1(4), with_t1(6)}) {
-    const FlowResult r = run_flow(aig, params);
+    const EngineResult r = engine.run(aig, params);
+    ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
     const auto report =
         retime::check_timing(r.materialized.netlist, r.materialized.stages);
     EXPECT_TRUE(report.ok);
@@ -76,15 +86,20 @@ TEST(Flow, TimingValidatedInternally) {
 
 TEST(Flow, MultiplierT1Profitable) {
   const Aig aig = gen::array_multiplier(8);
-  const FlowResult r4 = run_flow(aig, baseline(4));
-  const FlowResult rt = run_flow(aig, with_t1(4));
+  FlowEngine engine;
+  const EngineResult r4 = engine.run(aig, baseline(4));
+  ASSERT_TRUE(r4.ok()) << r4.diagnostics.to_string();
+  const EngineResult rt = engine.run(aig, with_t1(4));
+  ASSERT_TRUE(rt.ok()) << rt.diagnostics.to_string();
   EXPECT_GT(rt.stats.t1_used, 20);  // FA-rich array
   EXPECT_LT(rt.stats.area_jj, r4.stats.area_jj);
 }
 
 TEST(Flow, StatsAreConsistent) {
   const Aig aig = gen::ripple_adder(8);
-  const FlowResult r = run_flow(aig, with_t1(4));
+  FlowEngine engine;
+  const EngineResult r = engine.run(aig, with_t1(4));
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
   const auto& mat = r.materialized.netlist;
   EXPECT_EQ(r.stats.dffs,
             static_cast<long>(mat.count_kind(sfq::CellKind::kDff)));
@@ -99,20 +114,25 @@ TEST(Flow, DisablingOptimizationStillLegal) {
   const Aig aig = gen::adder_comparator(8);
   FlowParams p = with_t1(4);
   p.optimize_stages = false;
-  const FlowResult r = run_flow(aig, p);
+  FlowEngine engine;
+  const EngineResult r = engine.run(aig, p);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
   EXPECT_TRUE(sfq::random_equivalent(aig, r.materialized.netlist, 16));
 
   FlowParams q = with_t1(4);
-  const FlowResult opt = run_flow(aig, q);
+  const EngineResult opt = engine.run(aig, q);
+  ASSERT_TRUE(opt.ok()) << opt.diagnostics.to_string();
   EXPECT_LE(opt.stats.dffs, r.stats.dffs);
 }
 
 TEST(Flow, PhaseSweepMonotonicity) {
   // More phases can only help (or tie) the DFF bill on the baseline flow.
   const Aig aig = gen::squarer(6);
+  FlowEngine engine;
   long prev = -1;
   for (const int phases : {1, 2, 4, 8}) {
-    const FlowResult r = run_flow(aig, baseline(phases));
+    const EngineResult r = engine.run(aig, baseline(phases));
+    ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
     if (prev >= 0) EXPECT_LE(r.stats.dffs, prev) << phases;
     prev = r.stats.dffs;
   }

@@ -1,9 +1,11 @@
 // FlowEngine / Pipeline API tests:
 //   * the default pipeline, executed through one engine with reused scratch
 //     state, reproduces the seed golden statistics bit-for-bit on all seven
-//     regression generators (pipeline-equivalence with run_flow);
+//     regression generators (test_flow_regression runs them cold);
 //   * run_many is deterministic: the same inputs on 1 vs N threads yield
-//     identical FlowStats (this suite is also the TSan CI target);
+//     identical FlowStats, on workers that persist across batches of any
+//     shape and across a failed batch (this suite is also a TSan CI target);
+//   * only runs on worker 0 alone splice from the cone memo;
 //   * structured diagnostics, pass selection/parsing, and the ordering
 //     contracts of custom pipelines.
 
@@ -49,6 +51,31 @@ std::string to_blif(const sfq::Netlist& ntk) {
   return os.str();
 }
 
+std::vector<FlowJob> jobs_of(const std::vector<const Aig*>& aigs,
+                             const FlowParams& params) {
+  std::vector<FlowJob> jobs;
+  for (const Aig* aig : aigs) jobs.push_back({aig, params, {}});
+  return jobs;
+}
+
+/// Both results succeeded and agree bit-for-bit: netlists and statistics.
+void expect_identical(const EngineResult& a, const EngineResult& b,
+                      const std::string& label) {
+  ASSERT_TRUE(a.ok()) << label << ": " << a.diagnostics.to_string();
+  ASSERT_TRUE(b.ok()) << label << ": " << b.diagnostics.to_string();
+  EXPECT_EQ(to_blif(a.mapped), to_blif(b.mapped)) << label;
+  EXPECT_EQ(to_blif(a.materialized.netlist), to_blif(b.materialized.netlist))
+      << label;
+  EXPECT_EQ(a.stats.area_jj, b.stats.area_jj) << label;
+  EXPECT_EQ(a.stats.dffs, b.stats.dffs) << label;
+  EXPECT_EQ(a.stats.depth_cycles, b.stats.depth_cycles) << label;
+  EXPECT_EQ(a.stats.num_stages, b.stats.num_stages) << label;
+  EXPECT_EQ(a.stats.logic_cells, b.stats.logic_cells) << label;
+  EXPECT_EQ(a.stats.splitters, b.stats.splitters) << label;
+  EXPECT_EQ(a.stats.t1_found, b.stats.t1_found) << label;
+  EXPECT_EQ(a.stats.t1_used, b.stats.t1_used) << label;
+}
+
 // One engine across all 21 golden configurations: scratch-state reuse must
 // not perturb any result.
 TEST(FlowEngine, DefaultPipelineReproducesGoldenStats) {
@@ -69,26 +96,6 @@ TEST(FlowEngine, DefaultPipelineReproducesGoldenStats) {
   }
 }
 
-// The compatibility wrapper and the engine must agree bit-for-bit, netlists
-// included, not just on statistics.
-TEST(FlowEngine, RunFlowWrapperIsBitForBitIdentical) {
-  const Aig aig = gen::make_named("adder16");
-  FlowParams params;
-  params.num_phases = 4;
-  params.use_t1 = true;
-
-  const FlowResult wrapper = run_flow(aig, params);
-  FlowEngine engine;
-  const EngineResult direct = engine.run(aig, params);
-
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(to_blif(wrapper.materialized.netlist),
-            to_blif(direct.materialized.netlist));
-  EXPECT_EQ(to_blif(wrapper.mapped), to_blif(direct.mapped));
-  EXPECT_EQ(wrapper.stats.area_jj, direct.stats.area_jj);
-  EXPECT_EQ(wrapper.stats.dffs, direct.stats.dffs);
-}
-
 TEST(FlowEngine, RunManyMatchesSingleThreadedExecution) {
   const std::vector<std::string> names = {
       "adder16", "adder64", "mul8", "square12",
@@ -105,36 +112,110 @@ TEST(FlowEngine, RunManyMatchesSingleThreadedExecution) {
   params.use_t1 = true;
   params.verify_rounds = 2;
 
+  const std::vector<FlowJob> jobs = jobs_of(batch, params);
   FlowEngine engine;
-  const std::vector<EngineResult> seq = engine.run_many(batch, params, 1);
-  const std::vector<EngineResult> par = engine.run_many(batch, params, 4);
+  const std::vector<EngineResult> seq = engine.run_many(jobs);
+  engine.set_threads(4);
+  const std::vector<EngineResult> par = engine.run_many(jobs);
 
   ASSERT_EQ(seq.size(), batch.size());
   ASSERT_EQ(par.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(seq[i].ok()) << names[i];
-    ASSERT_TRUE(par[i].ok()) << names[i];
-    EXPECT_EQ(seq[i].stats.area_jj, par[i].stats.area_jj) << names[i];
-    EXPECT_EQ(seq[i].stats.dffs, par[i].stats.dffs) << names[i];
-    EXPECT_EQ(seq[i].stats.depth_cycles, par[i].stats.depth_cycles)
-        << names[i];
-    EXPECT_EQ(seq[i].stats.num_stages, par[i].stats.num_stages) << names[i];
-    EXPECT_EQ(seq[i].stats.logic_cells, par[i].stats.logic_cells)
-        << names[i];
-    EXPECT_EQ(seq[i].stats.splitters, par[i].stats.splitters) << names[i];
-    EXPECT_EQ(seq[i].stats.t1_found, par[i].stats.t1_found) << names[i];
-    EXPECT_EQ(seq[i].stats.t1_used, par[i].stats.t1_used) << names[i];
-    EXPECT_EQ(to_blif(seq[i].materialized.netlist),
-              to_blif(par[i].materialized.netlist))
-        << names[i];
+    expect_identical(seq[i], par[i], names[i]);
   }
+}
+
+// The workers, their scratch and their intra-pass pools persist across
+// batches of every shape: 4 jobs on 4 workers, 2 jobs with 2 workers each
+// inside the passes, 1 job on worker 0 with all 4, then 4 again.
+TEST(FlowEngine, PersistentWorkersMatchOneThreadAcrossBatchShapes) {
+  const std::vector<std::string> names = {"adder16", "mul8", "voter25",
+                                          "comparator16"};
+  std::vector<Aig> aigs;
+  for (const std::string& name : names) aigs.push_back(gen::make_named(name));
+  FlowParams params;
+  params.verify_rounds = 2;
+
+  FlowEngine serial;
+  FlowEngine threaded;
+  threaded.set_threads(4);
+  std::size_t shift = 0;
+  for (const std::size_t size : {4u, 2u, 1u, 4u}) {
+    std::vector<const Aig*> batch;
+    for (std::size_t j = 0; j < size; ++j) {
+      batch.push_back(&aigs[(shift + j) % aigs.size()]);
+    }
+    ++shift;  // a different job mix on each worker every batch
+    const std::vector<FlowJob> jobs = jobs_of(batch, params);
+    const std::vector<EngineResult> ref = serial.run_many(jobs);
+    const std::vector<EngineResult> got = threaded.run_many(jobs);
+    ASSERT_EQ(got.size(), size);
+    for (std::size_t j = 0; j < size; ++j) {
+      expect_identical(ref[j], got[j],
+                       "batch of " + std::to_string(size) + ", job " +
+                           std::to_string(j));
+    }
+  }
+}
+
+TEST(FlowEngine, ContractErrorInABatchLeavesTheEngineUsable) {
+  const Aig adder = gen::ripple_adder(8);
+  FlowParams broken;
+  broken.num_phases = 2;  // the T1 flow needs at least 3
+  broken.use_t1 = true;
+  FlowEngine engine;
+  engine.set_threads(4);
+  const std::vector<FlowJob> bad = {
+      {&adder, FlowParams{}, {}}, {&adder, broken, {}}, {&adder, {}, {}}};
+  EXPECT_THROW(engine.run_many(bad), ContractError);
+
+  const std::vector<FlowJob> good = {{&adder, FlowParams{}, {}},
+                                     {&adder, FlowParams{}, {}}};
+  const std::vector<EngineResult> results = engine.run_many(good);
+  ASSERT_EQ(results.size(), 2u);
+  expect_identical(results[0], results[1], "after the failed batch");
+}
+
+// The cone memo is single-threaded state: a batch spread over several
+// workers runs cold even on a design the memo holds, and the next run on
+// worker 0 alone still splices from it.
+TEST(FlowEngine, OnlyRunsOnWorkerZeroSpliceFromTheMemo) {
+  const Aig adder = gen::make_named("adder16");
+  const Aig mul = gen::make_named("mul8");
+  FlowParams params;
+  params.verify_rounds = 0;
+  FlowEngine engine;
+  engine.set_threads(4);
+  const EngineResult cold = engine.run(adder, params);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.reuse.map_cones_reused, 0u);
+
+  const std::vector<EngineResult> spread =
+      engine.run_many(jobs_of({&adder, &mul}, params));
+  for (const EngineResult& r : spread) {
+    ASSERT_TRUE(r.ok());
+    EXPECT_GT(r.reuse.map_cones_total, 0u);
+    EXPECT_EQ(r.reuse.map_cones_reused, 0u);
+    EXPECT_EQ(r.reuse.t1_cones_reused, 0u);
+    EXPECT_FALSE(r.reuse.t1_exact);
+    EXPECT_FALSE(r.reuse.stage_spliced);
+  }
+
+  const std::vector<EngineResult> alone =
+      engine.run_many(jobs_of({&adder}, params));
+  ASSERT_EQ(alone.size(), 1u);
+  const ReuseCounters& reuse = alone[0].reuse;
+  EXPECT_EQ(reuse.map_cones_reused, reuse.map_cones_total);
+  EXPECT_TRUE(reuse.t1_exact);
+  EXPECT_TRUE(reuse.stage_spliced);
+  expect_identical(alone[0], spread[0], "adder16 warm vs cold");
 }
 
 TEST(FlowEngine, RunManyMoreThreadsThanWork) {
   const Aig adder = gen::ripple_adder(8);
-  const std::vector<const Aig*> batch = {&adder, &adder};
   FlowEngine engine;
-  const auto results = engine.run_many(batch, FlowParams{}, 16);
+  engine.set_threads(16);
+  const auto results = engine.run_many(jobs_of({&adder, &adder}, {}));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_EQ(results[0].stats.area_jj, results[1].stats.area_jj);
@@ -160,7 +241,7 @@ class InconclusiveCecPass final : public Pass {
   }
 };
 
-/// Counts what `run_many` offers and finds.
+/// Records what `run_many` offers and finds.
 class RecordingCache final : public RunCache {
  public:
   bool lookup(const RunKey& key, EngineResult& out) override {
@@ -183,16 +264,16 @@ class RecordingCache final : public RunCache {
 
 TEST(FlowEngine, InconclusiveCecIsNeverCached) {
   const Aig aig = gen::ripple_adder(4);
-  const std::vector<const Aig*> batch = {&aig, &aig};  // the same job twice
-  const std::vector<RunKey> keys = {RunKey{1, 2}, RunKey{1, 2}};
+  // The same job twice.
+  const std::vector<FlowJob> batch = {{&aig, FlowParams{}, RunKey{1, 2}},
+                                      {&aig, FlowParams{}, RunKey{1, 2}}};
   RecordingCache cache;
   std::vector<std::uint8_t> cached;
 
   Pipeline pipeline = Pipeline::parse("map,t1,stage,dff");
   pipeline.add(std::make_unique<InconclusiveCecPass>());
   FlowEngine engine(std::move(pipeline));
-  const auto first = engine.run_many(batch, FlowParams{}, 1, &cache, keys,
-                                     &cached);
+  const auto first = engine.run_many(batch, &cache, &cached);
   ASSERT_EQ(first.size(), 2u);
   EXPECT_TRUE(first[0].ok());
   EXPECT_EQ(first[0].cec, "unknown");
@@ -201,15 +282,14 @@ TEST(FlowEngine, InconclusiveCecIsNeverCached) {
   EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0}));
 
   // A repeat of the job misses the cache and runs again.
-  const auto again = engine.run_many(batch, FlowParams{}, 1, &cache, keys,
-                                     &cached);
+  const auto again = engine.run_many(batch, &cache, &cached);
   EXPECT_EQ(again[0].cec, "unknown");
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0}));
 
   // A conclusive run of the same job is stored and then hit.
   FlowEngine verified(Pipeline::default_flow(/*with_cec=*/true));
-  verified.run_many(batch, FlowParams{}, 1, &cache, keys, &cached);
+  verified.run_many(batch, &cache, &cached);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 1}));
 }

@@ -3,7 +3,9 @@
 // implementation must stay bit-for-bit identical across performance rewrites
 // of the substrate (flat-memory cut enumeration, arena SAT solver, stage
 // assignment pruning).  Any intentional quality change must update this
-// table and say why in the commit.
+// table and say why in the commit.  Every row runs on a fresh engine, so
+// this suite covers cold runs on fresh scratch; test_flow_engine runs the
+// same rows through one engine.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,7 @@
 
 #include "gen/registry.hpp"
 #include "golden_flow.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
@@ -29,11 +31,13 @@ TEST(FlowRegression, StatsMatchSeedGolden) {
     params.num_phases = g.phases;
     params.use_t1 = g.use_t1;
     params.verify_rounds = 0;  // stats only; equivalence is tested elsewhere
-    const t1::FlowStats s = t1::run_flow(aig, params).stats;
-
+    t1::FlowEngine engine;
+    const t1::EngineResult r = engine.run(aig, params);
     const std::string label =
         g.gen + " phases=" + std::to_string(g.phases) +
         (g.use_t1 ? " t1" : " baseline");
+    ASSERT_TRUE(r.ok()) << label << ": " << r.diagnostics.to_string();
+    const t1::FlowStats& s = r.stats;
     EXPECT_EQ(s.area_jj, g.jj_total) << label;
     EXPECT_EQ(s.dffs, g.dffs) << label;
     EXPECT_EQ(s.depth_cycles, g.depth_cycles) << label;

@@ -15,7 +15,7 @@
 #include "sat/cec.hpp"
 #include "serve/aig_hash.hpp"
 #include "sfq/mapper.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
@@ -40,7 +40,9 @@ TEST(Blif, NetlistWithT1AndDffs) {
   const Aig aig = gen::ripple_adder(4);
   t1::FlowParams params;
   params.num_phases = 4;
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
 
   std::ostringstream os;
   io::write_blif(os, r.materialized.netlist, "adder4_t1");
@@ -74,7 +76,9 @@ TEST(Blif, MappedNetlistRoundTripIsEquivalent) {
   t1::FlowParams params;
   params.num_phases = 4;
   params.use_t1 = true;
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
   ASSERT_GT(r.stats.t1_used, 0);
 
   std::ostringstream os;
@@ -295,7 +299,9 @@ TEST(Dot, StagesAnnotated) {
   const Aig aig = gen::ripple_adder(3);
   t1::FlowParams params;
   params.num_phases = 4;
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
 
   std::ostringstream os;
   io::write_dot(os, r.materialized.netlist, &r.materialized.stages);

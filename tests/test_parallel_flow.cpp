@@ -179,13 +179,15 @@ TEST(ParallelFlow, RunManySpillIdentical) {
   const Aig a = gen::make_named("adder16");
   const Aig b = gen::make_named("voter25");
   const Aig c = gen::make_named("comparator16");
-  const std::vector<const Aig*> batch = {&a, &b, &c};
   t1::FlowParams params;
   params.verify_rounds = 0;
+  const std::vector<t1::FlowJob> batch = {
+      {&a, params, {}}, {&b, params, {}}, {&c, params, {}}};
 
   t1::FlowEngine engine;
-  const auto serial = engine.run_many(batch, params, 1);
-  const auto spilled = engine.run_many(batch, params, 8);  // 3 outer, 2 intra
+  const auto serial = engine.run_many(batch);
+  engine.set_threads(8);
+  const auto spilled = engine.run_many(batch);  // 3 outer, 2 intra
   ASSERT_EQ(serial.size(), spilled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].ok() && spilled[i].ok()) << i;

@@ -10,7 +10,7 @@
 #include "gen/registry.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist_sim.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
@@ -30,7 +30,9 @@ TEST_P(FlowInvariants, EquivalentLegalAndConsistent) {
   params.num_phases = phases;
   params.use_t1 = use_t1;
   params.verify_rounds = 0;  // we verify explicitly below
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
 
   // Functional equivalence (random + structured patterns).
   EXPECT_TRUE(sfq::random_equivalent(aig, r.materialized.netlist, 4))
@@ -79,7 +81,9 @@ TEST_P(AdderT1Count, OneT1PerFullAdderSlice) {
   const Aig aig = gen::ripple_adder(width);
   t1::FlowParams params;
   params.num_phases = 4;
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
   // Bit 0 is a half adder; every other slice is one T1.
   EXPECT_EQ(r.stats.t1_used, width - 1);
   EXPECT_EQ(r.stats.t1_cores, width - 1);
@@ -94,13 +98,16 @@ class PhaseMonotonicity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PhaseMonotonicity, MorePhasesNeverHurtDffs) {
   const Aig aig = gen::make_benchmark(GetParam());
+  t1::FlowEngine engine;
   long prev = -1;
   for (const int phases : {1, 2, 3, 4, 6, 8}) {
     t1::FlowParams params;
     params.num_phases = phases;
     params.use_t1 = false;
     params.verify_rounds = 0;
-    const auto s = t1::run_flow(aig, params).stats;
+    const t1::EngineResult r = engine.run(aig, params);
+    ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
+    const t1::FlowStats& s = r.stats;
     if (prev >= 0) {
       EXPECT_LE(s.dffs, prev) << GetParam() << " at " << phases;
     }
@@ -153,7 +160,9 @@ TEST_P(MultiplierGrid, FlowPreservesProduct) {
   params.num_phases = phases;
   params.use_t1 = phases >= 3;
   params.verify_rounds = 0;
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
   EXPECT_TRUE(sfq::random_equivalent(aig, r.materialized.netlist, 8));
 }
 

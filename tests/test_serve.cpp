@@ -337,19 +337,19 @@ TEST(RunManyCached, HitsDuplicatesAndDeterminism) {
   const Aig a = gen::make_named("adder16");
   const Aig b = gen::make_named("mul8");
   // adder16 twice in one batch: the duplicate computes once.
-  const std::vector<const Aig*> batch = {&a, &b, &a};
-  const std::vector<t1::RunKey> keys = {key_of(a, params), key_of(b, params),
-                                        key_of(a, params)};
+  const std::vector<t1::FlowJob> batch = {{&a, params, key_of(a, params)},
+                                          {&b, params, key_of(b, params)},
+                                          {&a, params, key_of(a, params)}};
 
   t1::FlowEngine cold_engine;
-  const std::vector<t1::EngineResult> reference =
-      cold_engine.run_many(batch, params, 1);
+  const std::vector<t1::EngineResult> reference = cold_engine.run_many(batch);
 
   serve::FlowCache cache;
   t1::FlowEngine engine;
+  engine.set_threads(2);
   std::vector<std::uint8_t> cached;
   const std::vector<t1::EngineResult> first =
-      engine.run_many(batch, params, 2, &cache, keys, &cached);
+      engine.run_many(batch, &cache, &cached);
   ASSERT_EQ(first.size(), 3u);
   EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0, 1}));
   EXPECT_EQ(cache.stats().insertions, 2u);  // duplicate stored once
@@ -359,7 +359,7 @@ TEST(RunManyCached, HitsDuplicatesAndDeterminism) {
   }
 
   const std::vector<t1::EngineResult> second =
-      engine.run_many(batch, params, 2, &cache, keys, &cached);
+      engine.run_many(batch, &cache, &cached);
   EXPECT_EQ(cached, (std::vector<std::uint8_t>{1, 1, 1}));
   for (std::size_t i = 0; i < second.size(); ++i) {
     expect_results_identical(reference[i], second[i],
@@ -368,9 +368,12 @@ TEST(RunManyCached, HitsDuplicatesAndDeterminism) {
   // A different configuration must miss: no stale cross-config hits.
   t1::FlowParams other = params;
   other.use_t1 = false;
-  const std::vector<t1::RunKey> other_keys = {
-      key_of(a, other), key_of(b, other), key_of(a, other)};
-  engine.run_many(batch, other, 1, &cache, other_keys, &cached);
+  const std::vector<t1::FlowJob> other_batch = {
+      {&a, other, key_of(a, other)},
+      {&b, other, key_of(b, other)},
+      {&a, other, key_of(a, other)}};
+  engine.set_threads(1);
+  engine.run_many(other_batch, &cache, &cached);
   EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0, 1}));
 }
 

@@ -106,22 +106,20 @@ TEST(StressDeep, DeepChainsWithoutT1StayLegal) {
 
 TEST(StressDeep, RunManyIsDeterministicAcrossThreadCounts) {
   std::vector<Aig> aigs;
-  std::vector<const Aig*> batch;
   for (const std::string& name : deep_names()) {
     aigs.push_back(gen::make_named(name));
   }
-  for (const Aig& aig : aigs) batch.push_back(&aig);
-
   t1::FlowParams params;
   params.num_phases = 4;
   params.use_t1 = true;
   params.verify_rounds = 1;
+  std::vector<t1::FlowJob> batch;
+  for (const Aig& aig : aigs) batch.push_back({&aig, params, {}});
 
   t1::FlowEngine engine;
-  const std::vector<t1::EngineResult> seq =
-      engine.run_many(batch, params, /*num_threads=*/1);
-  const std::vector<t1::EngineResult> par =
-      engine.run_many(batch, params, /*num_threads=*/4);
+  const std::vector<t1::EngineResult> seq = engine.run_many(batch);
+  engine.set_threads(4);
+  const std::vector<t1::EngineResult> par = engine.run_many(batch);
   ASSERT_EQ(seq.size(), par.size());
 
   for (std::size_t i = 0; i < seq.size(); ++i) {

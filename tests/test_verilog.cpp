@@ -10,7 +10,7 @@
 #include "gen/registry.hpp"
 #include "io/verilog.hpp"
 #include "sfq/netlist.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
@@ -74,7 +74,9 @@ TEST(Verilog, MappedAdder16IsStructurallyConsistent) {
   t1::FlowParams params;
   params.num_phases = 4;
   params.use_t1 = true;
-  const t1::FlowResult r = t1::run_flow(aig, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(aig, params);
+  ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
   const sfq::Netlist& ntk = r.materialized.netlist;
   ASSERT_GT(ntk.num_t1(), 0u);
   ASSERT_GT(ntk.count_kind(CellKind::kDff), 0u);
