@@ -99,7 +99,7 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
       c.flow = engine.run(aig, c.params);
     }
   }
-  // A failed check pass makes the driver exit non-zero.
+  // A failed check pass makes t1map exit non-zero.
   for (const ConfigResult& c : results) {
     T1MAP_REQUIRE(c.flow.ok(), "config " + c.key + " failed: " +
                                    c.flow.diagnostics.first_error());
