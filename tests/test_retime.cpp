@@ -1,15 +1,23 @@
 // Retiming tests: stage assignment legality and optimality on hand-checked
 // netlists, T1 constraints (paper eqs. 3-5), DFF counting vs. the closed
-// form, materialization consistency, and the independent timing validator.
+// form, materialization consistency, the independent timing validator, and
+// digests that pin the exact stages and DFF netlists on real circuits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "gen/registry.hpp"
 #include "retime/dff_insert.hpp"
 #include "retime/stage_assign.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map::retime {
 namespace {
@@ -297,6 +305,190 @@ TEST(Depth, CyclesIsCeilStagesOverPhases) {
   EXPECT_EQ(sa.depth_cycles(), 32);
   sa.num_phases = 1;
   EXPECT_EQ(sa.depth_cycles(), 128);
+}
+
+TEST(T1Constraints, ReleaseCostShiftsPastTheWindow) {
+  // A producer more than n stages before the core reaches every window slot,
+  // and one more cycle of distance adds exactly one DFF to every slot.  So
+  // folding each slack d_j = sigma_t1 - producer_j into (n, 2n] changes the
+  // optimal cost by the constant sum of floor((d_j - n - 1) / n) and keeps
+  // the chosen releases; infeasible triples stay infeasible.
+  for (int n = 3; n <= 8; ++n) {
+    const int max_d = 3 * n + 2;
+    const int sigma_t1 = 4 * n;
+    const auto fold = [n](int d) { return d > n ? (d - n - 1) / n : 0; };
+    for (int d0 = 1; d0 <= max_d; ++d0) {
+      for (int d1 = 1; d1 <= max_d; ++d1) {
+        for (int d2 = 1; d2 <= max_d; ++d2) {
+          const std::array<int, 3> d{d0, d1, d2};
+          std::array<int, 3> full{}, folded{};
+          long offset = 0;
+          for (int j = 0; j < 3; ++j) {
+            full[j] = sigma_t1 - d[j];
+            folded[j] = sigma_t1 - (d[j] - n * fold(d[j]));
+            offset += fold(d[j]);
+          }
+          bool full_ok = true, folded_ok = true;
+          T1Releases a{}, b{};
+          try {
+            a = solve_t1_releases(full, sigma_t1, n);
+          } catch (const ContractError&) {
+            full_ok = false;
+          }
+          try {
+            b = solve_t1_releases(folded, sigma_t1, n);
+          } catch (const ContractError&) {
+            folded_ok = false;
+          }
+          ASSERT_EQ(full_ok, folded_ok)
+              << n << ": " << d0 << "," << d1 << "," << d2;
+          if (!full_ok) continue;
+          ASSERT_EQ(a.dffs, b.dffs + offset)
+              << n << ": " << d0 << "," << d1 << "," << d2;
+          ASSERT_EQ(a.release, b.release)
+              << n << ": " << d0 << "," << d1 << "," << d2;
+        }
+      }
+    }
+  }
+}
+
+/// FNV-1a over the bytes of 64-bit words: a platform-stable digest.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::int64_t x) {
+    const auto u = static_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (u >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Digests of `assign_stages` (sigma, sigma_po) and of `insert_dffs` (every
+/// node's kind, fanins and origin, the POs, the stage vector, node_map and
+/// num_dffs) on one mapped netlist, folded into `stages` and `dffs`.
+void digest_retime(const Netlist& mapped, int phases, Digest& stages,
+                   Digest& dffs, const std::string& label) {
+  const StageAssignment sa = assign_stages(mapped, StageParams{phases, true});
+  ASSERT_TRUE(assignment_is_legal(mapped, sa)) << label;
+  stages.add(sa.num_phases);
+  stages.add(sa.sigma_po);
+  stages.add(static_cast<std::int64_t>(sa.sigma.size()));
+  for (const int s : sa.sigma) stages.add(s);
+
+  const MaterializeResult mat = insert_dffs(mapped, sa);
+  EXPECT_EQ(mat.num_dffs, count_dffs(mapped, sa).total()) << label;
+  const Netlist& out = mat.netlist;
+  dffs.add(out.num_nodes());
+  for (std::uint32_t v = 0; v < out.num_nodes(); ++v) {
+    dffs.add(static_cast<std::int64_t>(out.kind(v)));
+    dffs.add(static_cast<std::int64_t>(out.fanins(v).size()));
+    for (const std::uint32_t u : out.fanins(v)) dffs.add(u);
+    dffs.add(out.origin(v));
+  }
+  dffs.add(out.num_pos());
+  for (const auto& po : out.pos()) dffs.add(po.driver);
+  dffs.add(mat.stages.num_phases);
+  dffs.add(mat.stages.sigma_po);
+  dffs.add(static_cast<std::int64_t>(mat.stages.sigma.size()));
+  for (const int s : mat.stages.sigma) dffs.add(s);
+  dffs.add(static_cast<std::int64_t>(mat.node_map.size()));
+  for (const std::uint32_t m : mat.node_map) dffs.add(m);
+  dffs.add(mat.num_dffs);
+}
+
+/// The mapped (and, with `use_t1`, T1-rewritten) netlist the flow's stage
+/// pass sees for this configuration.
+Netlist mapped_netlist(const std::string& gen, int phases, bool use_t1) {
+  t1::FlowEngine engine(t1::Pipeline::parse("map,t1"));
+  engine.set_incremental(false);
+  t1::FlowParams params;
+  params.num_phases = phases;
+  params.use_t1 = use_t1;
+  params.verify_rounds = 0;
+  t1::EngineResult r = engine.run(gen::make_named(gen), params);
+  EXPECT_TRUE(r.ok()) << gen << ": " << r.diagnostics.to_string();
+  return std::move(r.mapped);
+}
+
+struct PinnedRow {
+  const char* circuits;  // a Table-I name, or "fuzz" for the fuzz set
+  int phases;
+  bool use_t1;
+  std::uint64_t stages;
+  std::uint64_t dffs;
+};
+
+TEST(Retime, OutputsArePinned) {
+  // Captured from the first sweep, which re-checked legality and rescanned
+  // consumer lists per candidate.  Any change to a stage, a DFF or a
+  // netlist bit of the retime layer shows up here, even when the counts the
+  // goldens pin stay equal.  The fuzz rows fold 50 random circuits each.  A
+  // failure prints the row as it is now.
+  // clang-format off
+  static const PinnedRow kRows[] = {
+      // circuits   phi t1     stages                 dffs
+      {"adder",      1, false, 0x010748fda75fa5acull, 0x80d1a169d9d0de44ull},
+      {"adder",      4, false, 0x6e8ea4125ff5b14bull, 0xd14f7179a906d5e2ull},
+      {"adder",      4, true,  0x44207f04ae0af672ull, 0xb37dfe680d303a38ull},
+      {"c7552",      1, false, 0x701b46f5964b61b1ull, 0xd764850ea2aa4165ull},
+      {"c7552",      4, false, 0x4b263e5e0119e866ull, 0x690b1d3459695f11ull},
+      {"c7552",      4, true,  0xf2cf8101742e7671ull, 0x6e70aebe0ec43b11ull},
+      {"c6288",      1, false, 0x0b432b8dae52b548ull, 0xd3eb1fbb10f4e104ull},
+      {"c6288",      4, false, 0x0c02aa57d65ec429ull, 0xe8988b14fabd101cull},
+      {"c6288",      4, true,  0x3218a6e7a010154aull, 0xd0bfae55d1a14014ull},
+      {"sin",        1, false, 0x888af91fec48f2e0ull, 0xe837250c4c6ff67full},
+      {"sin",        4, false, 0x7f147120b8be9934ull, 0x7536d1fb0e6afff7ull},
+      {"sin",        4, true,  0xc518108067b8ac2eull, 0xfc1ae592f0713fe8ull},
+      {"voter",      1, false, 0xdd79358c21b1fb79ull, 0xeebd410a8ecc32f0ull},
+      {"voter",      4, false, 0x8919c836fd640c80ull, 0x892a857abb3c24d5ull},
+      {"voter",      4, true,  0x52a129a57db2f133ull, 0xa13d14993ff3fc9full},
+      {"square",     1, false, 0x0ed2f6c95d471c0full, 0xd109ea3e141f8f3full},
+      {"square",     4, false, 0x056ad24fecadaaa8ull, 0x7d53910681c20f64ull},
+      {"square",     4, true,  0x5844a8a472470cc6ull, 0xa1426bf056e27494ull},
+      {"multiplier", 1, false, 0x2c6d5be1af14bd22ull, 0x84be153fbeb7d772ull},
+      {"multiplier", 4, false, 0x046d06c6207184e6ull, 0x451085bf279f9cb2ull},
+      {"multiplier", 4, true,  0xe58be1b30fb7ecd3ull, 0x4b0af194e54fd9aaull},
+      {"log2",       1, false, 0x1464eed8a4b4e92full, 0xd16984cedc1ad8f8ull},
+      {"log2",       4, false, 0x8aefd40b0a915594ull, 0x0b473ada797d5511ull},
+      {"log2",       4, true,  0x263c8be13543e186ull, 0x4acf6e82ec2e33d2ull},
+      {"fuzz",       1, false, 0x2e0037a95699856dull, 0xe305bbae561ee98dull},
+      {"fuzz",       3, false, 0x9aedf783a6ac28b1ull, 0xa07cd9a5e888381cull},
+      {"fuzz",       3, true,  0x60950ddef2a55a17ull, 0x3512f64063c4028aull},
+      {"fuzz",       4, false, 0xca8c047da96d9656ull, 0xf0bf9d4369037ac5ull},
+      {"fuzz",       4, true,  0x645b5dedd13e81ffull, 0xb7f5b2466a22db99ull},
+      {"fuzz",       5, false, 0x06a52cc54c0d1df7ull, 0x2a6fdcfdc324dc66ull},
+      {"fuzz",       5, true,  0x8e6aac7803e4643aull, 0x62e1d94d3d6001c3ull},
+      {"fuzz",       7, false, 0xd221268ad73cca93ull, 0xbe20eb3bc893a8faull},
+      {"fuzz",       7, true,  0x446b4478f422b1d6ull, 0xb28833ddc5cd0c83ull},
+  };
+  // clang-format on
+  std::vector<std::string> fuzz;
+  for (int i = 0; i < 50; ++i) {
+    fuzz.push_back("fuzz" + std::to_string(40 + 9 * i));
+  }
+
+  for (const PinnedRow& row : kRows) {
+    const std::string name = row.circuits;
+    const std::vector<std::string> circuits =
+        name == "fuzz" ? fuzz : std::vector<std::string>{name};
+    Digest stages, dffs;
+    for (const std::string& c : circuits) {
+      const std::string label =
+          c + " " + std::to_string(row.phases) + (row.use_t1 ? "t1" : "");
+      digest_retime(mapped_netlist(c, row.phases, row.use_t1), row.phases,
+                    stages, dffs, label);
+    }
+    char now[128];
+    std::snprintf(now, sizeof now,
+                  "{\"%s\", %d, %s, 0x%016llxull, 0x%016llxull},",
+                  row.circuits, row.phases, row.use_t1 ? "true" : "false",
+                  static_cast<unsigned long long>(stages.h),
+                  static_cast<unsigned long long>(dffs.h));
+    EXPECT_EQ(stages.h, row.stages) << now;
+    EXPECT_EQ(dffs.h, row.dffs) << now;
+  }
 }
 
 }  // namespace
