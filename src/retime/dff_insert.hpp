@@ -11,6 +11,10 @@
 ///     chosen by `solve_t1_releases`, so the three input pulses reach the
 ///     core at pairwise-distinct stages (paper eq. 5).
 ///
+/// One pre-pass sizes every shared chain and solves each core's releases,
+/// so the chains live in one flat array with per-driver offsets and the
+/// output netlist is reserved once at its exact size.
+///
 /// The returned netlist is functionally identical to the input (DFFs are
 /// identity functions) and its per-node stages satisfy the local timing
 /// rules that `check_timing` (timing_check.hpp) validates independently.

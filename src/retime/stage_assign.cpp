@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <utility>
 
 #include "common/csr.hpp"
 
@@ -14,6 +15,7 @@ using sfq::CellKind;
 using sfq::Netlist;
 
 constexpr int kNoStage = std::numeric_limits<int>::min();
+constexpr std::uint32_t kNoNode = std::numeric_limits<std::uint32_t>::max();
 
 /// Sanity band for stage values fed into sentinel-sensitive arithmetic:
 /// anything outside is either the `kNoStage` sentinel leaking through or a
@@ -27,6 +29,23 @@ int producer_stage(const Netlist& ntk, const std::vector<int>& sigma,
                    std::uint32_t node) {
   if (ntk.is_const(node)) return kNoStage;
   return sigma[node];
+}
+
+/// Producer stages of core t's data inputs, as eq. (3) and the release
+/// solver read them: constants count as stage 0 (their pulses still need a
+/// distinct arrival slot), and pins driven by `mover` (a node, or a core
+/// through its taps) read stage `s` instead.
+std::array<int, 3> core_inputs(const Netlist& ntk,
+                               const std::vector<int>& sigma, std::uint32_t t,
+                               std::uint32_t mover = kNoNode, int s = 0) {
+  std::array<int, 3> p{};
+  const auto f = ntk.fanins(t);
+  for (int j = 0; j < 3; ++j) {
+    const std::uint32_t src = ntk.is_tap(f[j]) ? ntk.fanins(f[j])[0] : f[j];
+    const int ps = producer_stage(ntk, sigma, f[j]);
+    p[j] = src == mover ? s : (ps == kNoStage ? 0 : ps);
+  }
+  return p;
 }
 
 /// Per-node consumer lists (regular cells and T1 cores; taps excluded
@@ -71,22 +90,26 @@ Consumers build_consumers(const Netlist& ntk) {
   return c;
 }
 
+/// DFFs of a shared chain from a driver at `su` whose highest consumer (or
+/// PO capture) sits at `top`; kNoStage on either side means no chain
+/// (naive `top - su` on sentinel stages is signed-overflow UB).
+long chain_dffs(int su, int top, int n) {
+  if (su == kNoStage || top == kNoStage) return 0;
+  const long gap = static_cast<long>(top) - su;
+  if (gap <= 0) return 0;
+  return (gap + n - 1) / n - 1;
+}
+
 /// DFFs of the shared chain from a driver at `su` to regular consumers.
-/// Guarded against the `kNoStage` sentinel on either side: an unplaced or
-/// constant driver has no chain, and unplaced consumers don't stretch one
-/// (naive `max_sv - su` on sentinel stages is signed-overflow UB).
+/// Unplaced (kNoStage) consumers don't stretch the chain.
 long driver_chain_dffs(int su, std::span<const std::uint32_t> consumers,
                        bool drives_po, int sigma_po,
                        const std::vector<int>& sigma, int n) {
-  if (su == kNoStage) return 0;
   int max_sv = drives_po ? sigma_po : kNoStage;
   for (const std::uint32_t v : consumers) {
     if (sigma[v] != kNoStage) max_sv = std::max(max_sv, sigma[v]);
   }
-  if (max_sv == kNoStage) return 0;
-  const long gap = static_cast<long>(max_sv) - su;
-  if (gap <= 0) return 0;
-  return std::max(0l, (gap + n - 1) / n - 1);
+  return chain_dffs(su, max_sv, n);
 }
 
 }  // namespace
@@ -183,13 +206,7 @@ bool fanin_side_ok(const Netlist& ntk, const std::vector<int>& sigma,
   if (ntk.is_tap(v)) return sigma[v] == sigma[ntk.fanins(v)[0]];
   if (k == CellKind::kT1) {
     if (n < 3) return false;
-    std::array<int, 3> s{};
-    const auto f = ntk.fanins(v);
-    for (int j = 0; j < 3; ++j) {
-      const int ps = producer_stage(ntk, sigma, f[j]);
-      s[j] = (ps == kNoStage) ? 0 : ps;
-    }
-    return sigma[v] >= t1_min_stage(s);
+    return sigma[v] >= t1_min_stage(core_inputs(ntk, sigma, v));
   }
   for (const std::uint32_t u : ntk.fanins(v)) {
     const int ps = producer_stage(ntk, sigma, u);
@@ -231,13 +248,8 @@ DffCount count_dffs(const Netlist& ntk, const StageAssignment& sa) {
   }
   for (std::uint32_t t = 0; t < ntk.num_nodes(); ++t) {
     if (!ntk.is_t1(t)) continue;
-    std::array<int, 3> s{};
-    const auto f = ntk.fanins(t);
-    for (int j = 0; j < 3; ++j) {
-      const int ps = producer_stage(ntk, sa.sigma, f[j]);
-      s[j] = (ps == kNoStage) ? 0 : ps;
-    }
-    count.t1 += solve_t1_releases(s, sa.sigma[t], n).dffs;
+    count.t1 += solve_t1_releases(core_inputs(ntk, sa.sigma, t), sa.sigma[t],
+                                  n).dffs;
   }
   return count;
 }
@@ -259,13 +271,7 @@ void asap(const Netlist& ntk, std::vector<int>& sigma) {
       continue;
     }
     if (k == CellKind::kT1) {
-      std::array<int, 3> s{};
-      const auto f = ntk.fanins(v);
-      for (int j = 0; j < 3; ++j) {
-        const int ps = producer_stage(ntk, sigma, f[j]);
-        s[j] = (ps == kNoStage) ? 0 : ps;
-      }
-      sigma[v] = t1_min_stage(s);
+      sigma[v] = t1_min_stage(core_inputs(ntk, sigma, v));
       continue;
     }
     int lo = 1;
@@ -277,85 +283,82 @@ void asap(const Netlist& ntk, std::vector<int>& sigma) {
   }
 }
 
-/// Cost of the drivers whose chains depend on node v's stage, plus the T1
-/// release costs v participates in.  Used to score candidate moves.
-long local_cost(const Netlist& ntk, const Consumers& cons,
-                const std::vector<int>& sigma, int sigma_po, int n,
-                std::uint32_t v, std::span<const std::uint32_t> taps_of_v) {
-  long cost = 0;
-  const auto driver_cost = [&](std::uint32_t u) {
-    if (ntk.is_const(u) || ntk.is_t1(u)) return 0l;
-    return driver_chain_dffs(sigma[u], cons.regular[u],
-                             cons.drives_po[u] != 0, sigma_po, sigma, n);
-  };
-  const auto t1_cost = [&](std::uint32_t t) {
-    std::array<int, 3> s{};
-    const auto f = ntk.fanins(t);
+/// The top of a driver's shared chain: its highest consumer stage (the PO
+/// capture stage included), how many consumer entries sit there, and the
+/// highest stage below it.  Enough to price the chain with any one
+/// consumer moved.
+struct ChainTop {
+  int top = kNoStage;
+  int count = 0;
+  int next = kNoStage;
+
+  void add(int s) {
+    if (s > top) {
+      next = top;
+      top = s;
+      count = 1;
+    } else if (s == top) {
+      ++count;
+    } else if (s > next) {
+      next = s;
+    }
+  }
+  /// Highest stage once the `entries` entries of a consumer at `s` leave.
+  int without(int s, int entries) const {
+    return (s == top && count <= entries) ? next : top;
+  }
+};
+
+/// `solve_t1_releases(...).dffs` memoized on the slack triple
+/// d_j = σ_T1 − producer_j.  A producer more than n stages back reaches
+/// every window slot, and each further n stages add one DFF to every slot,
+/// so d_j folds into (n, 2n] at a cost offset of ⌊(d_j − n − 1)/n⌋ (pinned
+/// exhaustively by `T1Constraints.ReleaseCostShiftsPastTheWindow`).  The
+/// cost is symmetric in the inputs, so the folded triple is sorted.  A
+/// fixed direct-mapped table keeps the memo small at any phase count.
+class ReleaseCostMemo {
+ public:
+  explicit ReleaseCostMemo(int n) : n_(n), slots_(kSlots) {}
+
+  long cost(const std::array<int, 3>& producer, int sigma_t1) {
+    std::array<int, 3> d{};
+    long offset = 0;
     for (int j = 0; j < 3; ++j) {
-      const int ps = producer_stage(ntk, sigma, f[j]);
-      s[j] = (ps == kNoStage) ? 0 : ps;
-    }
-    return solve_t1_releases(s, sigma[t], n).dffs;
-  };
-
-  if (ntk.is_t1(v)) {
-    cost += t1_cost(v);
-    for (const std::uint32_t tap : taps_of_v) {
-      cost += driver_cost(tap);
-      for (const Consumers::T1Pin& p : cons.t1[tap]) cost += t1_cost(p.node);
-    }
-  } else {
-    cost += driver_cost(v);
-    for (const Consumers::T1Pin& p : cons.t1[v]) cost += t1_cost(p.node);
-  }
-  // Fanins' chains see v as a consumer.
-  for (const std::uint32_t u : ntk.fanins(v)) {
-    if (!ntk.is_const(u) && !ntk.is_t1(u)) cost += driver_cost(u);
-  }
-  return cost;
-}
-
-/// True if setting node v (and its taps) to stage s keeps the assignment
-/// legal for v and all its direct consumers.
-bool move_is_legal(const Netlist& ntk, const Consumers& cons,
-                   std::vector<int>& sigma, int sigma_po, int n,
-                   std::uint32_t v, std::span<const std::uint32_t> taps,
-                   int s) {
-  const int old = sigma[v];
-  sigma[v] = s;
-  for (const std::uint32_t tap : taps) sigma[tap] = s;
-
-  bool ok = fanin_side_ok(ntk, sigma, v, n);
-  const auto check_consumers = [&](std::uint32_t producer) {
-    for (const std::uint32_t w : cons.regular[producer]) {
-      if (!fanin_side_ok(ntk, sigma, w, n)) return false;
-    }
-    for (const Consumers::T1Pin& p : cons.t1[producer]) {
-      if (!fanin_side_ok(ntk, sigma, p.node, n)) return false;
-    }
-    if (cons.drives_po[producer] != 0 && sigma_po <= sigma[producer]) {
-      return false;
-    }
-    return true;
-  };
-  if (ok) {
-    if (ntk.is_t1(v)) {
-      for (const std::uint32_t tap : taps) {
-        if (!check_consumers(tap)) {
-          ok = false;
-          break;
-        }
+      d[j] = sigma_t1 - producer[j];
+      if (d[j] > n_) {
+        const int cycles = (d[j] - n_ - 1) / n_;
+        d[j] -= cycles * n_;
+        offset += cycles;
       }
-    } else {
-      ok = check_consumers(v);
     }
+    if (d[0] > d[1]) std::swap(d[0], d[1]);
+    if (d[1] > d[2]) std::swap(d[1], d[2]);
+    if (d[0] > d[1]) std::swap(d[0], d[1]);
+    // Empty slots hold d = {0, 0, 0}; a slack below 1 is infeasible and
+    // must reach the solver's contract check.
+    T1MAP_REQUIRE(d[0] >= 1, "T1 release assignment infeasible: eq. (3) "
+                             "violated");
+    const std::uint32_t h = static_cast<std::uint32_t>(d[0]) * 0x9E3779B1u ^
+                            static_cast<std::uint32_t>(d[1]) * 0x85EBCA77u ^
+                            static_cast<std::uint32_t>(d[2]) * 0xC2B2AE3Du;
+    Slot& slot = slots_[h >> (32 - kSlotBits)];
+    if (slot.d != d) {
+      slot.cost = solve_t1_releases({-d[0], -d[1], -d[2]}, 0, n_).dffs;
+      slot.d = d;
+    }
+    return slot.cost + offset;
   }
-  if (!ok) {
-    sigma[v] = old;
-    for (const std::uint32_t tap : taps) sigma[tap] = old;
-  }
-  return ok;
-}
+
+ private:
+  struct Slot {
+    std::array<int, 3> d{};
+    long cost = 0;
+  };
+  static constexpr int kSlotBits = 10;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  int n_;
+  std::vector<Slot> slots_;
+};
 
 }  // namespace
 
@@ -446,8 +449,47 @@ StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
     });
   };
 
+  // --- Scoring a node -------------------------------------------------
+  //
+  // The assignment is legal before every evaluation (ASAP is, and each
+  // applied move keeps v and its direct consumers legal), so only the
+  // constraints that mention v's stage s can fail, and together they form
+  // an interval [lo, hi]: lo from v's fanins (or eq. (3) for a core), hi
+  // from v's consumers — through its taps for a core — and the PO capture.
+  // Every candidate in it is legal.  A candidate's cost is the DFFs that
+  // depend on s: v's own chain (each tap's for a core), the release costs
+  // of v's T1 consumers and of a core itself, and for a regular cell its
+  // fanins' shared chains, where v is one consumer among others.  A chain
+  // depends only on its top consumer stage, so each driver keeps a
+  // `ChainTop`, refreshed lazily: a move of v changes only the consumer
+  // lists of v's fanins, since cores and taps are never regular consumers.
+  // A core's own fanin chains do not depend on its stage and are left out;
+  // the decision is a strict `<` between integer sums, so dropping a
+  // constant term changes no move.
+  std::vector<ChainTop> tops(nn);
+  std::vector<std::uint8_t> top_stale(nn, 1);
+  const auto top_of = [&](std::uint32_t u) -> const ChainTop& {
+    if (top_stale[u]) {
+      ChainTop& t = tops[u];
+      t = ChainTop{};
+      if (cons.drives_po[u] != 0) t.add(sa.sigma_po);
+      for (const std::uint32_t w : cons.regular[u]) t.add(sa.sigma[w]);
+      top_stale[u] = 0;
+    }
+    return tops[u];
+  };
+  ReleaseCostMemo releases(n);
+  // Largest s that keeps core t legal with v's pins at s: one of σt−1,
+  // σt−2, σt−3 (the last is always legal, since t was legal before).
+  const auto t1_upper = [&](std::uint32_t t, std::uint32_t v) {
+    const int st = sa.sigma[t];
+    for (const int s : {st - 1, st - 2}) {
+      if (t1_min_stage(core_inputs(ntk, sa.sigma, t, v, s)) <= st) return s;
+    }
+    return st - 3;
+  };
+
   std::vector<int> candidates;  // reused across nodes, no per-node heap
-  static constexpr std::span<const std::uint32_t> kNoTaps;
 
   for (int sweep = 0; sweep < params.max_sweeps; ++sweep) {
     bool changed = false;
@@ -455,69 +497,117 @@ StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
       if (!dirty_cur[v]) continue;
       dirty_cur[v] = 0;
       if (ntk.is_pi(v) || ntk.is_const(v) || ntk.is_tap(v)) continue;
-      const std::span<const std::uint32_t> my_taps =
-          ntk.is_t1(v) ? taps[v] : kNoTaps;
+      const bool core = ntk.is_t1(v);
+      // The nodes whose output stage is v's: the taps of a core, else v.
+      const std::span<const std::uint32_t> outs =
+          core ? taps[v] : std::span<const std::uint32_t>(&v, 1);
+      const auto fanins = ntk.fanins(v);
+      const int original = sa.sigma[v];
+
+      int lo = 1;
+      if (core) {
+        lo = t1_min_stage(core_inputs(ntk, sa.sigma, v));
+      } else {
+        for (const std::uint32_t u : fanins) {
+          const int ps = producer_stage(ntk, sa.sigma, u);
+          if (ps != kNoStage) lo = std::max(lo, ps + 1);
+        }
+      }
+      int hi = std::numeric_limits<int>::max();  // open until a consumer
+      for (const std::uint32_t x : outs) {
+        for (const std::uint32_t w : cons.regular[x]) {
+          hi = std::min(hi, sa.sigma[w] - 1);
+        }
+        for (const Consumers::T1Pin& p : cons.t1[x]) {
+          hi = std::min(hi, t1_upper(p.node, v));
+        }
+        if (cons.drives_po[x] != 0) hi = std::min(hi, sa.sigma_po - 1);
+      }
+      if (lo >= hi) continue;  // v cannot move
 
       // Candidate stages: breakpoints induced by fanins (σu+1, σu+1+n) and
-      // consumers (σw−1, σw−1−n), clipped to legality by move_is_legal.
+      // consumers (σw−1, σw−1−n), kept when legal and not the current one.
       candidates.clear();
-      candidates.push_back(sa.sigma[v]);
-      for (const std::uint32_t u : ntk.fanins(v)) {
+      const auto consider = [&](int s) {
+        if (s >= lo && s <= hi && s != original) candidates.push_back(s);
+      };
+      for (const std::uint32_t u : fanins) {
         const int ps = producer_stage(ntk, sa.sigma, u);
         if (ps == kNoStage) continue;
-        candidates.push_back(ps + 1);
-        candidates.push_back(ps + 1 + n);
-        candidates.push_back(ps + 3);  // T1 eq. (3) slack
+        consider(ps + 1);
+        consider(ps + 1 + n);
+        consider(ps + 3);  // T1 eq. (3) slack
       }
-      const auto add_consumer_candidates = [&](std::uint32_t producer) {
-        for (const std::uint32_t w : cons.regular[producer]) {
-          candidates.push_back(sa.sigma[w] - 1);
-          candidates.push_back(sa.sigma[w] - 1 - n);
+      for (const std::uint32_t x : outs) {
+        for (const std::uint32_t w : cons.regular[x]) {
+          consider(sa.sigma[w] - 1);
+          consider(sa.sigma[w] - 1 - n);
         }
-        for (const Consumers::T1Pin& p : cons.t1[producer]) {
-          candidates.push_back(sa.sigma[p.node] - 1);
-          candidates.push_back(sa.sigma[p.node] - 3);
-          candidates.push_back(sa.sigma[p.node] - n);
+        for (const Consumers::T1Pin& p : cons.t1[x]) {
+          consider(sa.sigma[p.node] - 1);
+          consider(sa.sigma[p.node] - 3);
+          consider(sa.sigma[p.node] - n);
         }
-        if (cons.drives_po[producer] != 0) {
-          candidates.push_back(sa.sigma_po - 1);
-          candidates.push_back(sa.sigma_po - 1 - n);
+        if (cons.drives_po[x] != 0) {
+          consider(sa.sigma_po - 1);
+          consider(sa.sigma_po - 1 - n);
         }
-      };
-      if (ntk.is_t1(v)) {
-        for (const std::uint32_t tap : my_taps) add_consumer_candidates(tap);
-      } else {
-        add_consumer_candidates(v);
       }
+      if (candidates.empty()) continue;
       std::sort(candidates.begin(), candidates.end());
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
 
-      const int original = sa.sigma[v];
-      long best_cost = local_cost(ntk, cons, sa.sigma, sa.sigma_po, n, v,
-                                  my_taps);
+      // The parts of the cost that do not move with s, computed once: a
+      // core's producer stages, or per non-constant fanin of a regular cell
+      // the top of its chain without v.
+      std::array<int, 3> fixed{};
+      if (core) {
+        fixed = core_inputs(ntk, sa.sigma, v);
+      } else {
+        int j = 0;
+        for (const std::uint32_t u : fanins) {
+          if (ntk.is_const(u)) continue;
+          // v is as many of u's consumers as u is listed among v's fanins,
+          // and its chain counts once per listing below.
+          const int entries =
+              static_cast<int>(std::count(fanins.begin(), fanins.end(), u));
+          fixed[j++] = top_of(u).without(original, entries);
+        }
+      }
+      const auto cost_at = [&](int s) {
+        long cost = 0;
+        for (const std::uint32_t x : outs) {
+          cost += chain_dffs(s, top_of(x).top, n);
+          for (const Consumers::T1Pin& p : cons.t1[x]) {
+            cost += releases.cost(core_inputs(ntk, sa.sigma, p.node, v, s),
+                                  sa.sigma[p.node]);
+          }
+        }
+        if (core) return cost + releases.cost(fixed, s);
+        int j = 0;
+        for (const std::uint32_t u : fanins) {
+          if (ntk.is_const(u)) continue;
+          cost += chain_dffs(sa.sigma[u], std::max(fixed[j++], s), n);
+        }
+        return cost;
+      };
+
+      long best_cost = cost_at(original);
       int best_stage = original;
       for (const int s : candidates) {
-        if (s == original || s < 1) continue;
-        if (!move_is_legal(ntk, cons, sa.sigma, sa.sigma_po, n, v, my_taps,
-                           s)) {
-          continue;
-        }
-        const long cost =
-            local_cost(ntk, cons, sa.sigma, sa.sigma_po, n, v, my_taps);
+        const long cost = cost_at(s);
         if (cost < best_cost) {
           best_cost = cost;
           best_stage = s;
         }
-        // Restore; the final best is applied after the scan.
-        sa.sigma[v] = original;
-        for (const std::uint32_t tap : my_taps) sa.sigma[tap] = original;
       }
       if (best_stage != original) {
-        const bool ok = move_is_legal(ntk, cons, sa.sigma, sa.sigma_po, n, v,
-                                      my_taps, best_stage);
-        T1MAP_ASSERT(ok);
-        (void)ok;
+        sa.sigma[v] = best_stage;
+        for (const std::uint32_t tap : taps[v]) sa.sigma[tap] = best_stage;
+        if (!core) {
+          for (const std::uint32_t u : fanins) top_stale[u] = 1;
+        }
         mark_affected(v);
         changed = true;
       }

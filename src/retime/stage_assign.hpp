@@ -21,7 +21,11 @@
 /// `assign_stages` produces an ASAP assignment and optionally improves it
 /// with DFF-minimizing coordinate-descent sweeps (the scalable stand-in for
 /// the paper's ILP; the exact ILP formulation lives in t1/phase_ilp.hpp and
-/// is used to validate this heuristic on small circuits).
+/// is used to validate this heuristic on small circuits).  Each node
+/// evaluation computes the node's legal stage interval once and scores a
+/// candidate in O(fanins + T1 consumers): per-driver chain tops stand in
+/// for consumer-list scans, and T1 release costs come from a memo keyed on
+/// the folded slack triple.
 
 #pragma once
 

@@ -69,6 +69,13 @@ class Netlist {
 
   void add_po(std::uint32_t driver, std::string name = {});
 
+  /// Reserves room for `num_nodes` nodes and their origins, so a pass that
+  /// knows its output size builds without regrowing.
+  void reserve(std::size_t num_nodes) {
+    nodes_.reserve(num_nodes);
+    origins_.reserve(num_nodes);
+  }
+
   /// Repoints an existing PO at a different driver (fault injection for the
   /// fuzzer's oracle self-test, netlist surgery in tests).
   void set_po_driver(std::uint32_t index, std::uint32_t driver) {
