@@ -248,8 +248,8 @@ DffCount count_dffs(const Netlist& ntk, const StageAssignment& sa) {
   }
   for (std::uint32_t t = 0; t < ntk.num_nodes(); ++t) {
     if (!ntk.is_t1(t)) continue;
-    count.t1 += solve_t1_releases(core_inputs(ntk, sa.sigma, t), sa.sigma[t],
-                                  n).dffs;
+    count.t1 +=
+        solve_t1_releases(core_inputs(ntk, sa.sigma, t), sa.sigma[t], n).dffs;
   }
   return count;
 }
