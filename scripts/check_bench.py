@@ -2,9 +2,10 @@
 """Bench-artifact sanity check: fail when a stage regresses vs. the snapshot.
 
 Compares a freshly measured BENCH_flow.json against the checked-in snapshot
-and exits non-zero when any circuit's stage `min_ms` regressed by more than
---max-ratio (default 1.25, i.e. >25% slower) *after normalizing for overall
-machine speed*: every per-stage ratio is divided by the median ratio across
+and exits non-zero when a snapshot circuit is missing from the fresh run or
+when any circuit's stage `min_ms` regressed by more than --max-ratio
+(default 1.25, i.e. >25% slower) *after normalizing for overall machine
+speed*: every per-stage ratio is divided by the median ratio across
 all compared stages, so a uniformly slower (or faster) runner — CI hosts
 span CPU SKUs differing well beyond 25% — cancels out, while a single stage
 regressing relative to the rest of the flow still trips the gate.  `min_ms`
@@ -39,13 +40,19 @@ def main() -> int:
     with open(args.fresh) as f:
         fresh = json.load(f)
 
+    # A snapshot circuit the fresh run lacks would drop its rows from the
+    # gate without a trace, so it fails the check.
+    missing = [name for name in snapshot.get("circuits", {})
+               if name not in fresh.get("circuits", {})]
+    if missing:
+        print(f"FAIL: {len(missing)} snapshot circuit(s) absent from the "
+              f"fresh run: {', '.join(missing)}")
+        return 1
+
     rows = []
     skipped = 0
     for name, circuit in snapshot.get("circuits", {}).items():
-        fresh_circuit = fresh.get("circuits", {}).get(name)
-        if fresh_circuit is None:
-            print(f"note: circuit {name} absent from fresh run; skipping")
-            continue
+        fresh_circuit = fresh["circuits"][name]
         for stage, sample in circuit.get("stages", {}).items():
             base = sample.get("min_ms", 0.0)
             now_sample = fresh_circuit.get("stages", {}).get(stage)
@@ -64,13 +71,9 @@ def main() -> int:
     # estimated as the median over *per-stage-kind* median ratios: each
     # stage kind gets one vote, so the dominant kind (cec rows, typically
     # most of the above-floor samples) cannot drag the estimate with it
-    # when it alone regresses.  'total'/'total_cpu' rows are composites of
-    # the other stages and get no vote at all — they'd double-count their
-    # dominant constituent.  Threaded scaling entries (NAME@tN from
-    # --bench-threads) are excluded too: their wall times depend on how
-    # many cores the runner actually has, which is a host property like
-    # machine speed but per-entry, so they are gated but must not steer
-    # the normalization.  Near-duplicate mutant entries (NAME~mJ from
+    # when it alone regresses.  'total' rows are composites of the other
+    # stages and get no vote at all — they'd double-count their dominant
+    # constituent.  Near-duplicate mutant entries (NAME~mJ from
     # --bench-set nearduplicate) also get no vote: their warm times are
     # dominated by how much of the circuit the mutation dirtied — a
     # property of the splice, not of the host.  A uniform slowdown still
@@ -78,8 +81,7 @@ def main() -> int:
     # shifts only its own vote.
     by_kind = {}
     for name, stage, base, now in rows:
-        if not stage.startswith("total") and "@t" not in name \
-                and "~m" not in name:
+        if stage != "total" and "~m" not in name:
             by_kind.setdefault(stage, []).append(now / base)
     if by_kind:
         speed = statistics.median(

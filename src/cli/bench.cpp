@@ -304,9 +304,6 @@ int run_bench(const Options& opts) {
 
   std::vector<Aig> aigs;
   aigs.reserve(circuits.size());
-  // Rendered per-circuit stats of the serial measurement; the
-  // --bench-threads sweep asserts threaded runs reproduce them exactly.
-  std::vector<std::string> baseline_stats;
 
   for (const std::string& name : circuits) {
     std::cerr << "t1map: bench " << name << " (" << opts.bench_runs
@@ -343,92 +340,42 @@ int run_bench(const Options& opts) {
     entry.set("stats", serve::flow_stats_json(stats));
     entry.set("stages", bench_json(bench, with_cec));
     circuits_json.set(name, std::move(entry));
-    baseline_stats.push_back(render_json(serve::flow_stats_json(stats)));
 
     std::fprintf(stderr, "t1map: bench %-14s total %.1f ms (mean of %d)\n",
                  name.c_str(),
                  bench.total.sum / static_cast<double>(bench.total.count),
                  opts.bench_runs);
   }
-  // Intra-netlist scaling sweep: each requested thread count re-times every
-  // circuit with the whole budget spent inside the passes (level-parallel
-  // mapping) and lands as a NAME@tN pseudo-circuit entry.
-  // `total` is wall time; `total_cpu` adds the helper threads' busy time, so
-  // total_cpu/total ≈ utilized workers.  Stats must match the serial
-  // measurement bit-for-bit — checked here, every sweep, not just in tests.
-  for (const int threads : opts.bench_threads) {
-    engine.set_threads(threads);
-    for (std::size_t c = 0; c < circuits.size(); ++c) {
-      const Aig& aig = aigs[c];
-      CircuitBench bench;
-      StageSamples total_cpu;
-      t1::FlowStats stats;
-      for (int run = 0; run < opts.bench_runs; ++run) {
-        const t1::EngineResult flow = engine.run(aig, params);
-        T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + circuits[c] +
-                                     "@t" + std::to_string(threads) + ": " +
-                                     flow.diagnostics.first_error());
-        require_cold(flow.reuse, circuits[c]);
-        bench.map.add(flow.times.map);
-        if (with_cec) bench.cec.add(flow.times.cec);
-        bench.total.add(flow.times.total_wall);
-        total_cpu.add(flow.times.total_cpu);
-        stats = flow.stats;
-      }
-      T1MAP_REQUIRE(
-          render_json(serve::flow_stats_json(stats)) == baseline_stats[c],
-          "bench: stats of " + circuits[c] + " changed at --threads " +
-              std::to_string(threads) + " (thread-count nondeterminism)");
-
-      io::Json stages = io::Json::object();
-      stages.set("map", bench.map.json());
-      if (with_cec) stages.set("cec", bench.cec.json());
-      stages.set("total", bench.total.json());
-      stages.set("total_cpu", total_cpu.json());
-      io::Json entry = io::Json::object();
-      entry.set("threads", threads);
-      entry.set("stages", std::move(stages));
-      const std::string key =
-          circuits[c] + "@t" + std::to_string(threads);
-      circuits_json.set(key, std::move(entry));
-      std::fprintf(stderr, "t1map: bench %-14s total %.1f ms wall\n",
-                   key.c_str(),
-                   bench.total.sum /
-                       static_cast<double>(bench.total.count));
-    }
-  }
   root.set("circuits", std::move(circuits_json));
 
-  // Batched throughput: the whole circuit set through run_many.  With
-  // --threads > 1 this measures multi-worker scaling (a single-circuit set
-  // still emits the entry, with one worker taking the job); stats must
-  // not depend on the thread count, which the engine guarantees and CI's
-  // TSan job checks.
-  if (opts.threads > 1) {
-    std::vector<t1::FlowJob> batch;
-    batch.reserve(aigs.size());
-    for (const Aig& aig : aigs) batch.push_back({&aig, params, {}});
+  // Batched throughput: the whole circuit set through run_many on
+  // --threads workers, one circuit per worker at a time.  Runs at 1, 2 and
+  // 4 threads give the batch scaling row (a single-circuit set still emits
+  // the entry, with one worker taking the job); stats must not depend on
+  // the thread count, which the engine guarantees and CI's TSan job checks.
+  std::vector<t1::FlowJob> batch;
+  batch.reserve(aigs.size());
+  for (const Aig& aig : aigs) batch.push_back({&aig, params, {}});
 
-    engine.set_threads(opts.threads);
-    const Clock::time_point t0 = Clock::now();
-    const std::vector<t1::EngineResult> results = engine.run_many(batch);
-    const double wall_ms =
-        1e3 * std::chrono::duration<double>(Clock::now() - t0).count();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      T1MAP_REQUIRE(results[i].ok(), "bench: run_many failed on " +
-                                         circuits[i] + ": " +
-                                         results[i].diagnostics.first_error());
-    }
-
-    io::Json batch_json = io::Json::object();
-    batch_json.set("threads", opts.threads);
-    batch_json.set("circuits", static_cast<long>(batch.size()));
-    batch_json.set("wall_ms", wall_ms);
-    root.set("batch", std::move(batch_json));
-    std::fprintf(stderr,
-                 "t1map: bench batch of %zu circuits on %d threads: %.1f ms\n",
-                 batch.size(), opts.threads, wall_ms);
+  engine.set_threads(opts.threads);
+  const Clock::time_point t0 = Clock::now();
+  const std::vector<t1::EngineResult> results = engine.run_many(batch);
+  const double wall_ms =
+      1e3 * std::chrono::duration<double>(Clock::now() - t0).count();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    T1MAP_REQUIRE(results[i].ok(), "bench: run_many failed on " +
+                                       circuits[i] + ": " +
+                                       results[i].diagnostics.first_error());
   }
+
+  io::Json batch_json = io::Json::object();
+  batch_json.set("threads", opts.threads);
+  batch_json.set("circuits", static_cast<long>(batch.size()));
+  batch_json.set("wall_ms", wall_ms);
+  root.set("batch", std::move(batch_json));
+  std::fprintf(stderr,
+               "t1map: bench batch of %zu circuits on %d threads: %.1f ms\n",
+               batch.size(), opts.threads, wall_ms);
 
   write_bench_out(opts, root);
   return 0;

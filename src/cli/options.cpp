@@ -117,18 +117,6 @@ Options parse_options(int argc, const char* const* argv) {
     } else if (arg == "--bench-out") {
       bench_only_flag = arg;
       opts.bench_out = value_of(i);
-    } else if (arg == "--bench-threads") {
-      bench_only_flag = arg;
-      const std::string list = value_of(i);
-      opts.bench_threads.clear();
-      std::size_t begin = 0;
-      while (begin <= list.size()) {
-        std::size_t end = list.find(',', begin);
-        if (end == std::string::npos) end = list.size();
-        opts.bench_threads.push_back(
-            parse_int(arg, list.substr(begin, end - begin), 1, 256));
-        begin = end + 1;
-      }
     } else if (arg == "--serve") {
       opts.serve = true;
     } else if (arg == "--cache-mb") {
@@ -376,13 +364,11 @@ std::string usage() {
       "  --json                      machine-readable JSON report on stdout\n"
       "  --no-cec                    skip SAT equivalence checking\n"
       "  --verify-rounds N           random-sim self-check rounds (default 8)\n"
-      "  --threads N                 worker threads: report mode runs the\n"
-      "                              configurations in parallel, bench mode\n"
-      "                              adds a batched run_many measurement.\n"
-      "                              Threads left over after one per netlist\n"
-      "                              spill into the passes (parallel\n"
-      "                              mapping); results are identical at\n"
-      "                              every thread count\n"
+      "  --threads N                 worker threads, one netlist per worker:\n"
+      "                              report mode runs the configurations in\n"
+      "                              parallel, bench mode times a batched\n"
+      "                              run_many of the whole set; results are\n"
+      "                              identical at every thread count\n"
       "  --skip-checks               drop the verification passes (timing,\n"
       "                              random-sim, CEC) from the pipeline\n"
       "  --passes LIST               explicit pass pipeline, comma-separated\n"
@@ -402,11 +388,6 @@ std::string usage() {
       "                              incremental-mapping measurement)\n"
       "  --bench-out FILE            bench output path ('-' = stdout;\n"
       "                              default BENCH_flow.json)\n"
-      "  --bench-threads LIST        comma-separated thread counts (e.g.\n"
-      "                              1,2,4): re-times each circuit with the\n"
-      "                              whole budget inside the passes and\n"
-      "                              emits NAME@tN scaling entries with\n"
-      "                              wall vs. CPU totals\n"
       "  --serve                     serve JSONL mapping requests (one JSON\n"
       "                              object per line; responses on stdout in\n"
       "                              request order; see README \"Serving\n"

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace t1map::cli {
 
@@ -28,7 +27,7 @@ struct Options {
   int phases = 4;              // --phases N (the n of "nphi" and "t1")
   int verify_rounds = 8;       // --verify-rounds N (random-sim self-check)
   bool run_cec = true;         // --no-cec skips SAT equivalence checking
-  int threads = 1;             // --threads N (batched / parallel execution)
+  int threads = 1;             // --threads N (batch workers)
   bool skip_checks = false;    // --skip-checks drops timing/sim/cec passes
   std::string passes;          // --passes LIST (explicit pipeline, e.g.
                                //   "map,t1,stage,dff"; empty = default)
@@ -41,8 +40,6 @@ struct Options {
   int bench_runs = 3;           // --bench-runs N (repetitions per circuit)
   std::string bench_set;        // --bench-set small|table1 (empty = small)
   std::string bench_out = "BENCH_flow.json";  // --bench-out FILE ("-"=stdout)
-  std::vector<int> bench_threads;  // --bench-threads LIST (e.g. "1,2,4":
-                                   //   per-stage scaling entries per count)
 
   // Serving mode (cached JSONL request loop; see README "Serving mode").
   bool serve = false;           // --serve (JSONL request/response loop)

@@ -78,8 +78,7 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
     }
   }
   if (prime == nullptr) {
-    // One cold batch: configurations first, surplus threads into the
-    // passes of each.
+    // One cold batch, one configuration per worker.
     t1::FlowEngine engine(build_pipeline(opts));
     engine.set_incremental(false);
     engine.set_threads(opts.threads);

@@ -1,22 +1,11 @@
 #include "common/worker_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 
 #include "common/require.hpp"
 
 namespace t1map {
-
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 WorkerPool::WorkerPool(int num_workers)
     : num_workers_(std::max(1, num_workers)) {
@@ -48,14 +37,12 @@ void WorkerPool::helper_main(const int id) {
       seen_generation = generation_;
       job = job_;
     }
-    const std::uint64_t t0 = now_ns();
     std::exception_ptr error;
     try {
       (*job)(id);
     } catch (...) {
       error = std::current_exception();
     }
-    busy_ns_.fetch_add(now_ns() - t0, std::memory_order_relaxed);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (error && !first_error_) first_error_ = error;

@@ -2,22 +2,16 @@
 /// \brief Persistent worker-thread pool: the flow's one thread substrate.
 ///
 /// A `FlowEngine` owns one pool whose workers take whole jobs of a
-/// `run_many` batch, and each worker's `FlowScratch` owns another for the
-/// per-pass parallel sections (level-parallel cut enumeration, the mapping
-/// DP).  Those run many short barriers per netlist, where thread start-up
-/// latency would dominate, so a `WorkerPool` keeps its helpers alive across
-/// `run` calls: a pool serves every batch, or every parallel section of
-/// every pass run on its scratch.
+/// `run_many` batch, one netlist per worker at a time.  A serve session
+/// dispatches many small batches, so a `WorkerPool` keeps its helpers alive
+/// across `run` calls instead of paying thread start-up per batch.
 ///
 /// The calling thread always participates as worker 0, so a pool of N
 /// workers spawns only N-1 threads and `WorkerPool(1)` spawns none (every
-/// `run` is then an inline call).  Helper busy time is accounted in
-/// `busy_ns()`, which is how `StageTimes::total_cpu` separates CPU cost from
-/// wall time.
+/// `run` is then an inline call).
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -46,13 +40,6 @@ class WorkerPool {
   /// the barrier.  Not reentrant: `fn` must not call `run` on this pool.
   void run(const std::function<void(int)>& fn);
 
-  /// Cumulative wall-nanoseconds the *helper* threads (ids >= 1) spent
-  /// inside `fn` across all `run` calls.  Worker 0 executes on the caller,
-  /// so caller wall time plus `busy_ns` deltas approximates total CPU time.
-  std::uint64_t busy_ns() const {
-    return busy_ns_.load(std::memory_order_relaxed);
-  }
-
  private:
   void helper_main(int id);
 
@@ -68,7 +55,6 @@ class WorkerPool {
   bool stopping_ = false;
 
   std::exception_ptr first_error_;
-  std::atomic<std::uint64_t> busy_ns_{0};
 };
 
 /// Deals the index range [0, count) to the pool's workers in contiguous

@@ -130,9 +130,8 @@ inline void translate_cuts(std::span<const Cut> cuts,
 
 /// Rebuilds `ws.cuts` for `ntk`, splicing the memoized per-node cut sets of
 /// every clean node (translated through `corr`) and running the normal
-/// per-node enumeration for dirty ones.  Runs serially: the dirty region
-/// after a small edit is far below any parallel threshold.  The result is
-/// bit-identical to `enumerate_cuts_into(ntk, params, ws)`.
+/// per-node enumeration for dirty ones.  The result is bit-identical to
+/// `enumerate_cuts_into(ntk, params, ws)`.
 template <class Ntk>
 void enumerate_cuts_spliced(const Ntk& ntk, const CutParams& params,
                             CutWorkspace& ws, const CutSet& old_cuts,

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/require.hpp"
-#include "common/worker_pool.hpp"
 #include "tt/truth_table.hpp"
 
 namespace t1map {
@@ -214,9 +213,8 @@ void prune_dominated(CutScratch& scratch, int max_cuts);
 
 /// Computes the cut set of one node into `scratch.kept`, reading only the
 /// fanins' (already committed) sets from `cuts`.  This is the per-node body
-/// shared by the serial and the level-parallel enumerator: fanins sit at
-/// strictly lower topological levels, so every node of one level can run
-/// concurrently once the previous levels are committed.
+/// shared by the full enumerator and the cone splice (cone_splice.hpp),
+/// which recomputes only the nodes it cannot translate from a memo.
 template <class Ntk>
 void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
                          const CutSet& cuts, std::uint32_t node,
@@ -349,141 +347,6 @@ CutSet enumerate_cuts(const Ntk& ntk, const CutParams& params = {}) {
   CutWorkspace ws;
   enumerate_cuts_into(ntk, params, ws);
   return std::move(ws.cuts);
-}
-
-// ---------------------------------------------------------------------------
-// Level-parallel enumeration
-// ---------------------------------------------------------------------------
-
-/// Topological levelization: nodes grouped by level (leaves at level 0,
-/// otherwise 1 + max fanin level), ids ascending within each level.  All
-/// cut/DP dependencies point at strictly lower levels, so the levels are the
-/// parallel fronts for both cut enumeration and the covering DP.
-class LevelSchedule {
- public:
-  template <class Ntk>
-  void build(const Ntk& ntk) {
-    const std::size_t n = ntk.size();
-    level_of_.assign(n, 0);
-    std::uint32_t max_level = 0;
-    for (std::uint32_t id = 0; id < n; ++id) {
-      if (ntk.cut_is_leaf(id)) continue;
-      std::uint32_t fanin[3];
-      int nf = 0;
-      ntk.cut_fanins(id, fanin, nf);
-      std::uint32_t lvl = 0;
-      for (int i = 0; i < nf; ++i) {
-        lvl = std::max(lvl, level_of_[fanin[i]] + 1);
-      }
-      level_of_[id] = lvl;
-      max_level = std::max(max_level, lvl);
-    }
-    // Counting sort by level; scanning ids ascending keeps each level's
-    // bucket in ascending id order.
-    offsets_.assign(max_level + 2, 0);
-    for (std::uint32_t id = 0; id < n; ++id) ++offsets_[level_of_[id] + 1];
-    for (std::size_t l = 1; l < offsets_.size(); ++l) {
-      offsets_[l] += offsets_[l - 1];
-    }
-    order_.resize(n);
-    std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (std::uint32_t id = 0; id < n; ++id) {
-      order_[cursor[level_of_[id]]++] = id;
-    }
-  }
-
-  std::size_t num_levels() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
-  }
-  std::span<const std::uint32_t> level(std::size_t l) const {
-    return {order_.data() + offsets_[l], offsets_[l + 1] - offsets_[l]};
-  }
-  std::uint32_t level_of(std::uint32_t id) const { return level_of_[id]; }
-
- private:
-  std::vector<std::uint32_t> level_of_;
-  std::vector<std::uint32_t> order_;    // ids grouped by level
-  std::vector<std::uint32_t> offsets_;  // level -> start index in order_
-};
-
-/// Reusable state of one level-parallel enumeration: the schedule plus one
-/// scratch/output buffer set per worker.
-struct ParallelCutScratch {
-  struct PerWorker {
-    detail::CutScratch scratch;
-    std::vector<Cut> out;                // kept cuts of this worker's slice
-    std::vector<std::uint32_t> counts;   // kept count per slice node
-  };
-  LevelSchedule levels;
-  std::vector<PerWorker> workers;
-};
-
-/// Levels narrower than this run serially — the barrier costs more than the
-/// work it would distribute.
-inline constexpr std::size_t kMinParallelLevelNodes = 64;
-
-/// Level-parallel `enumerate_cuts_into`: within a level, workers process
-/// static contiguous slices of the (ascending-id) node list into private
-/// buffers; the results are committed serially in slice order, so the per-
-/// node cut sets — and everything downstream — are identical to the serial
-/// enumerator's at any worker count.  Falls back to the serial enumerator
-/// without a pool.
-template <class Ntk>
-void enumerate_cuts_parallel(const Ntk& ntk, const CutParams& params,
-                             CutWorkspace& ws, WorkerPool* pool,
-                             ParallelCutScratch& par) {
-  if (pool == nullptr || pool->num_workers() <= 1) {
-    enumerate_cuts_into(ntk, params, ws);
-    return;
-  }
-  T1MAP_REQUIRE(params.k >= 1 && params.k <= kMaxCutLeaves,
-                "cut size must be between 1 and 4");
-  const std::size_t n = ntk.size();
-  CutSet& cuts = ws.cuts;
-  cuts.reset(n);
-  par.levels.build(ntk);
-  const int num_workers = pool->num_workers();
-  par.workers.resize(static_cast<std::size_t>(num_workers));
-
-  for (std::size_t l = 0; l < par.levels.num_levels(); ++l) {
-    const std::span<const std::uint32_t> ids = par.levels.level(l);
-    if (ids.size() < kMinParallelLevelNodes) {
-      for (const std::uint32_t id : ids) {
-        detail::enumerate_node_cuts(ntk, params, cuts, id, ws.scratch);
-        cuts.set_node_cuts(id, ws.scratch.kept);
-      }
-      continue;
-    }
-    pool->run([&](int w) {
-      ParallelCutScratch::PerWorker& wk =
-          par.workers[static_cast<std::size_t>(w)];
-      wk.out.clear();
-      wk.counts.clear();
-      const std::size_t begin = ids.size() * w / num_workers;
-      const std::size_t end = ids.size() * (w + 1) / num_workers;
-      for (std::size_t i = begin; i < end; ++i) {
-        detail::enumerate_node_cuts(ntk, params, cuts, ids[i], wk.scratch);
-        wk.counts.push_back(
-            static_cast<std::uint32_t>(wk.scratch.kept.size()));
-        wk.out.insert(wk.out.end(), wk.scratch.kept.begin(),
-                      wk.scratch.kept.end());
-      }
-    });
-    // Serial commit in slice order keeps the committed sets independent of
-    // the worker count.
-    for (int w = 0; w < num_workers; ++w) {
-      const ParallelCutScratch::PerWorker& wk =
-          par.workers[static_cast<std::size_t>(w)];
-      const std::size_t begin = ids.size() * w / num_workers;
-      std::size_t off = 0;
-      for (std::size_t j = 0; j < wk.counts.size(); ++j) {
-        cuts.set_node_cuts(
-            ids[begin + j],
-            std::span<const Cut>(wk.out.data() + off, wk.counts[j]));
-        off += wk.counts[j];
-      }
-    }
-  }
 }
 
 }  // namespace t1map

@@ -85,26 +85,30 @@ std::string result_signature(const t1::EngineResult& result) {
   return os.str();
 }
 
-/// The per-config differential check: serial flow, fault hook, CEC oracle,
-/// then the N-thread determinism rerun.
+/// The per-config differential checks: the serial flow, the fault hook and
+/// the CEC oracle per configuration, then the batch determinism check.
 class ConfigChecker {
  public:
   explicit ConfigChecker(const FuzzOptions& options)
       : options_(options),
         serial_(t1::Pipeline::default_flow(false)),
-        parallel_(t1::Pipeline::default_flow(false)) {
-    parallel_.set_threads(options.threads);
+        batch_(t1::Pipeline::default_flow(false)) {
+    batch_.set_threads(options.threads);
   }
 
   long flows_run() const { return flows_run_; }
 
-  Outcome run(const Aig& aig, const Config& config) {
+  /// Serial flow, fault hook, CEC oracle.  Once the flow succeeds,
+  /// `signature` (when given) receives its result's signature.
+  Outcome run(const Aig& aig, const Config& config,
+              std::string* signature = nullptr) {
     ++flows_run_;
     t1::EngineResult serial = serial_.run(aig, config.params);
     if (!serial.ok()) {
       return {"flow", serial.diagnostics.first_error()};
     }
     T1MAP_ASSERT(serial.has_materialized);
+    if (signature != nullptr) *signature = result_signature(serial);
 
     sfq::Netlist netlist = serial.materialized.netlist;
     if (options_.corrupt) options_.corrupt(netlist);
@@ -116,21 +120,35 @@ class ConfigChecker {
                   : "netlist differs from source AIG at output " +
                         std::to_string(cec.failing_output)};
     }
+    return {};
+  }
 
-    if (options_.threads > 1) {
-      ++flows_run_;
-      t1::EngineResult parallel = parallel_.run(aig, config.params);
-      if (!parallel.ok()) {
-        return {"determinism", "parallel rerun failed: " +
-                                   parallel.diagnostics.first_error()};
-      }
-      if (result_signature(serial) != result_signature(parallel)) {
-        return {"determinism",
-                "1-thread and " + std::to_string(options_.threads) +
-                    "-thread results differ"};
+  /// The determinism check: `configs` as one `run_many` batch, dealt over
+  /// `threads` workers.  Result k must be bit-identical to `serial[k]`, its
+  /// serial run's signature; an empty entry (the serial flow failed) is not
+  /// compared.  One outcome per configuration.
+  std::vector<Outcome> run_batch(const Aig& aig,
+                                 const std::vector<Config>& configs,
+                                 const std::vector<std::string>& serial) {
+    std::vector<t1::FlowJob> jobs;
+    for (const Config& config : configs) {
+      jobs.push_back({&aig, config.params, {}});
+    }
+    flows_run_ += static_cast<long>(jobs.size());
+    const std::vector<t1::EngineResult> results = batch_.run_many(jobs);
+    std::vector<Outcome> outcomes(configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      if (serial[k].empty()) continue;
+      if (!results[k].ok()) {
+        outcomes[k] = {"determinism", "batch run failed: " +
+                                          results[k].diagnostics.first_error()};
+      } else if (result_signature(results[k]) != serial[k]) {
+        outcomes[k] = {"determinism",
+                       "1-thread and " + std::to_string(options_.threads) +
+                           "-thread batch results differ"};
       }
     }
-    return {};
+    return outcomes;
   }
 
   /// The incremental bit-identity check: each one-gate mutant of `aig` must
@@ -171,7 +189,7 @@ class ConfigChecker {
  private:
   const FuzzOptions& options_;
   t1::FlowEngine serial_;
-  t1::FlowEngine parallel_;
+  t1::FlowEngine batch_;
   long flows_run_ = 0;
 };
 
@@ -285,6 +303,36 @@ std::string dump_repro(const FuzzOptions& options, const FuzzFailure& failure) {
   }
 }
 
+/// The check a candidate AIG fails ("" = none): a minimization oracle.
+using CheckOf = std::function<std::string(const Aig&)>;
+
+/// Records one confirmed failure of `aig`: minimizes it while `check_of`
+/// still reports the same check, dumps the repro and logs the finding.
+void record_failure(const FuzzOptions& options, FuzzReport& report,
+                    int iteration, const std::string& config,
+                    const Outcome& outcome, const Aig& aig,
+                    const CheckOf& check_of, int budget) {
+  FuzzFailure failure{iteration, config, outcome.check, outcome.detail, "",
+                      {}};
+  failure.minimized = minimize(
+      aig,
+      [&](const Aig& candidate) {
+        return candidate.num_pos() >= 1 &&
+               check_of(candidate) == outcome.check;
+      },
+      budget);
+  failure.repro_path = dump_repro(options, failure);
+  if (options.log != nullptr) {
+    *options.log << "fuzz: iteration " << iteration << " FAILED [" << config
+                 << "/" << outcome.check << "] " << outcome.detail
+                 << (failure.repro_path.empty()
+                         ? ""
+                         : " (repro: " + failure.repro_path + ")")
+                 << "\n";
+  }
+  report.failures.push_back(std::move(failure));
+}
+
 RandomAigOptions jitter(const RandomAigOptions& base, std::uint64_t seed,
                         int iteration) {
   // Derive a per-iteration generator spec: fresh seed, sizes spread across
@@ -321,45 +369,42 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
 
     // Format round trips (flow-independent).
     if (Outcome outcome = run_roundtrip_checks(aig); outcome.failed()) {
-      FuzzFailure failure{iter, "roundtrip", outcome.check, outcome.detail,
-                          "", {}};
-      failure.minimized = minimize(
-          aig,
-          [&](const Aig& candidate) {
-            return run_roundtrip_checks(candidate).check == outcome.check;
+      record_failure(
+          options, report, iter, "roundtrip", outcome, aig,
+          [](const Aig& candidate) {
+            return run_roundtrip_checks(candidate).check;
           },
           /*budget=*/256);
-      failure.repro_path = dump_repro(options, failure);
-      if (options.log != nullptr) {
-        *options.log << "fuzz: iteration " << iter << " FAILED [roundtrip/"
-                     << outcome.check << "] " << outcome.detail << "\n";
-      }
-      report.failures.push_back(std::move(failure));
       continue;  // flow checks on a non-round-tripping AIG add no signal
     }
 
-    for (const Config& config : configs) {
-      Outcome outcome = checker.run(aig, config);
+    std::vector<std::string> signatures(configs.size());
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      const Config& config = configs[k];
+      const Outcome outcome = checker.run(aig, config, &signatures[k]);
       if (!outcome.failed()) continue;
-      FuzzFailure failure{iter, config.key, outcome.check, outcome.detail,
-                          "", {}};
-      failure.minimized = minimize(
-          aig,
+      record_failure(
+          options, report, iter, config.key, outcome, aig,
           [&](const Aig& candidate) {
-            return candidate.num_pos() >= 1 &&
-                   checker.run(candidate, config).check == outcome.check;
+            return checker.run(candidate, config).check;
           },
           /*budget=*/48);
-      failure.repro_path = dump_repro(options, failure);
-      if (options.log != nullptr) {
-        *options.log << "fuzz: iteration " << iter << " FAILED [" << config.key
-                     << "/" << outcome.check << "] " << outcome.detail
-                     << (failure.repro_path.empty()
-                             ? ""
-                             : " (repro: " + failure.repro_path + ")")
-                     << "\n";
+    }
+
+    if (options.threads > 1) {
+      const std::vector<Outcome> outcomes =
+          checker.run_batch(aig, configs, signatures);
+      for (std::size_t k = 0; k < configs.size(); ++k) {
+        if (!outcomes[k].failed()) continue;
+        record_failure(
+            options, report, iter, configs[k].key, outcomes[k], aig,
+            [&](const Aig& candidate) {
+              std::vector<std::string> serial(configs.size());
+              checker.run(candidate, configs[k], &serial[k]);
+              return checker.run_batch(candidate, configs, serial)[k].check;
+            },
+            /*budget=*/48);
       }
-      report.failures.push_back(std::move(failure));
     }
 
     if (options.mutate > 0) {
@@ -368,23 +413,13 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
             options.seed ^ (0xD1B54A32D192ED03ull * (iter * 31 + 1));
         Outcome outcome = checker.run_incremental(aig, config, mutate_seed);
         if (!outcome.failed()) continue;
-        FuzzFailure failure{iter, config.key, outcome.check, outcome.detail,
-                            "", {}};
-        failure.minimized = minimize(
-            aig,
+        record_failure(
+            options, report, iter, config.key, outcome, aig,
             [&](const Aig& candidate) {
-              return candidate.num_pos() >= 1 &&
-                     checker.run_incremental(candidate, config, mutate_seed)
-                             .check == outcome.check;
+              return checker.run_incremental(candidate, config, mutate_seed)
+                  .check;
             },
             /*budget=*/24);
-        failure.repro_path = dump_repro(options, failure);
-        if (options.log != nullptr) {
-          *options.log << "fuzz: iteration " << iter << " FAILED ["
-                       << config.key << "/incremental] " << outcome.detail
-                       << "\n";
-        }
-        report.failures.push_back(std::move(failure));
       }
     }
 

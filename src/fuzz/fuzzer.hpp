@@ -8,14 +8,16 @@
 ///   * SAT CEC proves the materialized netlist equivalent to the source
 ///     AIG — the external oracle, run by the fuzzer itself so it also
 ///     covers pipelines built without a cec pass;
-///   * a rerun with `threads` workers is bit-identical to the serial run
-///     (netlist, stage assignment and Table-I stats) — the determinism
-///     contract of the intra-netlist parallel sections.
+///   * run together as one `run_many` batch on `threads` workers, each
+///     configuration's result is bit-identical to its serial run (netlist,
+///     stage assignment and Table-I stats) — the determinism contract of
+///     the engine's batch workers.
 /// Independent of the flow, every AIG must survive AIGER (ASCII and
 /// binary, byte-identical) and BLIF (digest-equal) round trips.
 ///
 /// Failures are minimized by greedy PO removal followed by PO-cone
-/// trimming (re-running only the failing check as the oracle) and dumped
+/// trimming (re-running the failing check as the oracle; for a batch
+/// failure, the configuration's serial run and the whole batch) and dumped
 /// as `.aag` repro files under `repro_dir`.
 ///
 /// The `corrupt` hook mutates each materialized netlist before the CEC
@@ -41,7 +43,7 @@ struct FuzzOptions {
   /// Size template: per-iteration PI/PO/op counts are jittered below these
   /// bounds (and the seed replaced) so one run covers many shapes.
   RandomAigOptions aig;
-  int threads = 4;        // worker count of the determinism rerun
+  int threads = 4;        // workers of the determinism batch (1 = off)
   int phases = 4;         // the n of the nφ and T1 configurations
   /// Mutants per (iteration, configuration) for the incremental check:
   /// each mutant (one-gate edit of the iteration's AIG, see mutate.hpp)
@@ -72,7 +74,7 @@ struct FuzzFailure {
 
 struct FuzzReport {
   int iterations = 0;
-  long flows_run = 0;  // serial + parallel flow executions
+  long flows_run = 0;  // serial + batch flow executions
   double seconds = 0.0;
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }

@@ -158,8 +158,7 @@ std::uint64_t mapper_params_key(const MapperParams& params) {
 
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
                    MapStats* stats, CutWorkspace* workspace,
-                   const MapParallel& parallel, MapMemo* memo,
-                   MapReuse* reuse) {
+                   MapMemo* memo, MapReuse* reuse) {
   T1MAP_REQUIRE(params.cuts.k >= 2 && params.cuts.k <= 3,
                 "SFQ mapper supports cut sizes 2 and 3");
   CutWorkspace local_ws;
@@ -168,9 +167,8 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
 
   // --- Cone correspondence against the memoized previous run. -------------
   //
-  // Splicing runs serially: after a small edit the dirty region is tiny, so
-  // the parallel machinery would only add barrier costs.  Cold runs (no
-  // usable memo) keep the level-parallel path.
+  // With a usable memo, only the nodes outside the correspondence are
+  // enumerated and covered afresh; the rest are translated from the memo.
   const std::uint64_t memo_key = mapper_params_key(params);
   std::vector<std::uint64_t> digests;
   ConeCorrespondence corr;
@@ -184,14 +182,8 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     }
   }
 
-  const bool level_parallel = !splice && parallel.pool != nullptr &&
-                              parallel.pool->num_workers() > 1 &&
-                              parallel.cuts != nullptr;
   if (splice) {
     enumerate_cuts_spliced(aig, params.cuts, ws, memo->cuts, corr);
-  } else if (level_parallel) {
-    enumerate_cuts_parallel(aig, params.cuts, ws, parallel.pool,
-                            *parallel.cuts);
   } else {
     enumerate_cuts_into(aig, params.cuts, ws);
   }
@@ -208,9 +200,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   std::vector<MapChoice> best(aig.num_nodes());
   std::vector<int> arrival(aig.num_nodes(), 0);
   std::vector<double> flow(aig.num_nodes(), 0.0);
-  // One byte per node (not vector<bool>): level-parallel workers write
-  // distinct indices concurrently, and packed bits sharing a word would make
-  // those writes racy read-modify-writes.
   std::vector<std::uint8_t> planned_neg(aig.num_nodes(), 0);
 
   const int not_stage = 1;
@@ -219,9 +208,8 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   };
 
   // The full DP step for one AND node.  Reads arrival/flow/planned_neg only
-  // at the cut leaves — strictly lower topological levels — and writes only
-  // this node's slots, which is what makes whole levels safe to compute
-  // concurrently.
+  // at the cut leaves, which precede it in topological order, and writes
+  // only this node's slots.
   const ReductionTable& reductions = reduction_table();
   const auto compute_node = [&](std::uint32_t n) {
     MapChoice chosen;
@@ -327,26 +315,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
       flow[n] = c.flow;
       planned_neg[n] = c.config.output_neg ? 1 : 0;
       if (reuse != nullptr) ++reuse->cones_reused;
-    }
-  } else if (level_parallel) {
-    // Level 0 is PIs/constants (no DP state); every level >= 1 is all AND
-    // nodes.  Narrow levels run inline — same rationale as cut enumeration.
-    const LevelSchedule& levels = parallel.cuts->levels;
-    WorkerPool& pool = *parallel.pool;
-    const int num_workers = pool.num_workers();
-    for (std::size_t l = 1; l < levels.num_levels(); ++l) {
-      const std::span<const std::uint32_t> ids = levels.level(l);
-      if (ids.size() < kMinParallelLevelNodes) {
-        for (const std::uint32_t id : ids) compute_node(id);
-        continue;
-      }
-      pool.run([&](int w) {
-        const std::size_t begin = ids.size() * w / num_workers;
-        const std::size_t end = ids.size() * (w + 1) / num_workers;
-        for (std::size_t i = begin; i < end; ++i) {
-          compute_node(ids[i]);
-        }
-      });
     }
   } else {
     for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {

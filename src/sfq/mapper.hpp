@@ -31,17 +31,6 @@ struct MapperParams {
   CutParams cuts{/*k=*/3, /*max_cuts=*/16};
 };
 
-/// Optional intra-netlist parallelism for `map_to_sfq`.  Both cut
-/// enumeration and the covering DP run level-parallel over the AIG's
-/// topological levels when a pool (>= 2 workers) *and* the scratch are
-/// supplied; otherwise the mapper is serial.  The mapped netlist and stats
-/// are bit-identical either way (see `enumerate_cuts_parallel`; the DP
-/// writes are per-node and read only lower, already-committed levels).
-struct MapParallel {
-  WorkerPool* pool = nullptr;
-  ParallelCutScratch* cuts = nullptr;
-};
-
 struct MapStats {
   long cells = 0;      // library cells instantiated (inverters included)
   long inverters = 0;  // NOT cells among them
@@ -141,7 +130,6 @@ struct MapReuse {
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params = {},
                    MapStats* stats = nullptr,
                    CutWorkspace* workspace = nullptr,
-                   const MapParallel& parallel = {}, MapMemo* memo = nullptr,
-                   MapReuse* reuse = nullptr);
+                   MapMemo* memo = nullptr, MapReuse* reuse = nullptr);
 
 }  // namespace t1map::sfq

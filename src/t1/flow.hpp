@@ -69,11 +69,7 @@ struct StageTimes {
   double dff_insert = 0.0;   // DFF materialization (§II-C)
   double self_check = 0.0;   // timing validation + random-sim equivalence
   double cec = 0.0;          // SAT CEC, when the pipeline includes the pass
-  /// Wall-clock of the whole pipeline vs. total CPU time including the
-  /// intra-pass worker threads (equal when running serially).  The gap is
-  /// what `--bench-threads` reports as parallel efficiency.
-  double total_wall = 0.0;
-  double total_cpu = 0.0;
+  double total_wall = 0.0;   // the whole pipeline
 };
 
 }  // namespace t1map::t1

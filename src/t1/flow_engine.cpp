@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/hash_mix.hpp"
+#include "common/worker_pool.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist_digest.hpp"
 #include "t1/cone_memo.hpp"
@@ -27,20 +28,6 @@ std::uint64_t absorb(std::uint64_t acc, std::uint64_t value) {
 }
 
 }  // namespace
-
-// --- FlowScratch -------------------------------------------------------------
-
-WorkerPool* FlowScratch::pool() {
-  if (intra_threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->num_workers() != intra_threads) {
-    pool_ = std::make_unique<WorkerPool>(intra_threads);
-  }
-  return pool_.get();
-}
-
-std::uint64_t FlowScratch::pool_busy_ns() const {
-  return pool_ != nullptr ? pool_->busy_ns() : 0;
-}
 
 // --- Diagnostics -------------------------------------------------------------
 
@@ -123,10 +110,9 @@ void FlowContext::fail(FlowStatus failure, std::string pass,
 
 bool MapPass::run(FlowContext& ctx) const {
   sfq::MapStats map_stats;
-  const sfq::MapParallel parallel{ctx.scratch.pool(), &ctx.scratch.par_cuts};
   sfq::MapReuse map_reuse;
   ctx.mapped = sfq::map_to_sfq(
-      ctx.aig, ctx.params.mapper, &map_stats, &ctx.scratch.cuts, parallel,
+      ctx.aig, ctx.params.mapper, &map_stats, &ctx.scratch.cuts,
       ctx.memo != nullptr ? &ctx.memo->map : nullptr, &map_reuse);
   ctx.reuse.map_cones_total = map_reuse.cones_total;
   ctx.reuse.map_cones_reused = map_reuse.cones_reused;
@@ -447,12 +433,6 @@ EngineResult FlowEngine::run_with(const Aig& aig, const FlowParams& params,
   FlowContext ctx(aig, params, scratch, memo);
 
   const Clock::time_point flow_start = Clock::now();
-  // Resolve the pool for the current `intra_threads` *before* sampling its
-  // busy counter: a pass-triggered rebuild (thread count changed since the
-  // last run on this scratch) would reset busy_ns to 0 and make the delta
-  // below underflow.
-  scratch.pool();
-  const std::uint64_t busy_before = scratch.pool_busy_ns();
   for (std::size_t i = 0; i < pipeline_.size(); ++i) {
     const Pass& pass = pipeline_[i];
     const Clock::time_point t0 = Clock::now();
@@ -463,15 +443,7 @@ EngineResult FlowEngine::run_with(const Aig& aig, const FlowParams& params,
       break;
     }
   }
-  // Wall vs. CPU: the helpers' busy time on top of the caller's wall time.
-  // Serial runs report them equal; the `--bench-threads` harness derives
-  // parallel efficiency from the gap.
   ctx.times.total_wall = seconds_between(flow_start, Clock::now());
-  const std::uint64_t busy_after = scratch.pool_busy_ns();
-  const std::uint64_t busy_delta =
-      busy_after >= busy_before ? busy_after - busy_before : busy_after;
-  ctx.times.total_cpu =
-      ctx.times.total_wall + static_cast<double>(busy_delta) * 1e-9;
 
   EngineResult result;
   result.status = ctx.status;
@@ -525,16 +497,11 @@ std::vector<EngineResult> FlowEngine::run_many(
   }
 
   if (!compute.empty()) {
-    // One thread budget, jobs first: up to `outer` workers take jobs, and
-    // whatever the batch cannot absorb spills into the passes of each job.
-    // A single worker runs inline on worker 0, the only one that splices
-    // from the cone memo.
-    const int outer = std::min(threads(), static_cast<int>(compute.size()));
-    for (FlowScratch& worker : workers_) {
-      worker.intra_threads = threads() / outer;
-    }
-    ConeMemo* memo = outer == 1 ? memo_.get() : nullptr;
-    for_each_chunk(outer == 1 ? nullptr : pool_.get(), compute.size(),
+    // Whole jobs go to the workers.  One thread or one job to compute runs
+    // inline on worker 0, the only one that splices from the cone memo.
+    const bool inline_run = threads() == 1 || compute.size() == 1;
+    ConeMemo* memo = inline_run ? memo_.get() : nullptr;
+    for_each_chunk(inline_run ? nullptr : pool_.get(), compute.size(),
                    /*grain=*/1,
                    [&](std::size_t begin, std::size_t end, int worker) {
                      for (std::size_t c = begin; c < end; ++c) {

@@ -44,6 +44,10 @@
 #include "sfq/netlist_sim.hpp"
 #include "t1/flow.hpp"
 
+namespace t1map {
+class WorkerPool;  // common/worker_pool.hpp
+}  // namespace t1map
+
 namespace t1map::t1 {
 
 // --- Structured diagnostics --------------------------------------------------
@@ -118,20 +122,6 @@ struct FlowScratch {
   DetectScratch t1_detect;  // T1DetectPass grouping/MFFC flat storage
   sat::Solver solver;       // SatCecPass clause arena
   sfq::SimScratch sim;      // SimEquivPass stimulus buffer
-
-  /// Workers available for parallel sections *inside* passes (level-parallel
-  /// mapping).  1 = serial.  Results are identical at any setting; see
-  /// cut/cut_enum.hpp for why.
-  int intra_threads = 1;
-  ParallelCutScratch par_cuts;  // MapPass level-parallel buffers
-
-  /// Lazily (re)built pool of `intra_threads` workers; nullptr when serial.
-  WorkerPool* pool();
-  /// Helper-thread busy nanoseconds accumulated so far (0 when serial).
-  std::uint64_t pool_busy_ns() const;
-
- private:
-  std::unique_ptr<WorkerPool> pool_;
 };
 
 /// The shared state a pipeline evolves.  Passes read what upstream passes
@@ -404,7 +394,7 @@ class FlowEngine {
   /// Engine over the default Table-I pipeline (no CEC).
   FlowEngine();
   explicit FlowEngine(Pipeline pipeline);
-  ~FlowEngine();  // out of line: ConeMemo is incomplete here
+  ~FlowEngine();  // out of line: ConeMemo and WorkerPool are incomplete here
 
   const Pipeline& pipeline() const { return pipeline_; }
   void set_pipeline(Pipeline pipeline);
@@ -418,12 +408,11 @@ class FlowEngine {
   void set_incremental(bool enabled);
   bool incremental() const { return memo_ != nullptr; }
 
-  /// Total worker budget for this engine's runs (default 1).  `run` spends
-  /// all of it inside the passes of its one job; `run_many` deals its jobs
-  /// to `outer = min(threads, jobs to compute)` workers and gives each job
-  /// `threads / outer` workers inside its passes.  The workers, their
-  /// scratch and their pools persist across calls.  Results never depend on
-  /// the setting.
+  /// Batch workers for this engine's runs (default 1).  `run_many` deals
+  /// whole jobs to `min(threads, jobs to compute)` workers, one netlist per
+  /// worker at a time; every pass runs serially inside its job, and `run`
+  /// always runs on worker 0.  The workers and their scratch persist across
+  /// calls.  Results never depend on the setting.
   void set_threads(int threads);
   int threads() const { return static_cast<int>(workers_.size()); }
 

@@ -314,18 +314,28 @@ TEST(CecContract, ZeroBudgetProvesFlowNetlistsOnly) {
 TEST(CecContract, IdenticalAtEveryThreadCount) {
   t1::FlowParams params = config_params(4, true);
   params.verify_rounds = 0;
-  for (const char* name : {"adder16", "comparator16", "voter25"}) {
-    const Aig aig = gen::make_named(name);
-    std::string first;
-    for (const int threads : {1, 4}) {
-      t1::FlowEngine engine(t1::Pipeline::default_flow(/*with_cec=*/true));
-      engine.set_threads(threads);
-      const t1::EngineResult r = engine.run(aig, params);
-      ASSERT_TRUE(r.ok()) << name;
-      EXPECT_EQ(r.cec, "equivalent") << name;
+  const std::vector<std::string> names = {"adder16", "comparator16",
+                                          "voter25"};
+  std::vector<Aig> aigs;
+  for (const std::string& name : names) aigs.push_back(gen::make_named(name));
+  std::vector<t1::FlowJob> jobs;
+  for (const Aig& aig : aigs) jobs.push_back({&aig, params, {}});
+
+  // One batch at 1 thread, then on 4 workers, where each job's CEC runs
+  // beside the others.
+  std::vector<std::string> first;
+  for (const int threads : {1, 4}) {
+    t1::FlowEngine engine(t1::Pipeline::default_flow(/*with_cec=*/true));
+    engine.set_threads(threads);
+    const std::vector<t1::EngineResult> results = engine.run_many(jobs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const t1::EngineResult& r = results[i];
+      ASSERT_TRUE(r.ok()) << names[i];
+      EXPECT_EQ(r.cec, "equivalent") << names[i];
       const std::string diags = r.diagnostics.to_string();
-      if (first.empty()) first = diags;
-      EXPECT_EQ(diags, first) << name << " at " << threads << " threads";
+      if (first.size() == i) first.push_back(diags);
+      EXPECT_EQ(diags, first[i]) << names[i] << " at " << threads
+                                 << " threads";
     }
   }
 }

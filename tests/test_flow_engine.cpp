@@ -125,9 +125,9 @@ TEST(FlowEngine, RunManyMatchesSingleThreadedExecution) {
   }
 }
 
-// The workers, their scratch and their intra-pass pools persist across
-// batches of every shape: 4 jobs on 4 workers, 2 jobs with 2 workers each
-// inside the passes, 1 job on worker 0 with all 4, then 4 again.
+// The workers and their scratch persist across batches of every shape:
+// 4 jobs on 4 workers, 2 jobs on 2 of the 4, 1 job inline on worker 0,
+// then 4 again.
 TEST(FlowEngine, PersistentWorkersMatchOneThreadAcrossBatchShapes) {
   const std::vector<std::string> names = {"adder16", "mul8", "voter25",
                                           "comparator16"};

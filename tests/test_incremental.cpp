@@ -7,17 +7,13 @@
 //     regression generator (plus cordic28) and random one-gate mutants;
 //   * a one-gate edit on mul8 reuses > 80% of the mapper's cones;
 //   * exact re-runs splice the whole T1-detection and stage-assignment
-//     results;
-//   * splicing stays bit-identical when the engine runs a worker pool.
-//
-// This binary has a custom main: `--threads N` (the TSan CI leg passes 4)
-// sets the engine worker budget for the determinism-under-splice test.
+//     results.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aig/aig_digest.hpp"
@@ -26,10 +22,6 @@
 #include "io/blif.hpp"
 #include "t1/cone_memo.hpp"
 #include "t1/flow_engine.hpp"
-
-namespace {
-int g_threads = 1;
-}  // namespace
 
 namespace t1map {
 namespace {
@@ -179,7 +171,8 @@ TEST(Incremental, WarmRunsAreBitIdenticalToColdAcrossGenerators) {
 
   for (const char* const name : kCircuits) {
     const Aig base = gen::make_named(name);
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const std::uint64_t seeds = std::string_view(name) == "mul8" ? 3 : 2;
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       const Aig mutant = fuzz::mutate_aig(base, fuzz::MutateOptions{seed, 1});
 
       (void)warm.run(base, params);  // prime the memo across the edit
@@ -239,25 +232,6 @@ TEST(Incremental, ExactRerunSplicesWholePasses) {
   EXPECT_EQ(second.reuse.t1_cones_reused, second.reuse.t1_cones_total);
 }
 
-TEST(Incremental, SpliceIsDeterministicUnderWorkerPool) {
-  const Aig base = gen::make_named("mul8");
-  const Aig mutant = fuzz::mutate_aig(base, fuzz::MutateOptions{3, 1});
-  const t1::FlowParams params = t1_params();
-
-  t1::FlowEngine cold;
-  cold.set_incremental(false);
-  const t1::EngineResult ref = cold.run(mutant, params);
-
-  t1::FlowEngine warm;
-  warm.set_threads(g_threads);
-  (void)warm.run(base, params);
-  const t1::EngineResult inc = warm.run(mutant, params);
-
-  ASSERT_EQ(inc.status, ref.status);
-  EXPECT_EQ(signature(inc), signature(ref))
-      << "splice diverged at " << g_threads << " threads";
-}
-
 TEST(Incremental, DisablingDropsTheMemo) {
   const Aig aig = gen::make_named("adder16");
   const t1::FlowParams params = t1_params();
@@ -273,13 +247,3 @@ TEST(Incremental, DisablingDropsTheMemo) {
 
 }  // namespace
 }  // namespace t1map
-
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      g_threads = std::atoi(argv[i + 1]);
-    }
-  }
-  return RUN_ALL_TESTS();
-}

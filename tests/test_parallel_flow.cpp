@@ -1,33 +1,20 @@
-// Intra-netlist parallelism tests (PR 7):
-//   * WorkerPool correctness: full id coverage, reuse across runs, chunk
-//     dealing, exception propagation;
-//   * the flow is bit-identical at 1 vs. N intra-pass threads (BLIF of the
-//     mapped and materialized netlists plus every statistic) on the seven
-//     golden generators and the deep cordic28 / log2_16 chains;
-//   * level-parallel cut enumeration reproduces the serial cut sets.
+// WorkerPool correctness: full id coverage, reuse across runs, chunk
+// dealing and exception propagation.  The pool is the substrate of
+// FlowEngine::run_many's batch workers, whose determinism test_flow_engine
+// covers.
 //
-// This suite runs under TSan in CI — the threaded paths here are the data
-// they validate.
+// This suite runs under TSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/worker_pool.hpp"
-#include "cut/cut_enum.hpp"
-#include "gen/registry.hpp"
-#include "golden_flow.hpp"
-#include "io/blif.hpp"
-#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
-
-// --- WorkerPool --------------------------------------------------------------
 
 TEST(WorkerPool, RunsEveryWorkerIdOnce) {
   WorkerPool pool(4);
@@ -86,116 +73,6 @@ TEST(WorkerPool, ForEachChunkCoversRangeExactlyOnce) {
     ++inline_calls;
   });
   EXPECT_EQ(inline_calls, 1);
-}
-
-// --- Level-parallel cut enumeration ------------------------------------------
-
-TEST(ParallelCuts, MatchesSerialEnumeration) {
-  const Aig aig = gen::make_named("mul8");
-  const CutParams params{/*k=*/3, /*max_cuts=*/16};
-  CutWorkspace serial_ws;
-  enumerate_cuts_into(aig, params, serial_ws);
-
-  WorkerPool pool(4);
-  CutWorkspace par_ws;
-  ParallelCutScratch par;
-  enumerate_cuts_parallel(aig, params, par_ws, &pool, par);
-
-  ASSERT_EQ(serial_ws.cuts.size(), par_ws.cuts.size());
-  EXPECT_EQ(serial_ws.cuts.total_cuts(), par_ws.cuts.total_cuts());
-  for (std::uint32_t n = 0; n < serial_ws.cuts.size(); ++n) {
-    const auto a = serial_ws.cuts[n];
-    const auto b = par_ws.cuts[n];
-    ASSERT_EQ(a.size(), b.size()) << "node " << n;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(a[i].leaves == b[i].leaves) << "node " << n;
-      EXPECT_EQ(a[i].sig, b[i].sig) << "node " << n;
-      EXPECT_TRUE(a[i].tt == b[i].tt) << "node " << n;
-    }
-  }
-}
-
-// --- Flow determinism at 1 vs N intra-pass threads ---------------------------
-
-std::string to_blif(const sfq::Netlist& ntk) {
-  std::ostringstream os;
-  io::write_blif(os, ntk, "m");
-  return os.str();
-}
-
-std::string stats_key(const t1::FlowStats& s) {
-  std::ostringstream os;
-  os << s.dffs << ' ' << s.area_jj << ' ' << s.depth_cycles << ' '
-     << s.t1_found << ' ' << s.t1_used << ' ' << s.t1_cores << ' '
-     << s.logic_cells << ' ' << s.splitters << ' ' << s.num_stages;
-  return os.str();
-}
-
-void expect_threaded_flow_identical(const std::string& gen_name) {
-  const Aig aig = gen::make_named(gen_name);
-  t1::FlowParams params;
-  params.num_phases = 4;
-  params.use_t1 = true;
-  params.verify_rounds = 0;
-
-  t1::FlowEngine serial_engine;
-  const t1::EngineResult serial = serial_engine.run(aig, params);
-  ASSERT_TRUE(serial.ok()) << gen_name;
-
-  t1::FlowEngine threaded_engine;
-  threaded_engine.set_threads(4);
-  const t1::EngineResult threaded = threaded_engine.run(aig, params);
-  ASSERT_TRUE(threaded.ok()) << gen_name;
-
-  EXPECT_EQ(to_blif(serial.mapped), to_blif(threaded.mapped)) << gen_name;
-  EXPECT_EQ(to_blif(serial.materialized.netlist),
-            to_blif(threaded.materialized.netlist))
-      << gen_name;
-  EXPECT_EQ(stats_key(serial.stats), stats_key(threaded.stats)) << gen_name;
-}
-
-TEST(ParallelFlow, GoldenGeneratorsIdenticalAt4Threads) {
-  std::string last;
-  for (const Golden& g : golden_rows()) {
-    if (g.gen == last) continue;
-    last = g.gen;
-    expect_threaded_flow_identical(g.gen);
-  }
-}
-
-// Deep chains: thousands of nodes across many narrow levels — the worst
-// case for level-parallel scheduling overhead, and the shape where a
-// nondeterministic reduction would show first.  (The issue's log2_24 does
-// not exist: the log2 generator only accepts power-of-two widths >= 4, so
-// log2_16 is the deep log2 representative.)
-TEST(ParallelFlow, DeepNetlistsIdenticalAt4Threads) {
-  expect_threaded_flow_identical("cordic28");
-  expect_threaded_flow_identical("log2_16");
-}
-
-// The one-knob split: run_many over a batch smaller than the budget spills
-// the surplus into the passes; results must match the serial batch.
-TEST(ParallelFlow, RunManySpillIdentical) {
-  const Aig a = gen::make_named("adder16");
-  const Aig b = gen::make_named("voter25");
-  const Aig c = gen::make_named("comparator16");
-  t1::FlowParams params;
-  params.verify_rounds = 0;
-  const std::vector<t1::FlowJob> batch = {
-      {&a, params, {}}, {&b, params, {}}, {&c, params, {}}};
-
-  t1::FlowEngine engine;
-  const auto serial = engine.run_many(batch);
-  engine.set_threads(8);
-  const auto spilled = engine.run_many(batch);  // 3 outer, 2 intra
-  ASSERT_EQ(serial.size(), spilled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(serial[i].ok() && spilled[i].ok()) << i;
-    EXPECT_EQ(to_blif(serial[i].materialized.netlist),
-              to_blif(spilled[i].materialized.netlist))
-        << i;
-    EXPECT_EQ(stats_key(serial[i].stats), stats_key(spilled[i].stats)) << i;
-  }
 }
 
 }  // namespace
