@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/aig_sim.hpp"
-#include "cut/cut_enum.hpp"
 #include "common/rng.hpp"
+#include "cut/cut_enum.hpp"
+#include "gen/registry.hpp"
+#include "pin_digest.hpp"
+#include "sfq/mapper.hpp"
 
 namespace t1map {
 namespace {
@@ -190,6 +197,126 @@ TEST(CutEnum, CutFunctionsMatchSimulation) {
       }
     }
     EXPECT_GT(checked, 50);
+  }
+}
+
+/// Folds the whole cut set of `ntk` into `d`: the node count, each node's
+/// cut count, and each cut's leaves, signature and truth table.
+template <class Ntk>
+void digest_cuts(const Ntk& ntk, const CutParams& params, PinDigest& d) {
+  const CutSet cuts = enumerate_cuts(ntk, params);
+  d.add(static_cast<std::int64_t>(cuts.size()));
+  for (std::uint32_t n = 0; n < cuts.size(); ++n) {
+    d.add(static_cast<std::int64_t>(cuts[n].size()));
+    for (const Cut& cut : cuts[n]) {
+      d.add(static_cast<std::int64_t>(cut.leaves.size()));
+      for (const std::uint32_t l : cut.leaves) d.add(l);
+      d.add(static_cast<std::int64_t>(cut.sig));
+      d.add(cut.tt.num_vars());
+      d.add(static_cast<std::int64_t>(cut.tt.bits()));
+    }
+  }
+}
+
+struct PinnedCuts {
+  const char* circuits;  // a Table-I name, "fuzz" or "sweep" (see below)
+  bool netlist;          // the mapped netlist T1 detection enumerates
+  int k;
+  int max_cuts;
+  std::uint64_t digest;
+};
+
+TEST(CutEnum, CutSetsArePinned) {
+  // Captured from the kernel that read `k` at run time.  Rows at the
+  // flow's own parameters (k = 3, 16 cuts) cover the Table-I set and 40
+  // random circuits; the k / max_cuts sweep runs on smaller circuits.  The
+  // netlist rows enumerate the default mapping of each circuit.  A failure
+  // prints the row as it is now.
+  // clang-format off
+  static const PinnedCuts kRows[] = {
+      // circuits   netlist k  cuts  digest
+      {"adder",      false, 3, 16, 0xdefd94566e98adc9ull},
+      {"adder",      true,  3, 16, 0x7b71ab301dd2f055ull},
+      {"c7552",      false, 3, 16, 0xc1c29c8b7ce9989eull},
+      {"c7552",      true,  3, 16, 0x24afab438d53d12dull},
+      {"c6288",      false, 3, 16, 0xad6286a7b56aa4f0ull},
+      {"c6288",      true,  3, 16, 0xbfc36d0a561ef9c1ull},
+      {"sin",        false, 3, 16, 0xe540981e005ab322ull},
+      {"sin",        true,  3, 16, 0x35889bad9c2c3f8aull},
+      {"voter",      false, 3, 16, 0x62e82ca18ce57ca7ull},
+      {"voter",      true,  3, 16, 0xa273581ad4c3c305ull},
+      {"square",     false, 3, 16, 0xf6b7a2f09eb78711ull},
+      {"square",     true,  3, 16, 0x5a5bf4cecc81da36ull},
+      {"multiplier", false, 3, 16, 0xbb89d62c56f92932ull},
+      {"multiplier", true,  3, 16, 0xa3b15e254e269ddcull},
+      {"log2",       false, 3, 16, 0x48963793007405d6ull},
+      {"log2",       true,  3, 16, 0xcde67959dcad007aull},
+      {"fuzz",       false, 3, 16, 0x5bf23fa7d5be43dbull},
+      {"fuzz",       true,  3, 16, 0xa183030432112e91ull},
+      {"sweep",      false, 1,  1, 0x07f3bc22833759c1ull},
+      {"sweep",      false, 1,  4, 0x07f3bc22833759c1ull},
+      {"sweep",      false, 1, 16, 0x07f3bc22833759c1ull},
+      {"sweep",      false, 2,  1, 0xf9d6e492b7ad994bull},
+      {"sweep",      false, 2,  4, 0x418051493389ea6dull},
+      {"sweep",      false, 2, 16, 0x418051493389ea6dull},
+      {"sweep",      false, 3,  1, 0xf9d6e492b7ad994bull},
+      {"sweep",      false, 3,  4, 0x4354f67b0cd9df2eull},
+      {"sweep",      false, 3, 16, 0x5da6b22a6e850a85ull},
+      {"sweep",      false, 4,  1, 0xf9d6e492b7ad994bull},
+      {"sweep",      false, 4,  4, 0xacc6f2a77e021712ull},
+      {"sweep",      false, 4, 16, 0x4fbb2ed6a940d922ull},
+      {"sweep",      true,  1,  1, 0xad54f61df9ffde40ull},
+      {"sweep",      true,  1,  4, 0x0961ed9fc3e4f22dull},
+      {"sweep",      true,  1, 16, 0x0961ed9fc3e4f22dull},
+      {"sweep",      true,  2,  1, 0xa7a6ad994c6dd040ull},
+      {"sweep",      true,  2,  4, 0xbb08bb0d779e5e1eull},
+      {"sweep",      true,  2, 16, 0xbb08bb0d779e5e1eull},
+      {"sweep",      true,  3,  1, 0xa2abd15fef0900b3ull},
+      {"sweep",      true,  3,  4, 0xabcf6634c49cd4e2ull},
+      {"sweep",      true,  3, 16, 0xe8cee2d1e091edffull},
+      {"sweep",      true,  4,  1, 0xa2abd15fef0900b3ull},
+      {"sweep",      true,  4,  4, 0x4382b759cf4a6de5ull},
+      {"sweep",      true,  4, 16, 0x54e913dc4205b694ull},
+  };
+  // clang-format on
+  std::vector<std::string> fuzz;
+  for (int i = 0; i < 40; ++i) {
+    fuzz.push_back("fuzz" + std::to_string(30 + 11 * i));
+  }
+  const std::vector<std::string> sweep = {"adder16", "mul8", "voter25",
+                                          "fuzz200", "fuzz350"};
+
+  // Each circuit is generated and mapped once, on first use.
+  std::map<std::string, std::pair<Aig, sfq::Netlist>> views;
+  const auto view = [&views](const std::string& c) -> const auto& {
+    auto it = views.find(c);
+    if (it == views.end()) {
+      Aig aig = gen::make_named(c);
+      sfq::Netlist mapped = sfq::map_to_sfq(aig);
+      it = views.try_emplace(c, std::move(aig), std::move(mapped)).first;
+    }
+    return it->second;
+  };
+
+  for (const PinnedCuts& row : kRows) {
+    const std::string name = row.circuits;
+    std::vector<std::string> circuits{name};
+    if (name == "fuzz") circuits = fuzz;
+    if (name == "sweep") circuits = sweep;
+    const CutParams params{row.k, row.max_cuts};
+    PinDigest d;
+    for (const std::string& c : circuits) {
+      if (row.netlist) {
+        digest_cuts(view(c).second, params, d);
+      } else {
+        digest_cuts(view(c).first, params, d);
+      }
+    }
+    char now[128];
+    std::snprintf(now, sizeof now, "{\"%s\", %s, %d, %d, 0x%016llxull},",
+                  row.circuits, row.netlist ? "true" : "false", row.k,
+                  row.max_cuts, static_cast<unsigned long long>(d.h));
+    EXPECT_EQ(d.h, row.digest) << now;
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gen/registry.hpp"
+#include "pin_digest.hpp"
 #include "retime/dff_insert.hpp"
 #include "retime/stage_assign.hpp"
 #include "retime/timing_check.hpp"
@@ -353,23 +354,11 @@ TEST(T1Constraints, ReleaseCostShiftsPastTheWindow) {
   }
 }
 
-/// FNV-1a over the bytes of 64-bit words: a platform-stable digest.
-struct Digest {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::int64_t x) {
-    const auto u = static_cast<std::uint64_t>(x);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  }
-};
-
 /// Digests of `assign_stages` (sigma, sigma_po) and of `insert_dffs` (every
 /// node's kind, fanins and origin, the POs, the stage vector, node_map and
 /// num_dffs) on one mapped netlist, folded into `stages` and `dffs`.
-void digest_retime(const Netlist& mapped, int phases, Digest& stages,
-                   Digest& dffs, const std::string& label) {
+void digest_retime(const Netlist& mapped, int phases, PinDigest& stages,
+                   PinDigest& dffs, const std::string& label) {
   const StageAssignment sa = assign_stages(mapped, StageParams{phases, true});
   ASSERT_TRUE(assignment_is_legal(mapped, sa)) << label;
   stages.add(sa.num_phases);
@@ -473,7 +462,7 @@ TEST(Retime, OutputsArePinned) {
     const std::string name = row.circuits;
     const std::vector<std::string> circuits =
         name == "fuzz" ? fuzz : std::vector<std::string>{name};
-    Digest stages, dffs;
+    PinDigest stages, dffs;
     for (const std::string& c : circuits) {
       const std::string label =
           c + " " + std::to_string(row.phases) + (row.use_t1 ? "t1" : "");

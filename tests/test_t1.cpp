@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "aig/aig.hpp"
 #include "fuzz/random_aig.hpp"
+#include "gen/registry.hpp"
+#include "pin_digest.hpp"
 #include "retime/dff_insert.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/mapper.hpp"
@@ -134,6 +141,115 @@ TEST(Detect, RespectsMinGain) {
   const DetectResult det = detect_t1(n, params);
   EXPECT_EQ(det.used, 0);
   EXPECT_EQ(det.found, 0);
+}
+
+/// Folds `found`, `used` and every accepted candidate (leaves, polarity,
+/// matches in order, MFFC and gain) into `d`.
+void digest_detect(const DetectResult& det, PinDigest& d) {
+  d.add(det.found);
+  d.add(det.used);
+  d.add(static_cast<std::int64_t>(det.accepted.size()));
+  for (const T1Candidate& cand : det.accepted) {
+    for (const std::uint32_t l : cand.leaves) d.add(l);
+    d.add(cand.input_polarity);
+    d.add(static_cast<std::int64_t>(cand.matches.size()));
+    for (const T1Match& m : cand.matches) {
+      d.add(m.node);
+      d.add(static_cast<std::int64_t>(m.output));
+    }
+    d.add(static_cast<std::int64_t>(cand.mffc.size()));
+    for (const std::uint32_t v : cand.mffc) d.add(v);
+    d.add(cand.gain);
+  }
+}
+
+struct PinnedDetect {
+  const char* circuits;  // a Table-I name, or "fuzz" for the fuzz set
+  bool input_negation;
+  long min_gain;
+  std::uint64_t digest;
+};
+
+TEST(Detect, ResultIsPinned) {
+  // Captured from the detector that sorted every match group.  Detection
+  // runs on the default mapping of the Table-I set and of 40 random
+  // circuits, all calls sharing one workspace and scratch as the flow's
+  // do.  A failure prints the row as it is now.
+  // clang-format off
+  static const PinnedDetect kRows[] = {
+      // circuits   negation min_gain digest
+      {"adder",      true,   1, 0x64040b01c8f4f104ull},
+      {"adder",      true,  10, 0x64040b01c8f4f104ull},
+      {"adder",      false,  1, 0x64040b01c8f4f104ull},
+      {"adder",      false, 10, 0x64040b01c8f4f104ull},
+      {"c7552",      true,   1, 0xe52011b057986110ull},
+      {"c7552",      true,  10, 0xebafd08ff9db9fb4ull},
+      {"c7552",      false,  1, 0x82aa746020aa9224ull},
+      {"c7552",      false, 10, 0xebafd08ff9db9fb4ull},
+      {"c6288",      true,   1, 0x94b38a7861bb60fcull},
+      {"c6288",      true,  10, 0x09f2f9517303d4f8ull},
+      {"c6288",      false,  1, 0x3b7c72f7d1e50fa6ull},
+      {"c6288",      false, 10, 0x470d79a48ef15a12ull},
+      {"sin",        true,   1, 0x65487e483cbdbc8full},
+      {"sin",        true,  10, 0xe70be3d602735683ull},
+      {"sin",        false,  1, 0x455c8a2e2cb7f15eull},
+      {"sin",        false, 10, 0x5fae5bf508d2ba8cull},
+      {"voter",      true,   1, 0x100b9f224508791eull},
+      {"voter",      true,  10, 0xae82010d1d013406ull},
+      {"voter",      false,  1, 0x2e3277ec1d327723ull},
+      {"voter",      false, 10, 0x3de2ea28612a5ff0ull},
+      {"square",     true,   1, 0xc4a10e4d1738c19aull},
+      {"square",     true,  10, 0x3a664d786217d836ull},
+      {"square",     false,  1, 0x2197184f819bceb5ull},
+      {"square",     false, 10, 0x90a64c086d80498full},
+      {"multiplier", true,   1, 0xfa34e2d64a5598ddull},
+      {"multiplier", true,  10, 0x959fd5b25502bb3eull},
+      {"multiplier", false,  1, 0xf8e6bc33144c2b51ull},
+      {"multiplier", false, 10, 0xba8132538286dfdaull},
+      {"log2",       true,   1, 0xe2be4dc8f1aaeb02ull},
+      {"log2",       true,  10, 0x71af54f5e7b9516aull},
+      {"log2",       false,  1, 0xd5ead7f54982b95full},
+      {"log2",       false, 10, 0xcc47fc0986e5212full},
+      {"fuzz",       true,   1, 0xd44f9e965bbd3f24ull},
+      {"fuzz",       true,  10, 0xfac3fcbb6e14520full},
+      {"fuzz",       false,  1, 0x3ccf2c2581341502ull},
+      {"fuzz",       false, 10, 0x91023a9d9b204547ull},
+  };
+  // clang-format on
+  std::vector<std::string> fuzz;
+  for (int i = 0; i < 40; ++i) {
+    fuzz.push_back("fuzz" + std::to_string(30 + 11 * i));
+  }
+
+  // Each circuit is mapped once, on first use.
+  std::map<std::string, Netlist> mapped;
+  const auto mapping = [&mapped](const std::string& c) -> const Netlist& {
+    auto it = mapped.find(c);
+    if (it == mapped.end()) {
+      it = mapped.emplace(c, sfq::map_to_sfq(gen::make_named(c))).first;
+    }
+    return it->second;
+  };
+
+  CutWorkspace workspace;
+  DetectScratch scratch;
+  for (const PinnedDetect& row : kRows) {
+    const std::string name = row.circuits;
+    std::vector<std::string> circuits{name};
+    if (name == "fuzz") circuits = fuzz;
+    DetectParams params;
+    params.allow_input_negation = row.input_negation;
+    params.min_gain = row.min_gain;
+    PinDigest d;
+    for (const std::string& c : circuits) {
+      digest_detect(detect_t1(mapping(c), params, &workspace, &scratch), d);
+    }
+    char now[128];
+    std::snprintf(now, sizeof now, "{\"%s\", %s, %ld, 0x%016llxull},",
+                  row.circuits, row.input_negation ? "true" : "false",
+                  row.min_gain, static_cast<unsigned long long>(d.h));
+    EXPECT_EQ(d.h, row.digest) << now;
+  }
 }
 
 TEST(Rewrite, FullAdderBecomesT1) {
