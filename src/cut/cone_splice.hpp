@@ -147,17 +147,20 @@ void enumerate_cuts_spliced(const Ntk& ntk, const CutParams& params,
   scratch.kept.reserve(params.max_cuts + 1);
   std::vector<Cut> translated;
 
-  for (std::uint32_t node = 0; node < n; ++node) {
-    const std::uint32_t old_node = corr.new_to_old[node];
-    if (old_node != kNoCorrespondent) {
-      translated.clear();
-      translate_cuts(old_cuts[old_node], corr.old_to_new, translated);
-      cuts.set_node_cuts(node, translated);
-    } else {
-      detail::enumerate_node_cuts(ntk, params, cuts, node, scratch);
-      cuts.set_node_cuts(node, scratch.kept);
+  detail::dispatch_cut_size(params.k, [&](auto k) {
+    for (std::uint32_t node = 0; node < n; ++node) {
+      const std::uint32_t old_node = corr.new_to_old[node];
+      if (old_node != kNoCorrespondent) {
+        translated.clear();
+        translate_cuts(old_cuts[old_node], corr.old_to_new, translated);
+        cuts.set_node_cuts(node, translated);
+      } else {
+        detail::enumerate_node_cuts<k()>(ntk, params.max_cuts, cuts, node,
+                                         scratch);
+        cuts.set_node_cuts(node, scratch.kept);
+      }
     }
-  }
+  });
 }
 
 }  // namespace t1map

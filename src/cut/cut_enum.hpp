@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/require.hpp"
@@ -214,11 +215,12 @@ void prune_dominated(CutScratch& scratch, int max_cuts);
 /// Computes the cut set of one node into `scratch.kept`, reading only the
 /// fanins' (already committed) sets from `cuts`.  This is the per-node body
 /// shared by the full enumerator and the cone splice (cone_splice.hpp),
-/// which recomputes only the nodes it cannot translate from a memo.
-template <class Ntk>
-void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
-                         const CutSet& cuts, std::uint32_t node,
-                         CutScratch& scratch) {
+/// which recomputes only the nodes it cannot translate from a memo.  The
+/// cut size `K` is a template parameter so that the per-pair size tests,
+/// which reject most pairs, run with a constant bound.
+template <int K, class Ntk>
+void enumerate_node_cuts(const Ntk& ntk, int max_cuts, const CutSet& cuts,
+                         std::uint32_t node, CutScratch& scratch) {
   // Trivial cut first: the node itself as a single leaf.
   scratch.kept.clear();
   scratch.kept.push_back(Cut{{node}, leaf_sig(node), Tt::var(1, 0)});
@@ -258,8 +260,8 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
       for (const Cut& a : c0) {
         for (const Cut& b : c1) {
           const std::uint64_t sig = a.sig | b.sig;
-          if (sig_exceeds(sig, params.k)) continue;
-          if (!merge_leaves(a.leaves, b.leaves, params.k, merged, in_a, in_b)) {
+          if (sig_exceeds(sig, K)) continue;
+          if (!merge_leaves(a.leaves, b.leaves, K, merged, in_a, in_b)) {
             continue;
           }
           const int n = static_cast<int>(merged.size());
@@ -276,8 +278,8 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
       for (const Cut& a : c0) {
         for (const Cut& b : c1) {
           const std::uint64_t sig_ab = a.sig | b.sig;
-          if (sig_exceeds(sig_ab, params.k)) continue;
-          if (!merge_leaves(a.leaves, b.leaves, params.k, merged, in_a, in_b)) {
+          if (sig_exceeds(sig_ab, K)) continue;
+          if (!merge_leaves(a.leaves, b.leaves, K, merged, in_a, in_b)) {
             continue;
           }
           const int nab = static_cast<int>(merged.size());
@@ -285,8 +287,8 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
           const Tt tt_b = b.tt.expand(nab, in_b);
           for (const Cut& c : c2) {
             const std::uint64_t sig = sig_ab | c.sig;
-            if (sig_exceeds(sig, params.k)) continue;
-            if (!merge_leaves(merged, c.leaves, params.k, all, in_ab, in_c)) {
+            if (sig_exceeds(sig, K)) continue;
+            if (!merge_leaves(merged, c.leaves, K, all, in_ab, in_c)) {
               continue;
             }
             const int n = static_cast<int>(all.size());
@@ -301,7 +303,26 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
     }
   }
 
-  prune_dominated(scratch, params.max_cuts);
+  prune_dominated(scratch, max_cuts);
+}
+
+/// Calls `body(std::integral_constant<int, K>{})` with `K == k`: the one
+/// run-time branch on the cut size per enumeration.
+template <class Body>
+void dispatch_cut_size(int k, Body&& body) {
+  static_assert(kMaxCutLeaves == 4, "one case per cut size");
+  switch (k) {
+    case 1:
+      return body(std::integral_constant<int, 1>{});
+    case 2:
+      return body(std::integral_constant<int, 2>{});
+    case 3:
+      return body(std::integral_constant<int, 3>{});
+    case 4:
+      return body(std::integral_constant<int, 4>{});
+    default:
+      T1MAP_REQUIRE(false, "cut size must be between 1 and 4");
+  }
 }
 
 }  // namespace detail
@@ -334,10 +355,13 @@ void enumerate_cuts_into(const Ntk& ntk, const CutParams& params,
       static_cast<std::size_t>(params.max_cuts) * params.max_cuts + 1);
   scratch.kept.reserve(params.max_cuts + 1);
 
-  for (std::uint32_t node = 0; node < n; ++node) {
-    detail::enumerate_node_cuts(ntk, params, cuts, node, scratch);
-    cuts.set_node_cuts(node, scratch.kept);
-  }
+  detail::dispatch_cut_size(params.k, [&](auto k) {
+    for (std::uint32_t node = 0; node < n; ++node) {
+      detail::enumerate_node_cuts<k()>(ntk, params.max_cuts, cuts, node,
+                                       scratch);
+      cuts.set_node_cuts(node, scratch.kept);
+    }
+  });
 }
 
 /// All cuts of every node.  Result is indexed by node id; the trivial cut is

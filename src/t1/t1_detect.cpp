@@ -347,8 +347,13 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
   // Candidate construction walks the groups in (leaves, polarity) order —
   // the iteration order of the std::map this table replaced — so the
   // sort below sees the same input permutation and ties break identically.
-  ws.group_order.resize(ws.groups.size());
-  for (std::uint32_t g = 0; g < ws.groups.size(); ++g) ws.group_order[g] = g;
+  // A group with one match record can never become a candidate, so only
+  // multi-record groups are sorted; the keys are unique, so dropping the
+  // others keeps the order of the rest.
+  ws.group_order.clear();
+  for (std::uint32_t g = 0; g < ws.groups.size(); ++g) {
+    if (ws.groups[g].head != ws.groups[g].tail) ws.group_order.push_back(g);
+  }
   std::sort(ws.group_order.begin(), ws.group_order.end(),
             [&](std::uint32_t a, std::uint32_t b) {
               const DetectScratch::Group& ga = ws.groups[a];

@@ -150,7 +150,8 @@ struct DetectScratch {
   std::vector<std::uint32_t> table;
   std::vector<Group> groups;
   std::vector<MatchRec> match_pool;
-  std::vector<std::uint32_t> group_order;  // (leaves, polarity)-sorted ids
+  // Multi-record groups (head != tail), sorted by (leaves, polarity).
+  std::vector<std::uint32_t> group_order;
 
   // Epoch-stamped node marks (no per-candidate clearing) and the MFFC
   // frontier heap.
