@@ -131,72 +131,110 @@ TEST(CutEnum, TrivialCutAlwaysFirst) {
   }
 }
 
-// The invariants every retained cut set must satisfy, for any k: leaf count
-// bounded, leaves sorted, tt arity matches, no duplicate leaf sets, no
-// retained cut dominated by another, trivial cut first.
-TEST(CutEnum, StructuralInvariantsOnRandomCircuits) {
-  Rng rng(5);
-  for (int trial = 0; trial < 4; ++trial) {
-    const Aig aig = random_aig(rng, 8, 60);
-    for (const int k : {2, 3, 4}) {
-      const auto cuts = enumerate_cuts(aig, CutParams{k, 12});
-      ASSERT_EQ(cuts.size(), aig.num_nodes());
-      for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-        ASSERT_FALSE(cuts[n].empty());
-        EXPECT_TRUE(cuts[n][0].is_trivial(n));
-        std::set<std::vector<std::uint32_t>> seen;
-        for (const Cut& cut : cuts[n]) {
-          EXPECT_GE(cut.leaves.size(), 1u);
-          EXPECT_LE(cut.leaves.size(), static_cast<std::size_t>(k));
-          EXPECT_TRUE(std::is_sorted(cut.leaves.begin(), cut.leaves.end()));
-          EXPECT_EQ(cut.tt.num_vars(), static_cast<int>(cut.leaves.size()));
-          // No duplicate leaf sets anywhere in the node's cut set.
-          EXPECT_TRUE(seen.insert(to_vec(cut.leaves)).second)
-              << "duplicate leaf set at node " << n;
-        }
-        // Dominance: no retained cut's leaves are a strict subset of
-        // another's (the trivial cut can never be dominated).
-        for (std::size_t i = 1; i < cuts[n].size(); ++i) {
-          for (std::size_t j = 1; j < cuts[n].size(); ++j) {
-            if (i == j) continue;
-            EXPECT_FALSE(
-                !(cuts[n][i].leaves == cuts[n][j].leaves) &&
-                leaves_subset(cuts[n][i].leaves, cuts[n][j].leaves))
-                << "node " << n << ": cut " << j << " dominated by " << i;
-          }
-        }
+/// The invariants every retained cut set must satisfy, for any k: leaf
+/// count bounded, leaves sorted, tt arity matches, no duplicate leaf sets,
+/// no retained cut dominated by another, trivial cut first.
+template <class Ntk>
+void check_structural_invariants(const Ntk& ntk, int k) {
+  const auto cuts = enumerate_cuts(ntk, CutParams{k, 12});
+  ASSERT_EQ(cuts.size(), ntk.size());
+  for (std::uint32_t n = 0; n < ntk.size(); ++n) {
+    ASSERT_FALSE(cuts[n].empty());
+    EXPECT_TRUE(cuts[n][0].is_trivial(n));
+    std::set<std::vector<std::uint32_t>> seen;
+    for (const Cut& cut : cuts[n]) {
+      EXPECT_GE(cut.leaves.size(), 1u);
+      EXPECT_LE(cut.leaves.size(), static_cast<std::size_t>(k));
+      EXPECT_TRUE(std::is_sorted(cut.leaves.begin(), cut.leaves.end()));
+      EXPECT_EQ(cut.tt.num_vars(), static_cast<int>(cut.leaves.size()));
+      // No duplicate leaf sets anywhere in the node's cut set.
+      EXPECT_TRUE(seen.insert(to_vec(cut.leaves)).second)
+          << "duplicate leaf set at node " << n;
+    }
+    // Dominance: no retained cut's leaves are a strict subset of
+    // another's (the trivial cut can never be dominated).
+    for (std::size_t i = 1; i < cuts[n].size(); ++i) {
+      for (std::size_t j = 1; j < cuts[n].size(); ++j) {
+        if (i == j) continue;
+        EXPECT_FALSE(!(cuts[n][i].leaves == cuts[n][j].leaves) &&
+                     leaves_subset(cuts[n][i].leaves, cuts[n][j].leaves))
+            << "node " << n << ": cut " << j << " dominated by " << i;
       }
     }
   }
 }
 
+// Every cut size, on AIGs (the mapper's view) and on the mapped netlist of
+// a generated circuit (T1 detection's view, with 1- and 3-fanin cells).
+TEST(CutEnum, StructuralInvariantsOnRandomCircuits) {
+  Rng rng(5);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Aig aig = random_aig(rng, 8, 60);
+    const Aig fuzz = gen::make_named("fuzz" + std::to_string(120 + trial));
+    const sfq::Netlist mapped = sfq::map_to_sfq(fuzz);
+    for (const int k : {1, 2, 3, 4}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " k " +
+                   std::to_string(k));
+      check_structural_invariants(aig, k);
+      check_structural_invariants(fuzz, k);
+      check_structural_invariants(mapped, k);
+    }
+  }
+}
+
+/// Evaluates every non-trivial cut's tt on the leaves' value words and
+/// checks it reproduces the node's value word; counts the cuts in
+/// `checked`.
+template <class Ntk>
+void check_cut_functions(const Ntk& ntk,
+                         const std::vector<std::uint64_t>& value, int k,
+                         long& checked) {
+  const auto cuts = enumerate_cuts(ntk, CutParams{k, 16});
+  for (std::uint32_t n = 0; n < ntk.size(); ++n) {
+    for (const Cut& cut : cuts[n]) {
+      if (cut.is_trivial(n)) continue;
+      for (int bit = 0; bit < 64; ++bit) {
+        std::uint64_t point = 0;
+        for (std::size_t l = 0; l < cut.leaves.size(); ++l) {
+          if ((value[cut.leaves[l]] >> bit) & 1u) point |= (1ull << l);
+        }
+        ASSERT_EQ(cut.tt.bit(point), ((value[n] >> bit) & 1u) != 0)
+            << "k " << k << " node " << n << " bit " << bit;
+      }
+      ++checked;
+    }
+  }
+}
+
 TEST(CutEnum, CutFunctionsMatchSimulation) {
-  // For every cut of every node: evaluating the cut tt on the leaves' value
-  // words must reproduce the node's value word.  Run at k = 3 and k = 4.
+  // Every cut size, on the AIG (checked against AIG simulation) and on its
+  // mapped netlist (checked against `Netlist::simulate_nodes`).  At k = 1
+  // an AIG has only trivial cuts; the netlist's inverters still have one.
   Rng rng(17);
-  for (const int k : {3, 4}) {
-    const Aig aig = random_aig(rng, 6, 40);
+  for (const int k : {1, 2, 3, 4}) {
+    const Aig aig = gen::make_named("fuzz" + std::to_string(90 + k));
     std::vector<std::uint64_t> pi_words(aig.num_pis());
     for (auto& w : pi_words) w = rng.next();
-    const auto value = simulate_nodes(aig, pi_words);
-
-    const auto cuts = enumerate_cuts(aig, CutParams{k, 16});
-    long checked = 0;
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      for (const Cut& cut : cuts[n]) {
-        if (cut.is_trivial(n)) continue;
-        for (int bit = 0; bit < 64; ++bit) {
-          std::uint64_t point = 0;
-          for (std::size_t l = 0; l < cut.leaves.size(); ++l) {
-            if ((value[cut.leaves[l]] >> bit) & 1u) point |= (1ull << l);
-          }
-          ASSERT_EQ(cut.tt.bit(point), ((value[n] >> bit) & 1u) != 0)
-              << "k " << k << " node " << n << " bit " << bit;
-        }
-        ++checked;
-      }
+    long aig_checked = 0;
+    check_cut_functions(aig, simulate_nodes(aig, pi_words), k, aig_checked);
+    const sfq::Netlist mapped = sfq::map_to_sfq(aig);
+    long netlist_checked = 0;
+    check_cut_functions(mapped, mapped.simulate_nodes(pi_words), k,
+                        netlist_checked);
+    if (k > 1) {
+      EXPECT_GT(aig_checked, 50) << "k " << k;
     }
-    EXPECT_GT(checked, 50);
+    EXPECT_GT(netlist_checked, k > 1 ? 50 : 10) << "k " << k;
+  }
+}
+
+TEST(CutEnum, CutSizeOutsideOneToFourIsAContractError) {
+  Rng rng(23);
+  const Aig aig = random_aig(rng, 4, 12);
+  const sfq::Netlist mapped = sfq::map_to_sfq(aig);
+  for (const int k : {0, 5}) {
+    EXPECT_THROW(enumerate_cuts(aig, CutParams{k, 16}), ContractError) << k;
+    EXPECT_THROW(enumerate_cuts(mapped, CutParams{k, 16}), ContractError) << k;
   }
 }
 
