@@ -133,7 +133,9 @@ TEST(Flow, PhaseSweepMonotonicity) {
   for (const int phases : {1, 2, 4, 8}) {
     const EngineResult r = engine.run(aig, baseline(phases));
     ASSERT_TRUE(r.ok()) << r.diagnostics.to_string();
-    if (prev >= 0) EXPECT_LE(r.stats.dffs, prev) << phases;
+    if (prev >= 0) {
+      EXPECT_LE(r.stats.dffs, prev) << phases;
+    }
     prev = r.stats.dffs;
   }
 }

@@ -55,7 +55,9 @@ TEST_P(FlowInvariants, EquivalentLegalAndConsistent) {
   EXPECT_EQ(r.stats.depth_cycles,
             retime::ceil_div(r.stats.num_stages, phases));
   EXPECT_GE(r.stats.t1_found, r.stats.t1_used);
-  if (!use_t1) EXPECT_EQ(r.stats.t1_cores, 0);
+  if (!use_t1) {
+    EXPECT_EQ(r.stats.t1_cores, 0);
+  }
 }
 
 std::string flow_case_name(const ::testing::TestParamInfo<FlowCase>& info) {
