@@ -84,8 +84,16 @@ def main() -> int:
         if stage != "total" and "~m" not in name:
             by_kind.setdefault(stage, []).append(now / base)
     if by_kind:
-        speed = statistics.median(
-            statistics.median(ratios) for ratios in by_kind.values())
+        # Each kind's vote, printed first: when an untouched kind is
+        # flagged, the votes show whether other kinds got faster and
+        # pulled the factor down.
+        votes = {stage: statistics.median(ratios)
+                 for stage, ratios in by_kind.items()}
+        print("stage-kind votes (median fresh/snapshot ratio per kind):")
+        for stage, vote in sorted(votes.items(), key=lambda kv: kv[1]):
+            print(f"  {stage:14s} {vote:5.2f}x over "
+                  f"{len(by_kind[stage])} rows")
+        speed = statistics.median(votes.values())
     else:
         speed = statistics.median(now / base for _, _, base, now in rows)
     print(f"machine-speed factor (median of per-stage medians): "
