@@ -77,9 +77,10 @@ void FlowCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   Entry entry;  // the deep copy happens outside the shard lock
   entry.key = key;
   entry.result = result;
-  // A cached result costs no flow time; the cold run's stage times would
-  // read as a (wrong) measurement of the hit.
+  // A hit runs no pass (t1::RunCache): the computing run's stage times and
+  // memo reuse would read as a (wrong) measurement of the hit.
   entry.result.times = t1::StageTimes{};
+  entry.result.reuse = t1::ReuseCounters{};
   entry.bytes = estimate_result_bytes(entry.result);
 
   const std::lock_guard<std::mutex> lock(shard.mu);

@@ -7,8 +7,8 @@
 /// aig_hash.hpp and `t1::params_fingerprint`), entries hold the complete
 /// `EngineResult` — mapped netlist, materialized netlist, Table-I
 /// statistics, diagnostics and the CEC verdict — so a hit reproduces a
-/// cold `run` bit for bit (stage times excepted: they are zeroed, a cached
-/// result costs no flow time).
+/// cold `run` bit for bit (stage times and reuse counters excepted: a hit
+/// runs no pass, so they are zeroed, see `t1::RunCache`).
 ///
 /// Concurrency: the key space is split across `num_shards` independently
 /// locked shards, so concurrent lookups/stores contend only when they land

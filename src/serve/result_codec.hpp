@@ -12,9 +12,9 @@
 /// order, then PI names, then POs) and rebuilt through the public
 /// `sfq::Netlist` API, so every structural invariant is re-validated on
 /// decode — a corrupt payload fails as `ContractError`, never as a
-/// malformed in-memory object.  Stage times are deliberately *not*
-/// persisted: a cached result costs no flow time, so `decode_result`
-/// returns them zeroed (matching the in-memory `FlowCache` contract).
+/// malformed in-memory object.  Stage times and reuse counters are
+/// deliberately *not* persisted: a cache hit runs no pass, so
+/// `decode_result` returns them zeroed (the `t1::RunCache` rule).
 
 #pragma once
 
@@ -30,7 +30,8 @@ namespace t1map::serve {
 /// so mixed-version cache directories fail loudly at open, not at decode.
 constexpr std::uint32_t kResultCodecVersion = 1;
 
-/// Serializes `result` (stage times excluded) into a byte string.
+/// Serializes `result` (stage times and reuse counters excluded) into a
+/// byte string.
 std::string encode_result(const t1::EngineResult& result);
 
 /// Rebuilds a result from `encode_result` bytes.  Throws `ContractError`

@@ -299,6 +299,9 @@ struct CacheStats {
 /// (serve::FlowCache / serve::TieredCache are the production ones): several
 /// engines dispatching against one shared cache — e.g. one per serve
 /// connection — may call `lookup` and `store` simultaneously.
+///
+/// A hit ran no pass, so it reports zero `times` and zero `reuse`, whichever
+/// tier served it and whatever run computed it.
 class RunCache {
  public:
   virtual ~RunCache() = default;

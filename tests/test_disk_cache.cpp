@@ -2,7 +2,8 @@
 // corruption rejection), the log-structured DiskCache (reopen warm
 // start, torn-tail crash recovery, checksum self-healing, capacity
 // rejection), and the TieredCache composition (promotion, write-through,
-// concurrent two-tier hammering — the TSan CI leg runs this suite).
+// zeroed reuse counters on hits from either tier, concurrent two-tier
+// hammering — the TSan CI leg runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -357,6 +358,41 @@ TEST(TieredCache, WritesThroughToEveryTier) {
   tiers.store(t1::RunKey{5, 5}, failed);
   EXPECT_EQ(tiers.stats().insertions, 1u);
   EXPECT_EQ(tiers.tier(1).stats().entries, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(TieredCache, HitsCarryNoReuseCountersInEitherTier) {
+  const fs::path dir = fresh_dir("tier_reuse");
+  const t1::FlowParams params = fast_params();
+  const Aig aig = gen::make_named("adder8");
+  const t1::RunKey key = key_of(aig, params);
+  t1::FlowEngine engine;
+  (void)engine.run(aig, params);
+  const t1::EngineResult warm = engine.run(aig, params);  // memo hit
+  ASSERT_TRUE(warm.ok());
+  ASSERT_GT(warm.reuse.map_cones_reused, 0u);
+  ASSERT_TRUE(warm.reuse.t1_exact);
+  ASSERT_TRUE(warm.reuse.stage_spliced);
+
+  serve::TieredCache tiers;
+  tiers.add_tier(std::make_unique<serve::FlowCache>());
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
+  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
+  tiers.store(key, warm);
+
+  // A hit ran no pass, whichever tier serves it.
+  for (std::size_t t = 0; t < tiers.num_tiers(); ++t) {
+    t1::EngineResult hit;
+    ASSERT_TRUE(tiers.tier(t).lookup(key, hit)) << tiers.tier(t).tier_name();
+    expect_results_identical(warm, hit, tiers.tier(t).tier_name());
+    EXPECT_EQ(hit.reuse.map_cones_total, 0u) << tiers.tier(t).tier_name();
+    EXPECT_EQ(hit.reuse.map_cones_reused, 0u) << tiers.tier(t).tier_name();
+    EXPECT_EQ(hit.reuse.t1_cones_total, 0u) << tiers.tier(t).tier_name();
+    EXPECT_EQ(hit.reuse.t1_cones_reused, 0u) << tiers.tier(t).tier_name();
+    EXPECT_FALSE(hit.reuse.t1_exact) << tiers.tier(t).tier_name();
+    EXPECT_FALSE(hit.reuse.stage_spliced) << tiers.tier(t).tier_name();
+  }
   fs::remove_all(dir);
 }
 
