@@ -1,6 +1,7 @@
 /// \file aig_digest.hpp
-/// \brief Per-node canonical cone digests of an AIG — the structural
-/// sub-keys of cone-level incremental mapping.
+/// \brief Digests of an AIG: per-node canonical cone digests, the serving
+/// layer's structural cache key, and an id-level identity digest, the key
+/// of the engine's map-pass memo.
 ///
 /// `cone_digests` computes, for every node, a 64-bit hash of the node's
 /// entire fan-in cone: constants and PIs are seeded leaves (a PI folds in
@@ -14,6 +15,11 @@
 /// layer's 128-bit whole-AIG digest (`serve::AigHasher` delegates here), so
 /// the seed constants below are part of the persistent cache-key format and
 /// must never change — as must `mix64` in common/hash_mix.hpp.
+///
+/// `identity_digest` is the opposite notion: a raw hash of the id-level
+/// structure plus the PI and PO names.  Equal identity digests mean the two
+/// AIGs are the same object node for node, which is what the mapped netlist
+/// depends on (its node order, AIG origins and port names).
 
 #pragma once
 
@@ -48,5 +54,9 @@ inline std::uint64_t lit_digest(Lit l,
 /// Fills `out` (resized to `aig.num_nodes()`) with the cone digest of every
 /// node.  One forward sweep: node ids are a topological order.
 void cone_digests(const Aig& aig, std::vector<std::uint64_t>& out);
+
+/// Raw id-level hash: the node stream (PI marks, AND fanin literals), the
+/// PI names, and the PO literals and names.  Not a persisted format.
+std::uint64_t identity_digest(const Aig& aig);
 
 }  // namespace t1map::aig_digest

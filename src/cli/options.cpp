@@ -270,8 +270,8 @@ Options parse_options(int argc, const char* const* argv) {
     }
     if (!opts.incremental_from.empty()) {
       throw UsageError("--incremental-from is a report-mode option; serve "
-                       "mode reuses cones across its request stream on its "
-                       "own");
+                       "mode reuses pass results across its request stream "
+                       "on its own");
     }
     if (opts.phases < 3) {
       throw UsageError("--serve defaults jobs to the t1 configuration and "
@@ -310,7 +310,7 @@ Options parse_options(int argc, const char* const* argv) {
     if (!opts.incremental_from.empty()) {
       throw UsageError("--incremental-from is a report-mode option; "
                        "--bench-set nearduplicate is the bench-mode "
-                       "incremental measurement");
+                       "warm-engine measurement");
     }
     // Reject report-mode options bench mode would otherwise ignore.
     if (opts.config != "all" && opts.config != "t1") {
@@ -384,8 +384,9 @@ std::string usage() {
       "                              the paper-size benchmarks, deep the\n"
       "                              long-chain adder256/cordic32/log2_16,\n"
       "                              nearduplicate one-gate mutants mapped on\n"
-      "                              a base-circuit-warmed engine — the\n"
-      "                              incremental-mapping measurement)\n"
+      "                              an engine warmed with the base circuit,\n"
+      "                              each rep checked bit-identical to a\n"
+      "                              cold run)\n"
       "  --bench-out FILE            bench output path ('-' = stdout;\n"
       "                              default BENCH_flow.json)\n"
       "  --serve                     serve JSONL mapping requests (one JSON\n"
@@ -424,13 +425,15 @@ std::string usage() {
       "  --fuzz-nodes M              max operator draws per random AIG\n"
       "                              (default 60)\n"
       "  --fuzz-mutate K             per iteration, also map K one-gate\n"
-      "                              mutants of the AIG on a memo-warmed\n"
-      "                              engine and assert bit-identity with a\n"
-      "                              cold engine (default 0 = off)\n"
-      "  --incremental-from FILE     map FILE (AIGER or BLIF) first to warm\n"
-      "                              the engine's cone memo, then map the\n"
-      "                              requested circuit incrementally; the\n"
-      "                              report shows per-pass reuse counters.\n"
+      "                              mutants of the AIG on an engine warmed\n"
+      "                              with the AIG and assert bit-identity\n"
+      "                              with a cold engine (default 0 = off)\n"
+      "  --incremental-from FILE     map FILE (AIGER or BLIF) first, then\n"
+      "                              the requested circuit on the same\n"
+      "                              engine: each pass whose input and\n"
+      "                              parameters match FILE's run reuses its\n"
+      "                              result, the rest recompute; the report\n"
+      "                              shows per-pass reuse counters.\n"
       "                              Results are bit-identical either way\n"
       "  --out-blif FILE             write the mapped netlist as BLIF\n"
       "  --out-dot FILE              write a stage-annotated DOT graph\n"

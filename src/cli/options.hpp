@@ -32,7 +32,7 @@ struct Options {
   std::string passes;          // --passes LIST (explicit pipeline, e.g.
                                //   "map,t1,stage,dff"; empty = default)
   std::string incremental_from;  // --incremental-from FILE (prime the
-                                 //   engine's cone memo by mapping FILE
+                                 //   engine's pass memo by mapping FILE
                                  //   first; the report gains reuse counters)
 
   // Bench harness (perf trajectory; see PERF.md).

@@ -89,8 +89,9 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
       results[i].flow = std::move(flows[i]);
     }
   } else {
-    // Each configuration primes a fresh cone memo with `prime` (untimed),
-    // then maps `aig`, splicing from it on the same worker.
+    // Each configuration primes a fresh pass memo with `prime` (untimed),
+    // then maps `aig` on the same worker, reusing each pass whose input and
+    // parameters match the primed run's.
     for (ConfigResult& c : results) {
       t1::FlowEngine engine(build_pipeline(opts));
       engine.set_threads(opts.threads);

@@ -52,10 +52,10 @@ t1::FlowParams config_params(const std::string& key, const Options& opts);
 /// one cold `FlowEngine::run_many` batch (with `--threads`, configurations
 /// run in parallel; results stay in `keys` order).  `prime`, when given
 /// (--incremental-from), instead runs the configurations one after
-/// another, each on a fresh engine that maps `prime` first to warm its cone
-/// memo; the timed run then splices from it and its reuse counters land in
-/// the results.  Throws ContractError if any configuration's check passes
-/// fail.
+/// another, each on a fresh engine that maps `prime` first to fill its pass
+/// memo; the timed run then reuses every pass whose input and parameters
+/// match, and its reuse counters land in the results.  Throws ContractError
+/// if any configuration's check passes fail.
 std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
                                       const Options& opts,

@@ -151,10 +151,10 @@ class ConfigChecker {
     return outcomes;
   }
 
-  /// The incremental bit-identity check: each one-gate mutant of `aig` must
-  /// map identically on a memo-warmed engine (primed with `aig` itself, so
-  /// the mutant run splices across the edit) and on a cold engine with
-  /// incremental mapping disabled.
+  /// The warm-vs-cold bit-identity check: each one-gate mutant of `aig`
+  /// must map identically on an engine whose pass memo was primed with
+  /// `aig` itself (so every pass key is tried against the edit) and on a
+  /// cold engine with the memo off.
   Outcome run_incremental(const Aig& aig, const Config& config,
                           std::uint64_t seed) {
     t1::FlowEngine warm{t1::Pipeline::default_flow(false)};

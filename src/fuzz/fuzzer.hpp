@@ -48,8 +48,8 @@ struct FuzzOptions {
   /// Mutants per (iteration, configuration) for the incremental check:
   /// each mutant (one-gate edit of the iteration's AIG, see mutate.hpp)
   /// is mapped twice — on an engine warmed by the unedited AIG and on a
-  /// cold engine with incremental mapping off — and the two results must
-  /// be bit-identical.  0 disables the check.
+  /// cold engine with the pass memo off — and the two results must be
+  /// bit-identical.  0 disables the check.
   int mutate = 0;
   int verify_rounds = 2;  // random-sim rounds inside the flow (cheap); the
                           // fuzzer's own SAT CEC is the real oracle

@@ -1,6 +1,6 @@
 /// \file mutate.hpp
 /// \brief Seeded small-edit AIG mutator — the near-duplicate generator of
-/// the incremental-mapping machinery.
+/// the warm-vs-cold checks.
 ///
 /// `mutate_aig` applies a handful of single-gate edits to a source AIG and
 /// rebuilds it through the normal strashing constructor, so the mutant is a

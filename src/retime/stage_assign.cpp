@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/csr.hpp"
+#include "common/hash_mix.hpp"
 
 namespace t1map::retime {
 
@@ -361,6 +362,14 @@ class ReleaseCostMemo {
 };
 
 }  // namespace
+
+std::uint64_t stage_params_key(const StageParams& params) {
+  std::uint64_t h = 0x5B7D9F0213468ACEull;  // domain seed
+  h = mix64(h ^ static_cast<std::uint64_t>(params.num_phases));
+  h = mix64(h ^ (params.optimize ? 1u : 0u));
+  h = mix64(h ^ static_cast<std::uint64_t>(params.max_sweeps));
+  return h;
+}
 
 StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
   T1MAP_REQUIRE(params.num_phases >= 1, "need at least one phase");

@@ -78,6 +78,10 @@ struct StageParams {
   int max_sweeps = 6;
 };
 
+/// Fingerprint of every `StageParams` field; part of the key of the
+/// engine's stage-pass memo.
+std::uint64_t stage_params_key(const StageParams& params);
+
 /// Assigns stages to every node of `ntk`.  Throws if the netlist contains a
 /// T1 core and `num_phases < 3` (T1 input separation is impossible then).
 StageAssignment assign_stages(const sfq::Netlist& ntk,

@@ -16,9 +16,8 @@ std::string Digest::hex() const {
 }
 
 Digest AigHasher::hash(const Aig& aig) {
-  // The per-node array *is* the cone-digest vector of the incremental
-  // mapper; the layers share one definition (aig/aig_digest.hpp) so the
-  // persisted whole-AIG digest bits can never drift from the cone keys.
+  // The per-node array is aig_digest's cone-digest vector, whose seeds are
+  // part of the persisted cache-key format (aig/aig_digest.hpp).
   aig_digest::cone_digests(aig, node_hash_);
 
   // Two independent absorption lanes make the final digest genuinely
@@ -35,11 +34,6 @@ Digest AigHasher::hash(const Aig& aig) {
     absorb(aig_digest::lit_digest(po, node_hash_));
   }
   return d;
-}
-
-const std::vector<std::uint64_t>& AigHasher::cone_digests(const Aig& aig) {
-  aig_digest::cone_digests(aig, node_hash_);
-  return node_hash_;
 }
 
 Digest hash_aig(const Aig& aig) {

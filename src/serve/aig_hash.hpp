@@ -48,12 +48,6 @@ class AigHasher {
  public:
   Digest hash(const Aig& aig);
 
-  /// Per-node cone digests (see aig/aig_digest.hpp) — the sub-keys of
-  /// cone-level incremental mapping.  The returned reference aliases this
-  /// hasher's internal array and is invalidated by the next `hash` or
-  /// `cone_digests` call.
-  const std::vector<std::uint64_t>& cone_digests(const Aig& aig);
-
  private:
   std::vector<std::uint64_t> node_hash_;
 };

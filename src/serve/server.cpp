@@ -244,8 +244,8 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
       job.result = std::move(results[m]);
       job.cached = cached[m] != 0;
       job.dispatched = true;
-      // Cache hits decode with zeroed reuse counters; count only computed
-      // ok-runs so the reported hit rates cover actual flow executions.
+      // Cache hits carry zeroed reuse counters; count only computed ok-runs
+      // so the reported hit rates cover actual flow executions.
       if (!job.cached && job.result.ok()) {
         const t1::ReuseCounters& r = job.result.reuse;
         inc_flow_runs_.fetch_add(1, std::memory_order_relaxed);
@@ -312,7 +312,7 @@ void Server::write_response(Connection& conn, const Job& job) {
     w.end_array().end_object();
 
     {
-      // Incremental (cone-memo) reuse over computed flow runs.
+      // Pass-memo reuse over computed flow runs.
       const std::uint64_t map_total =
           inc_map_total_.load(std::memory_order_relaxed);
       const std::uint64_t map_reused =
@@ -376,7 +376,7 @@ void Server::write_response(Connection& conn, const Job& job) {
 }
 
 void Server::run_session(Connection& conn, Transport& transport) {
-  // Each session owns its engine (pipeline state, workers and cone memo
+  // Each session owns its engine (pipeline state, workers and pass memo
   // are per-session) and hasher; the cache and the counters are the shared
   // state.
   t1::FlowEngine engine;
@@ -519,7 +519,7 @@ std::string Server::summary() const {
   if (map_total > 0) {
     os << ", incremental: "
        << inc_map_reused_.load(std::memory_order_relaxed) << "/" << map_total
-       << " map cones spliced";
+       << " map cones reused";
   }
   return os.str();
 }

@@ -147,11 +147,11 @@ class Server {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> connections_{0};
 
-  // Cone-memo (incremental mapping) reuse, accumulated over every computed
-  // (non-cached) flow run; the `stats` response reports them with hit
-  // rates.  A group whose misses run on worker 0 alone (one thread, or one
-  // miss) splices from the session engine's memo; misses spread over
-  // several workers run cold and add to the totals only.
+  // Pass-memo reuse, accumulated over every computed (non-cached) flow run;
+  // the `stats` response reports them with hit rates.  A group whose misses
+  // run on worker 0 alone (one thread, or one miss) may reuse whole pass
+  // results from the session engine's memo; misses spread over several
+  // workers run cold and add to the totals only.
   std::atomic<std::uint64_t> inc_flow_runs_{0};
   std::atomic<std::uint64_t> inc_map_total_{0};
   std::atomic<std::uint64_t> inc_map_reused_{0};

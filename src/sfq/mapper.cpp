@@ -4,9 +4,7 @@
 #include <array>
 #include <span>
 
-#include "aig/aig_digest.hpp"
 #include "common/hash_mix.hpp"
-#include "cut/cone_splice.hpp"
 
 namespace t1map::sfq {
 
@@ -157,36 +155,14 @@ std::uint64_t mapper_params_key(const MapperParams& params) {
 }
 
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
-                   MapStats* stats, CutWorkspace* workspace,
-                   MapMemo* memo, MapReuse* reuse) {
+                   MapStats* stats, CutWorkspace* workspace) {
   T1MAP_REQUIRE(params.cuts.k >= 2 && params.cuts.k <= 3,
                 "SFQ mapper supports cut sizes 2 and 3");
   CutWorkspace local_ws;
   CutWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  auto fanout = aig.fanout_counts();
+  const auto fanout = aig.fanout_counts();
 
-  // --- Cone correspondence against the memoized previous run. -------------
-  //
-  // With a usable memo, only the nodes outside the correspondence are
-  // enumerated and covered afresh; the rest are translated from the memo.
-  const std::uint64_t memo_key = mapper_params_key(params);
-  std::vector<std::uint64_t> digests;
-  ConeCorrespondence corr;
-  bool splice = false;
-  if (memo != nullptr) {
-    aig_digest::cone_digests(aig, digests);
-    if (memo->valid && memo->params_key == memo_key) {
-      build_cone_correspondence(aig, digests, fanout, memo->digests,
-                                memo->fanouts, corr);
-      splice = corr.num_clean > 0;
-    }
-  }
-
-  if (splice) {
-    enumerate_cuts_spliced(aig, params.cuts, ws, memo->cuts, corr);
-  } else {
-    enumerate_cuts_into(aig, params.cuts, ws);
-  }
+  enumerate_cuts_into(aig, params.cuts, ws);
   const CutSet& cuts = ws.cuts;
 
   // --- Covering DP: best (raw arrival, flow) choice per AND node. ----------
@@ -207,11 +183,11 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     return arrival[leaf] + ((planned_neg[leaf] != 0) != want_neg ? not_stage : 0);
   };
 
-  // The full DP step for one AND node.  Reads arrival/flow/planned_neg only
-  // at the cut leaves, which precede it in topological order, and writes
-  // only this node's slots.
+  // One DP step per AND node, in topological order: it reads the DP values
+  // of the cut leaves, which precede it, and writes only its own slots.
   const ReductionTable& reductions = reduction_table();
-  const auto compute_node = [&](std::uint32_t n) {
+  for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
+    if (!aig.is_and(n)) continue;
     MapChoice chosen;
     const double fanout_div = std::max<std::uint32_t>(1, fanout[n]);
     for (const Cut& cut : cuts[n]) {
@@ -287,39 +263,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     arrival[n] = chosen.arrival;
     flow[n] = chosen.flow;
     planned_neg[n] = chosen.config.output_neg ? 1 : 0;
-  };
-
-  if (reuse != nullptr) {
-    reuse->cones_total = aig.num_ands();
-    reuse->cones_reused = 0;
-  }
-  if (splice) {
-    // Clean nodes take the memoized DP verdict with leaf ids translated;
-    // the clean predicate (digests, fanouts, fanins transitively) makes the
-    // copied arrival/flow/polarity exactly what recomputation would yield.
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      if (!aig.is_and(n)) continue;
-      const std::uint32_t o = corr.new_to_old[n];
-      if (o == kNoCorrespondent) {
-        compute_node(n);
-        continue;
-      }
-      MapChoice c = memo->choices[o];
-      T1MAP_ASSERT(c.valid);
-      for (std::uint8_t i = 0; i < c.num_leaves; ++i) {
-        c.leaves[i] = corr.old_to_new[c.leaves[i]];
-        T1MAP_ASSERT(c.leaves[i] != kNoCorrespondent);
-      }
-      best[n] = c;
-      arrival[n] = c.arrival;
-      flow[n] = c.flow;
-      planned_neg[n] = c.config.output_neg ? 1 : 0;
-      if (reuse != nullptr) ++reuse->cones_reused;
-    }
-  } else {
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      if (aig.is_and(n)) compute_node(n);
-    }
   }
 
   // --- Cover extraction: mark required nodes from the POs. -----------------
@@ -420,20 +363,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
       continue;
     }
     ntk.add_po(get_signal(n, lit_is_complemented(po)), aig.po_name(i));
-  }
-
-  // --- Memo refill: this run becomes the baseline for the next one. --------
-  //
-  // Everything is moved, not copied — the workspace cut arena and the DP
-  // choice vector are exactly the artifacts a future splice needs, and the
-  // caller's workspace is reset at the top of every call anyway.
-  if (memo != nullptr) {
-    memo->digests = std::move(digests);
-    memo->fanouts = std::move(fanout);
-    memo->cuts = std::move(ws.cuts);
-    memo->choices = std::move(best);
-    memo->params_key = memo_key;
-    memo->valid = true;
   }
 
   if (stats != nullptr) {

@@ -67,8 +67,7 @@ const SupportReduction& reduce_support(const Tt& tt);
 
 /// The covering DP's decision for one AND node: the chosen cut (active
 /// leaves in truth-table variable order), its function, the cell config
-/// realizing it, and the DP values downstream consumers read.  Flat and
-/// copyable — this is the per-cone artifact the incremental mapper splices.
+/// realizing it, and the DP values downstream consumers read.
 struct MapChoice {
   std::array<std::uint32_t, kMaxCutLeaves> leaves{};
   std::uint8_t num_leaves = 0;
@@ -83,53 +82,20 @@ struct MapChoice {
   }
 };
 
-/// Retained artifacts of one mapping run, keyed by per-node cone digests:
-/// the full cut sets and DP choices, plus the digests/fanouts needed to
-/// build a cone correspondence against the next AIG.  Owned by
-/// `t1::ConeMemo`; contents are moved in after each run (no deep copies).
-struct MapMemo {
-  bool valid = false;
-  std::uint64_t params_key = 0;  // fingerprint of the cut parameters
-  std::vector<std::uint64_t> digests;
-  std::vector<std::uint32_t> fanouts;
-  CutSet cuts;
-  std::vector<MapChoice> choices;
-
-  void clear() {
-    valid = false;
-    params_key = 0;
-  }
-};
-
-/// Fingerprint of every `MapperParams` field that influences memoized
-/// artifacts; a mismatch invalidates a `MapMemo` wholesale.
+/// Fingerprint of every `MapperParams` field that influences the mapped
+/// netlist; part of the key of the engine's map-pass memo.
 std::uint64_t mapper_params_key(const MapperParams& params);
-
-/// Reuse counters of one `map_to_sfq` call: AND nodes total vs. spliced
-/// from the memo (a cold run reports reused = 0).
-struct MapReuse {
-  std::uint32_t cones_total = 0;
-  std::uint32_t cones_reused = 0;
-};
 
 /// Maps `aig` to an SFQ netlist with identical PI/PO interface and
 /// function.  The result contains logic cells only (no DFFs, no T1s —
 /// T1 substitution is the separate detection pass of t1/).  Every node
-/// records its AIG origin (netlist.hpp), memo-warm runs included.
+/// records its AIG origin (netlist.hpp).
 ///
 /// `workspace`, when given, supplies the cut-enumeration arena; it is reset
 /// per call, so reusing one workspace across many mappings avoids the
 /// per-run arena growth without changing the result.
-///
-/// `memo`, when given, enables cone-level incremental mapping: cut sets and
-/// DP choices of nodes whose fan-in cone digest (and fanout count) match a
-/// node of the memoized previous run are spliced instead of recomputed, and
-/// the memo is refilled with this run's artifacts before returning.  The
-/// mapped netlist is bit-identical to a memo-less run.  `reuse`, when
-/// given, receives the splice counters.
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params = {},
                    MapStats* stats = nullptr,
-                   CutWorkspace* workspace = nullptr,
-                   MapMemo* memo = nullptr, MapReuse* reuse = nullptr);
+                   CutWorkspace* workspace = nullptr);
 
 }  // namespace t1map::sfq

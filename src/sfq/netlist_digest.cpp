@@ -4,43 +4,8 @@
 
 namespace t1map::sfq {
 
-namespace {
-
-// Domain-separation seeds.  Unlike the AIG digest seeds these are not a
-// persisted key format (cone memos live and die with one engine), but
-// keeping them distinct from aig_digest's avoids cross-domain coincidences.
-constexpr std::uint64_t kKindSeed = 0x6A09E667F3BCC909ull;
-constexpr std::uint64_t kPiIndexSeed = 0xBB67AE8584CAA73Bull;
-constexpr std::uint64_t kIdentitySeed = 0x3C6EF372FE94F82Bull;
-
-std::uint64_t combine(std::uint64_t a, std::uint64_t b) {
-  return mix64(a ^ mix64(b));
-}
-
-}  // namespace
-
-void netlist_cone_digests(const Netlist& ntk, std::vector<std::uint64_t>& out) {
-  const std::uint32_t n = ntk.num_nodes();
-  out.assign(n, 0);
-  const auto pis = ntk.pis();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    out[pis[i]] = combine(kPiIndexSeed, static_cast<std::uint64_t>(i));
-  }
-  // Node ids are a topological order: one forward sweep sees every fanin
-  // before its consumer.  Fanins are absorbed in pin order — MAJ3 happens
-  // to be symmetric, but taps and future asymmetric cells are not, and a
-  // pin-order digest is sound for both.
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (ntk.is_pi(id)) continue;
-    std::uint64_t h =
-        combine(kKindSeed, static_cast<std::uint64_t>(ntk.kind(id)));
-    for (const std::uint32_t f : ntk.fanins(id)) h = combine(h, out[f]);
-    out[id] = h;
-  }
-}
-
 std::uint64_t netlist_identity_digest(const Netlist& ntk) {
-  std::uint64_t h = kIdentitySeed;
+  std::uint64_t h = 0x3C6EF372FE94F82Bull;  // domain seed
   const auto absorb = [&h](std::uint64_t x) { h = mix64(h ^ x); };
   absorb(ntk.num_nodes());
   for (std::uint32_t id = 0; id < ntk.num_nodes(); ++id) {

@@ -1,35 +1,23 @@
 /// \file netlist_digest.hpp
-/// \brief Structural digests of SFQ netlists, the sub-keys of cone-level
-/// incremental T1 detection and stage-assignment memoization.
+/// \brief Identity digest of an SFQ netlist, the input key of the engine's
+/// T1-detection and stage-assignment memo (t1/pass_memo.hpp).
 ///
-/// Two distinct notions, for two distinct reuse granularities:
+/// `netlist_identity_digest` is a raw hash of the id-level structure
+/// (kinds, fanin ids, PO drivers).  Equal identity digests mean the two
+/// netlists are the *same object* node for node, which is what makes
+/// whole-pass results (a `DetectResult`, a `StageAssignment` — both
+/// node-id-based) safe to reuse verbatim.
 ///
-///   * `cone_digests` — per-node canonical hashes of each node's fan-in
-///     cone: renumbering-insensitive (a PI folds in its PI index, a cell its
-///     kind plus its fanin digests *in pin order* — cells are not
-///     commutation-normalized), so near-duplicate netlists agree on every
-///     node outside the edited region.  Used to splice per-node cut sets.
-///   * `identity_digest` — a raw hash of the id-level structure (kinds,
-///     fanin ids, PO drivers).  Equal identity digests mean the two
-///     netlists are the *same object* node for node, which is what makes
-///     whole-pass results (a `DetectResult`, a `StageAssignment` — both
-///     node-id-based) safe to splice verbatim.
-///
-/// PI/PO names are deliberately excluded from both: T1 detection and stage
-/// assignment are name-blind.
+/// PI/PO names and AIG origins are deliberately excluded: T1 detection and
+/// stage assignment read neither.
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sfq/netlist.hpp"
 
 namespace t1map::sfq {
-
-/// Fills `out` (resized to `ntk.num_nodes()`) with the canonical fan-in
-/// cone digest of every node.
-void netlist_cone_digests(const Netlist& ntk, std::vector<std::uint64_t>& out);
 
 /// Raw id-level structural hash: node stream (kind, fanin ids) plus the PO
 /// driver sequence.  Names excluded.

@@ -5,11 +5,12 @@
 #include <sstream>
 #include <utility>
 
+#include "aig/aig_digest.hpp"
 #include "common/hash_mix.hpp"
 #include "common/worker_pool.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist_digest.hpp"
-#include "t1/cone_memo.hpp"
+#include "t1/pass_memo.hpp"
 #include "t1/t1_detect.hpp"
 #include "t1/t1_rewrite.hpp"
 
@@ -25,6 +26,38 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 
 std::uint64_t absorb(std::uint64_t acc, std::uint64_t value) {
   return mix64(acc ^ value);
+}
+
+/// The one reuse rule of the map, t1 and stage passes (pass_memo.hpp).
+/// Without a memo it computes into `out`.  With one, it copies out the
+/// slot's result when the slot was filled under `make_key()`, and otherwise
+/// computes and stores a copy.  Returns true on a hit.
+template <class Result, class MakeKey, class Compute>
+bool reuse_or_compute(PassMemo* memo, PassSlot<Result> PassMemo::*slot_of,
+                      MakeKey make_key, Compute compute, Result& out) {
+  if (memo == nullptr) {
+    out = compute();
+    return false;
+  }
+  PassSlot<Result>& slot = memo->*slot_of;
+  const PassKey key = make_key();
+  if (slot.valid && slot.key == key) {
+    out = slot.result;
+    return true;
+  }
+  out = compute();
+  slot.result = out;
+  slot.key = key;
+  slot.valid = true;
+  return false;
+}
+
+long count_logic_cells(const sfq::Netlist& ntk) {
+  long count = 0;
+  for (std::uint32_t v = 0; v < ntk.num_nodes(); ++v) {
+    if (sfq::cell_is_logic(ntk.kind(v))) ++count;
+  }
+  return count;
 }
 
 }  // namespace
@@ -109,13 +142,20 @@ void FlowContext::fail(FlowStatus failure, std::string pass,
 // --- Passes ------------------------------------------------------------------
 
 bool MapPass::run(FlowContext& ctx) const {
-  sfq::MapStats map_stats;
-  sfq::MapReuse map_reuse;
-  ctx.mapped = sfq::map_to_sfq(
-      ctx.aig, ctx.params.mapper, &map_stats, &ctx.scratch.cuts,
-      ctx.memo != nullptr ? &ctx.memo->map : nullptr, &map_reuse);
-  ctx.reuse.map_cones_total = map_reuse.cones_total;
-  ctx.reuse.map_cones_reused = map_reuse.cones_reused;
+  const bool reused = reuse_or_compute(
+      ctx.memo, &PassMemo::map,
+      [&] {
+        return PassKey{aig_digest::identity_digest(ctx.aig),
+                       sfq::mapper_params_key(ctx.params.mapper)};
+      },
+      [&] {
+        sfq::MapStats map_stats;
+        return sfq::map_to_sfq(ctx.aig, ctx.params.mapper, &map_stats,
+                               &ctx.scratch.cuts);
+      },
+      ctx.mapped);
+  ctx.reuse.map_cones_total = ctx.aig.num_ands();
+  ctx.reuse.map_cones_reused = reused ? ctx.reuse.map_cones_total : 0;
   ctx.mapped.check_well_formed();
   ctx.has_mapped = true;
   return true;
@@ -127,14 +167,22 @@ bool T1DetectPass::run(FlowContext& ctx) const {
   if (!ctx.params.use_t1) return true;  // disabled by configuration
   T1MAP_REQUIRE(ctx.params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
-  DetectReuse det_reuse;
-  const DetectResult det = detect_t1(
-      ctx.mapped, ctx.params.detect, &ctx.scratch.cuts,
-      &ctx.scratch.t1_detect,
-      ctx.memo != nullptr ? &ctx.memo->detect : nullptr, &det_reuse);
-  ctx.reuse.t1_cones_total = det_reuse.cones_total;
-  ctx.reuse.t1_cones_reused = det_reuse.cones_reused;
-  ctx.reuse.t1_exact = det_reuse.exact;
+  DetectResult det;
+  const bool reused = reuse_or_compute(
+      ctx.memo, &PassMemo::t1,
+      [&] {
+        return PassKey{sfq::netlist_identity_digest(ctx.mapped),
+                       detect_params_key(ctx.params.detect)};
+      },
+      [&] {
+        return detect_t1(ctx.mapped, ctx.params.detect, &ctx.scratch.cuts,
+                         &ctx.scratch.t1_detect);
+      },
+      det);
+  ctx.reuse.t1_cones_total =
+      static_cast<std::uint32_t>(count_logic_cells(ctx.mapped));
+  ctx.reuse.t1_cones_reused = reused ? ctx.reuse.t1_cones_total : 0;
+  ctx.reuse.t1_exact = reused;
   ctx.stats.t1_found = det.found;
   ctx.stats.t1_used = det.used;
   if (!det.accepted.empty()) {
@@ -150,27 +198,14 @@ bool StageAssignPass::run(FlowContext& ctx) const {
   const retime::StageParams stage_params{
       ctx.params.num_phases, ctx.params.optimize_stages,
       ctx.params.stage_sweeps};
-  // The coordinate-descent optimizer is move-sequence dependent, so there
-  // is no sound cone-level splice here; instead an identity-digest match of
-  // the (post-T1) netlist reuses the whole memoized assignment — the common
-  // case when the upstream passes absorbed an edit or on exact re-runs.
-  if (ctx.memo != nullptr) {
-    const std::uint64_t key = stage_params_key(stage_params);
-    const std::uint64_t identity = sfq::netlist_identity_digest(ctx.mapped);
-    StageMemo& sm = ctx.memo->stage;
-    if (sm.valid && sm.params_key == key && sm.identity == identity) {
-      ctx.assignment = sm.assignment;
-      ctx.reuse.stage_spliced = true;
-    } else {
-      ctx.assignment = retime::assign_stages(ctx.mapped, stage_params);
-      sm.assignment = ctx.assignment;
-      sm.identity = identity;
-      sm.params_key = key;
-      sm.valid = true;
-    }
-  } else {
-    ctx.assignment = retime::assign_stages(ctx.mapped, stage_params);
-  }
+  ctx.reuse.stage_spliced = reuse_or_compute(
+      ctx.memo, &PassMemo::stage,
+      [&] {
+        return PassKey{sfq::netlist_identity_digest(ctx.mapped),
+                       retime::stage_params_key(stage_params)};
+      },
+      [&] { return retime::assign_stages(ctx.mapped, stage_params); },
+      ctx.assignment);
   ctx.has_assignment = true;
   return true;
 }
@@ -190,10 +225,7 @@ bool DffInsertPass::run(FlowContext& ctx) const {
   s.num_stages = ctx.materialized.stages.sigma_po;
   s.t1_cores = mat.num_t1();
   s.splitters = mat.splitter_count();
-  s.logic_cells = 0;
-  for (std::uint32_t v = 0; v < mat.num_nodes(); ++v) {
-    if (sfq::cell_is_logic(mat.kind(v))) ++s.logic_cells;
-  }
+  s.logic_cells = count_logic_cells(mat);
   return true;
 }
 
@@ -408,7 +440,7 @@ void FlowEngine::set_incremental(bool enabled) {
   if (!enabled) {
     memo_.reset();
   } else if (memo_ == nullptr) {
-    memo_ = std::make_unique<ConeMemo>();
+    memo_ = std::make_unique<PassMemo>();
   }
 }
 
@@ -424,7 +456,7 @@ void FlowEngine::set_threads(int threads) {
 }
 
 EngineResult FlowEngine::run_with(const Aig& aig, const FlowParams& params,
-                                  FlowScratch& scratch, ConeMemo* memo) const {
+                                  FlowScratch& scratch, PassMemo* memo) const {
   T1MAP_REQUIRE(params.num_phases >= 1, "need at least one phase");
   T1MAP_REQUIRE(!params.use_t1 || params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
@@ -498,9 +530,9 @@ std::vector<EngineResult> FlowEngine::run_many(
 
   if (!compute.empty()) {
     // Whole jobs go to the workers.  One thread or one job to compute runs
-    // inline on worker 0, the only one that splices from the cone memo.
+    // inline on worker 0, the only one that reuses from the pass memo.
     const bool inline_run = threads() == 1 || compute.size() == 1;
-    ConeMemo* memo = inline_run ? memo_.get() : nullptr;
+    PassMemo* memo = inline_run ? memo_.get() : nullptr;
     for_each_chunk(inline_run ? nullptr : pool_.get(), compute.size(),
                    /*grain=*/1,
                    [&](std::size_t begin, std::size_t end, int worker) {

@@ -4,8 +4,8 @@
 /// A `FlowEngine` is the one way to run the flow, once or many times.  It
 /// owns the reusable state: a persistent pool of worker threads, one
 /// `FlowScratch` per worker (cut-enumeration arenas, the SAT solver,
-/// simulation buffers) and the cone memo of incremental mapping.  It
-/// executes an explicit `Pipeline` of `Pass` objects over a `FlowContext`.
+/// simulation buffers) and the pass memo (pass_memo.hpp).  It executes an
+/// explicit `Pipeline` of `Pass` objects over a `FlowContext`.
 ///
 /// Design points:
 ///   * Passes are stateless and const; all evolving data lives in the
@@ -100,18 +100,20 @@ const char* cec_verdict_name(sat::CecResult::Verdict verdict);
 
 // --- Engine state ------------------------------------------------------------
 
-struct ConeMemo;  // cone_memo.hpp — the incremental-mapping retained store
+struct PassMemo;  // pass_memo.hpp — the previous result of each pass
 
-/// Cone/pass reuse counters of one run.  Zero reuse (and false flags) on a
-/// cold run, one without a cone memo; the counters never affect the mapped
-/// result — splices are bit-identical by construction.
+/// What one run reused from the pass memo.  Each pass either reuses its
+/// whole previous result or recomputes: on a hit its `reused` count equals
+/// its total and its flag is set, on a miss it reuses nothing, and a run
+/// without a memo reuses nothing.  The totals are filled on every run of
+/// the pass.  Reuse never changes a result.
 struct ReuseCounters {
-  std::uint32_t map_cones_total = 0;   // AND cones seen by the mapper
-  std::uint32_t map_cones_reused = 0;  // … spliced from the memo
-  std::uint32_t t1_cones_total = 0;    // logic cones seen by T1 detection
-  std::uint32_t t1_cones_reused = 0;   // … whose cut sets were spliced
-  bool t1_exact = false;       // whole DetectResult reused (identity hit)
-  bool stage_spliced = false;  // whole StageAssignment reused (identity hit)
+  std::uint32_t map_cones_total = 0;   // AND nodes of the mapped AIG
+  std::uint32_t map_cones_reused = 0;  // … all of them on a map hit
+  std::uint32_t t1_cones_total = 0;    // logic cells T1 detection saw
+  std::uint32_t t1_cones_reused = 0;   // … all of them on a t1 hit
+  bool t1_exact = false;       // DetectResult reused (t1 hit)
+  bool stage_spliced = false;  // StageAssignment reused (stage hit)
 };
 
 /// Reusable per-thread scratch: every allocation-heavy substrate the passes
@@ -129,17 +131,17 @@ struct FlowScratch {
 /// ordering contracts.  Only the engine builds one.
 struct FlowContext {
   FlowContext(const Aig& source, const FlowParams& flow_params,
-              FlowScratch& worker, ConeMemo* cone_memo)
-      : aig(source), params(flow_params), scratch(worker), memo(cone_memo) {}
+              FlowScratch& worker, PassMemo* pass_memo)
+      : aig(source), params(flow_params), scratch(worker), memo(pass_memo) {}
 
   // Inputs.
   const Aig& aig;
   FlowParams params;
   FlowScratch& scratch;  // the allocations of the worker running the pipeline
-  /// Incremental-mapping store (cone_memo.hpp), or null for a cold run.
-  /// The engine passes its memo only to runs on worker 0 alone: the memo is
-  /// single-threaded state.
-  ConeMemo* memo;
+  /// The previous result of the map, t1 and stage passes (pass_memo.hpp),
+  /// or null for a cold run.  The engine passes its memo only to runs on
+  /// worker 0 alone: the memo is single-threaded state.
+  PassMemo* memo;
 
   // Evolving netlist state.
   sfq::Netlist mapped;  // post-mapping (and post-T1-rewrite) network
@@ -372,10 +374,8 @@ struct EngineResult {
   FlowStats stats;
   StageTimes times;
   Diagnostics diagnostics;
-  /// Incremental-mapping reuse counters.  The totals are populated on
-  /// every executed run (cold runs report N total / 0 reused, so hit rates
-  /// accumulated over mixed runs stay meaningful); results decoded from a
-  /// serve cache carry all zeros — the codec does not persist them.
+  /// What this run reused from the pass memo (see `ReuseCounters`).  A
+  /// result served from a `RunCache` carries all zeros: it ran no pass.
   ReuseCounters reuse;
   std::string cec = "skipped";
 };
@@ -397,17 +397,18 @@ class FlowEngine {
   /// Engine over the default Table-I pipeline (no CEC).
   FlowEngine();
   explicit FlowEngine(Pipeline pipeline);
-  ~FlowEngine();  // out of line: ConeMemo and WorkerPool are incomplete here
+  ~FlowEngine();  // out of line: PassMemo and WorkerPool are incomplete here
 
   const Pipeline& pipeline() const { return pipeline_; }
   void set_pipeline(Pipeline pipeline);
 
-  /// Cone-level incremental mapping across this engine's runs (default on):
-  /// consecutive runs on worker 0 splice per-cone artifacts of the previous
-  /// run where structural digests match, which makes re-running after a
-  /// small edit — or an exact re-run — cheap.  Results are always
-  /// bit-identical to cold runs; `EngineResult::reuse` reports how much was
-  /// spliced.  Turning it off drops the retained store.
+  /// The pass memo across this engine's runs (default on): on worker 0,
+  /// the map, t1 and stage passes each reuse their whole previous result
+  /// when their input and parameters are the ones it was computed from,
+  /// and otherwise recompute (pass_memo.hpp).  An exact re-run is cheap; an
+  /// edited design recomputes from the first pass whose input changed.
+  /// Results are always identical to cold runs; `EngineResult::reuse`
+  /// reports what was reused.  Turning it off drops the memo.
   void set_incremental(bool enabled);
   bool incremental() const { return memo_ != nullptr; }
 
@@ -424,8 +425,8 @@ class FlowEngine {
 
   /// Deterministic batched execution; results are index-aligned with `jobs`
   /// and identical to running each job alone, at any thread count.  A batch
-  /// that runs on worker 0 alone (one job to compute, or one thread) splices
-  /// from the cone memo; a batch spread over several workers runs cold.  The
+  /// that runs on worker 0 alone (one job to compute, or one thread) reuses
+  /// from the pass memo; a batch spread over several workers runs cold.  The
   /// first exception a job throws (a contract violation) is rethrown on the
   /// calling thread, and the engine stays usable.
   ///
@@ -441,13 +442,13 @@ class FlowEngine {
                                          nullptr);
 
  private:
-  /// Executes the pipeline on `aig` with `scratch`, splicing from `memo`
+  /// Executes the pipeline on `aig` with `scratch`, reusing from `memo`
   /// when it is not null.
   EngineResult run_with(const Aig& aig, const FlowParams& params,
-                        FlowScratch& scratch, ConeMemo* memo) const;
+                        FlowScratch& scratch, PassMemo* memo) const;
 
   Pipeline pipeline_;
-  std::unique_ptr<ConeMemo> memo_;  // null when incremental mapping is off
+  std::unique_ptr<PassMemo> memo_;  // null when the memo is off
   std::deque<FlowScratch> workers_;   // one per thread; worker 0 runs `run`
   std::unique_ptr<WorkerPool> pool_;  // the batch workers; null at 1 thread
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/hash_mix.hpp"
-#include "cut/cone_splice.hpp"
-#include "sfq/netlist_digest.hpp"
 
 namespace t1map::t1 {
 
@@ -225,66 +223,13 @@ std::uint64_t detect_params_key(const DetectParams& params) {
 }
 
 DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
-                       CutWorkspace* workspace, DetectScratch* scratch,
-                       DetectMemo* memo, DetectReuse* reuse) {
+                       CutWorkspace* workspace, DetectScratch* scratch) {
   T1MAP_REQUIRE(ntk.num_t1() == 0,
                 "detect_t1 expects a netlist without T1 cells");
-  const auto count_logic = [&ntk] {
-    std::uint32_t count = 0;
-    for (std::uint32_t v = 0; v < ntk.num_nodes(); ++v) {
-      if (sfq::cell_is_logic(ntk.kind(v))) ++count;
-    }
-    return count;
-  };
-  if (reuse != nullptr) *reuse = DetectReuse{};
-
-  // --- Incremental fast paths (see DetectMemo). ----------------------------
-  const std::uint64_t memo_key = detect_params_key(params);
-  std::uint64_t identity = 0;
-  std::vector<std::uint64_t> digests;
-  std::vector<std::uint32_t> fanout_counts;
-  ConeCorrespondence corr;
-  bool splice = false;
-  if (memo != nullptr) {
-    identity = sfq::netlist_identity_digest(ntk);
-    if (memo->valid && memo->params_key == memo_key &&
-        memo->identity == identity) {
-      // The input is node-for-node the memoized netlist: the whole result
-      // (node-id-based) applies verbatim, and the memo stays as-is.
-      if (reuse != nullptr) {
-        reuse->cones_total = count_logic();
-        reuse->cones_reused = reuse->cones_total;
-        reuse->exact = true;
-      }
-      return memo->result;
-    }
-    sfq::netlist_cone_digests(ntk, digests);
-    fanout_counts = ntk.fanout_counts();
-    if (memo->valid && memo->params_key == memo_key) {
-      build_cone_correspondence(ntk, digests, fanout_counts, memo->digests,
-                                memo->fanouts, corr);
-      splice = corr.num_clean > 0;
-    }
-  }
-
   CutWorkspace local_ws;
   CutWorkspace& cut_ws = workspace != nullptr ? *workspace : local_ws;
-  if (splice) {
-    enumerate_cuts_spliced(ntk, params.cuts, cut_ws, memo->cuts, corr);
-  } else {
-    enumerate_cuts_into(ntk, params.cuts, cut_ws);
-  }
+  enumerate_cuts_into(ntk, params.cuts, cut_ws);
   const CutSet& cuts = cut_ws.cuts;
-  if (reuse != nullptr) {
-    reuse->cones_total = count_logic();
-    if (splice) {
-      for (std::uint32_t v = 0; v < ntk.num_nodes(); ++v) {
-        if (sfq::cell_is_logic(ntk.kind(v)) && corr.clean(v)) {
-          ++reuse->cones_reused;
-        }
-      }
-    }
-  }
 
   DetectScratch local_scratch;
   DetectScratch& ws = scratch != nullptr ? *scratch : local_scratch;
@@ -466,18 +411,6 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
   }
   result.used = static_cast<int>(result.accepted.size());
 
-  // --- Memo refill: this run becomes the baseline for the next one. --------
-  // The result is copied (it is also the return value); the cut arena is
-  // moved — the caller's workspace is reset at the top of every call.
-  if (memo != nullptr) {
-    memo->digests = std::move(digests);
-    memo->fanouts = std::move(fanout_counts);
-    memo->cuts = std::move(cut_ws.cuts);
-    memo->result = result;
-    memo->identity = identity;
-    memo->params_key = memo_key;
-    memo->valid = true;
-  }
   return result;
 }
 

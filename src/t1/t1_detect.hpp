@@ -76,46 +76,9 @@ struct DetectResult {
   int used = 0;
 };
 
-/// Retained artifacts of one detection run, for incremental reuse at two
-/// granularities (see sfq/netlist_digest.hpp):
-///
-///   * equal `identity` digest → the input netlist is node-for-node the
-///     previous one, so the whole (node-id-based) `DetectResult` is returned
-///     verbatim — detection cost drops to one hash sweep;
-///   * otherwise, per-node cone digests splice the memoized cut sets of
-///     clean cones; grouping, MFFC and overlap resolution rerun over them
-///     (they are global by nature) and stay bit-identical because their
-///     input — the cut sets — is.
-///
-/// Owned by `t1::ConeMemo`; refilled (moved, not copied) after each run.
-struct DetectMemo {
-  bool valid = false;
-  std::uint64_t params_key = 0;
-  std::uint64_t identity = 0;
-  std::vector<std::uint64_t> digests;
-  std::vector<std::uint32_t> fanouts;
-  CutSet cuts;
-  DetectResult result;
-
-  void clear() {
-    valid = false;
-    params_key = 0;
-    identity = 0;
-  }
-};
-
-/// Fingerprint of every `DetectParams` field that influences memoized
-/// artifacts; a mismatch invalidates a `DetectMemo` wholesale.
+/// Fingerprint of every `DetectParams` field that influences the result;
+/// part of the key of the engine's T1-pass memo.
 std::uint64_t detect_params_key(const DetectParams& params);
-
-/// Reuse counters of one `detect_t1` call: logic cones total vs. cut sets
-/// spliced from the memo; `exact` flags the identity-digest fast path
-/// (where reused == total by definition).
-struct DetectReuse {
-  std::uint32_t cones_total = 0;
-  std::uint32_t cones_reused = 0;
-  bool exact = false;
-};
 
 /// Reusable flat storage for `detect_t1` (the `CutWorkspace` pattern): the
 /// CSR consumer lists, the hash-indexed candidate-group table, the match
@@ -171,14 +134,9 @@ struct DetectScratch {
 /// supplies the cut-enumeration arena, and `scratch` the grouping/MFFC
 /// storage (both reset per call; reuse across runs avoids arena growth
 /// without changing the result).
-///
-/// `memo`, when given, enables incremental detection (see `DetectMemo`);
-/// the result is bit-identical to a memo-less run.  `reuse`, when given,
-/// receives the splice counters.
 DetectResult detect_t1(const sfq::Netlist& ntk,
                        const DetectParams& params = {},
                        CutWorkspace* workspace = nullptr,
-                       DetectScratch* scratch = nullptr,
-                       DetectMemo* memo = nullptr, DetectReuse* reuse = nullptr);
+                       DetectScratch* scratch = nullptr);
 
 }  // namespace t1map::t1

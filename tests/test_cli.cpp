@@ -82,7 +82,7 @@ TEST(Cli, BenchModeEmitsStageTimings) {
   const io::Json bench = io::Json::parse(out);
   EXPECT_EQ(bench.at("bench").as_string(), "flow");
   // Repetitions run cold (the harness REQUIREs no memo reuse per run), so
-  // run 2 measures the flow, not a splice of run 1.
+  // run 2 measures the flow, not a reuse of run 1.
   EXPECT_EQ(bench.at("regime").as_string(), "cold");
   EXPECT_EQ(bench.at("config").as_string(), "t1");
   EXPECT_EQ(bench.at("runs").as_number(), 2);

@@ -5,7 +5,7 @@
 //   * run_many is deterministic: the same inputs on 1 vs N threads yield
 //     identical FlowStats, on workers that persist across batches of any
 //     shape and across a failed batch (this suite is also a TSan CI target);
-//   * only runs on worker 0 alone splice from the cone memo;
+//   * only runs on worker 0 alone reuse from the pass memo;
 //   * structured diagnostics, pass selection/parsing, and the ordering
 //     contracts of custom pipelines.
 

@@ -1,13 +1,14 @@
-// Cone-level incremental mapping invariants:
-//   * per-node cone digests are insensitive to node renumbering (structural
-//     isomorphism => identical digest multisets);
-//   * a single-gate edit dirties exactly the edited node's transitive
-//     fanout cone, nothing else;
+// The pass memo: each of the map, t1 and stage passes reuses its whole
+// previous result when its input and parameters match, else recomputes.
+//   * per-node cone digests (the serve cache key's per-node array) are
+//     insensitive to node renumbering, and a single-gate edit changes
+//     exactly the edited node's transitive-fanout digests;
 //   * a memo-warmed engine reproduces cold runs bit-for-bit across every
-//     regression generator (plus cordic28) and random one-gate mutants;
-//   * a one-gate edit on mul8 reuses > 80% of the mapper's cones;
-//   * exact re-runs splice the whole T1-detection and stage-assignment
-//     results.
+//     regression generator (plus cordic28) on random one-gate mutants; an
+//     edited AIG misses the map slot, and t1 and stage reuse only when
+//     the edit leaves their input netlist the same node for node;
+//   * exact re-runs reuse all three passes, a phase change reuses map and
+//     t1 only, and a port rename misses the map slot.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,8 @@
 #include "fuzz/mutate.hpp"
 #include "gen/registry.hpp"
 #include "io/blif.hpp"
-#include "t1/cone_memo.hpp"
+#include "sfq/mapper.hpp"
+#include "sfq/netlist_digest.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map {
@@ -68,22 +70,6 @@ Aig toggle_fanin0(const Aig& src, std::uint32_t target) {
     out.create_po(translate(src.po(i)), src.po_name(i));
   }
   return out;
-}
-
-/// The highest-id AND whose fanin0 toggle keeps the node count (no strash
-/// collapse) — its transitive fanout is just itself, so the edit dirties
-/// exactly one cone.
-std::uint32_t last_safe_toggle(const Aig& src, Aig* edited) {
-  for (std::uint32_t n = src.num_nodes(); n-- > 1;) {
-    if (!src.is_and(n)) continue;
-    Aig candidate = toggle_fanin0(src, n);
-    if (candidate.num_nodes() == src.num_nodes()) {
-      *edited = std::move(candidate);
-      return n;
-    }
-  }
-  ADD_FAILURE() << "no strash-safe toggle target found";
-  return 0;
 }
 
 TEST(ConeDigests, RenumberingYieldsIdenticalDigestMultiset) {
@@ -175,42 +161,32 @@ TEST(Incremental, WarmRunsAreBitIdenticalToColdAcrossGenerators) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       const Aig mutant = fuzz::mutate_aig(base, fuzz::MutateOptions{seed, 1});
 
-      (void)warm.run(base, params);  // prime the memo across the edit
+      // Prime the memo with the base, then run across the edit.
+      const t1::EngineResult primed = warm.run(base, params);
       const t1::EngineResult inc = warm.run(mutant, params);
       const t1::EngineResult ref = cold.run(mutant, params);
 
       ASSERT_EQ(inc.status, ref.status) << name << " seed " << seed;
       ASSERT_TRUE(inc.has_materialized);
       EXPECT_EQ(signature(inc), signature(ref)) << name << " seed " << seed;
+
+      // An edited AIG misses the map slot.  T1 detection and stage
+      // assignment reuse exactly when their input netlist is still the
+      // primed run's node for node — an edit the mapper absorbs, as
+      // sin12's seed-1 rewire is — and otherwise reuse nothing.
+      EXPECT_EQ(inc.reuse.map_cones_reused, 0u) << name << " seed " << seed;
+      const bool same_mapping =
+          sfq::netlist_identity_digest(sfq::map_to_sfq(mutant)) ==
+          sfq::netlist_identity_digest(sfq::map_to_sfq(base));
+      EXPECT_EQ(inc.reuse.t1_exact, same_mapping) << name << " seed " << seed;
+      EXPECT_EQ(inc.reuse.t1_cones_reused == 0, !same_mapping)
+          << name << " seed " << seed;
+      EXPECT_EQ(inc.reuse.stage_spliced,
+                sfq::netlist_identity_digest(inc.mapped) ==
+                    sfq::netlist_identity_digest(primed.mapped))
+          << name << " seed " << seed;
     }
   }
-}
-
-TEST(Incremental, SingleGateEditReusesMostCones) {
-  const Aig base = gen::make_named("mul8");
-  Aig edited;
-  const std::uint32_t target = last_safe_toggle(base, &edited);
-  ASSERT_NE(target, 0u);
-
-  const t1::FlowParams params = t1_params();
-  t1::FlowEngine warm;
-  t1::FlowEngine cold;
-  cold.set_incremental(false);
-
-  (void)warm.run(base, params);
-  const t1::EngineResult inc = warm.run(edited, params);
-  const t1::EngineResult ref = cold.run(edited, params);
-  EXPECT_EQ(signature(inc), signature(ref));
-
-  // A polarity toggle changes no fanout counts, so only the edited node's
-  // own cone (its TFO is itself) goes dirty: > 80% reuse, comfortably.
-  EXPECT_EQ(inc.reuse.map_cones_total, edited.num_ands());
-  EXPECT_GT(inc.reuse.map_cones_reused * 5, inc.reuse.map_cones_total * 4)
-      << inc.reuse.map_cones_reused << " of " << inc.reuse.map_cones_total
-      << " mapper cones reused";
-  // Cold runs report the totals but splice nothing.
-  EXPECT_EQ(ref.reuse.map_cones_total, edited.num_ands());
-  EXPECT_EQ(ref.reuse.map_cones_reused, 0u);
 }
 
 TEST(Incremental, ExactRerunSplicesWholePasses) {
@@ -230,6 +206,75 @@ TEST(Incremental, ExactRerunSplicesWholePasses) {
   EXPECT_TRUE(second.reuse.t1_exact);
   EXPECT_TRUE(second.reuse.stage_spliced);
   EXPECT_EQ(second.reuse.t1_cones_reused, second.reuse.t1_cones_total);
+}
+
+TEST(Incremental, PhaseChangeReusesMapAndT1AndRecomputesStage) {
+  const Aig aig = gen::make_named("mul8");
+  t1::FlowParams four = t1_params();
+  t1::FlowParams five = four;
+  five.num_phases = 5;
+  t1::FlowEngine warm;
+  t1::FlowEngine cold;
+  cold.set_incremental(false);
+
+  const t1::EngineResult warm4 = warm.run(aig, four);
+  const t1::EngineResult warm5 = warm.run(aig, five);
+  ASSERT_TRUE(warm4.ok());
+  ASSERT_TRUE(warm5.ok());
+  EXPECT_EQ(signature(warm4), signature(cold.run(aig, four)));
+  EXPECT_EQ(signature(warm5), signature(cold.run(aig, five)));
+
+  // Phases reach only stage assignment: the map and t1 inputs and
+  // parameters are unchanged, so those two passes reuse their results.
+  EXPECT_EQ(warm5.reuse.map_cones_total, aig.num_ands());
+  EXPECT_EQ(warm5.reuse.map_cones_reused, warm5.reuse.map_cones_total);
+  EXPECT_TRUE(warm5.reuse.t1_exact);
+  EXPECT_EQ(warm5.reuse.t1_cones_reused, warm5.reuse.t1_cones_total);
+  EXPECT_FALSE(warm5.reuse.stage_spliced);
+}
+
+TEST(Incremental, RenamedPortsMissTheMapSlot) {
+  const Aig base = gen::make_named("adder16");
+  // The same structure, node for node, with PI 0 and PO 0 renamed.
+  Aig renamed;
+  std::vector<Lit> map(base.num_nodes(), Aig::kConst0);
+  for (std::uint32_t i = 0; i < base.num_pis(); ++i) {
+    map[base.pis()[i]] =
+        renamed.create_pi(i == 0 ? "renamed_in" : base.pi_name(i));
+  }
+  const auto translate = [&](Lit l) {
+    return lit_notif(map[lit_node(l)], lit_is_complemented(l));
+  };
+  for (std::uint32_t n = 0; n < base.num_nodes(); ++n) {
+    if (!base.is_and(n)) continue;
+    map[n] = renamed.create_and(translate(base.fanin0(n)),
+                                translate(base.fanin1(n)));
+  }
+  for (std::uint32_t i = 0; i < base.num_pos(); ++i) {
+    renamed.create_po(translate(base.po(i)),
+                      i == 0 ? "renamed_out" : base.po_name(i));
+  }
+  ASSERT_EQ(renamed.num_nodes(), base.num_nodes());
+  ASSERT_NE(base.pi_name(0), "renamed_in");
+  ASSERT_NE(base.po_name(0), "renamed_out");
+
+  const t1::FlowParams params = t1_params();
+  t1::FlowEngine warm;
+  t1::FlowEngine cold;
+  cold.set_incremental(false);
+  (void)warm.run(base, params);
+  const t1::EngineResult inc = warm.run(renamed, params);
+  ASSERT_TRUE(inc.ok());
+
+  // The mapped netlist carries port names, so the map slot must miss and
+  // the netlist must show the new names.
+  EXPECT_EQ(inc.reuse.map_cones_reused, 0u);
+  EXPECT_EQ(inc.mapped.pi_name(0), "renamed_in");
+  EXPECT_EQ(inc.mapped.pos().front().name, "renamed_out");
+  EXPECT_EQ(signature(inc), signature(cold.run(renamed, params)));
+  // T1 detection and stage assignment read no names: they still reuse.
+  EXPECT_TRUE(inc.reuse.t1_exact);
+  EXPECT_TRUE(inc.reuse.stage_spliced);
 }
 
 TEST(Incremental, DisablingDropsTheMemo) {
