@@ -79,6 +79,18 @@ struct CircuitBench {
   StageSamples self_check;
   StageSamples cec;
   StageSamples total;
+
+  /// Samples one run: its per-stage times (`cec` only `with_cec`) and its
+  /// wall time as measured around the run.
+  void add(const t1::StageTimes& times, double run_total, bool with_cec) {
+    map.add(times.map);
+    t1_detect.add(times.t1_detect);
+    stage_assign.add(times.stage_assign);
+    dff_insert.add(times.dff_insert);
+    self_check.add(times.self_check);
+    if (with_cec) cec.add(times.cec);
+    total.add(run_total);
+  }
 };
 
 io::Json bench_json(const CircuitBench& b, bool with_cec) {
@@ -124,24 +136,24 @@ io::Json reuse_json(const t1::ReuseCounters& r) {
   return j;
 }
 
-/// Every timed run of the flow bench must be cold: a memo splice would time
-/// the splice, not the flow.
+/// Every timed run of the flow bench must be cold: a reused pass would time
+/// the memo, not the flow.
 void require_cold(const t1::ReuseCounters& r, const std::string& name) {
   T1MAP_REQUIRE(r.map_cones_reused == 0 && r.t1_cones_reused == 0 &&
                     !r.t1_exact && !r.stage_spliced,
                 "bench: a timed run of " + name + " reused memoized work");
 }
 
-/// Near-duplicate incremental measurement (--bench-set nearduplicate): each
-/// base circuit is mapped cold as the reference, then one-gate mutants are
-/// mapped on an engine whose cone memo was just re-warmed with the base
-/// (untimed), so the NAME~mJ timings are the dirty-region remap cost.  Every
+/// Near-duplicate measurement (--bench-set nearduplicate): each base circuit
+/// is mapped cold as the reference, then one-gate mutants are mapped on an
+/// engine whose pass memo was just re-warmed with the base (untimed), so
+/// the NAME~mJ timings are a warm engine's cost on a one-gate edit.  Every
 /// warm mutant run is checked bit-identical to a cold run of the same
-/// mutant — the incremental soundness contract, enforced per rep.
+/// mutant — the memo's soundness contract, enforced per rep.
 ///
 /// SAT CEC is always off here: bit-identity against the cold run is the
 /// correctness oracle, and miters on mutated arithmetic can take seconds —
-/// they would time the SAT solver, not the splice.  The random-sim
+/// they would time the SAT solver, not the engine.  The random-sim
 /// self-check stays in unless --skip-checks.
 int run_bench_nearduplicate(const Options& opts) {
   static const std::vector<std::string> bases = {"adder64", "mul8",
@@ -152,13 +164,12 @@ int run_bench_nearduplicate(const Options& opts) {
   params.num_phases = opts.phases;
   params.use_t1 = true;
   params.verify_rounds = opts.verify_rounds;
-  const bool with_cec = false;
   const auto make_pipeline = [&opts] {  // Pipeline is move-only
     return opts.skip_checks ? t1::Pipeline::parse("map,t1,stage,dff")
                             : t1::Pipeline::default_flow(/*with_cec=*/false);
   };
 
-  t1::FlowEngine warm(make_pipeline());  // cone memo on by default
+  t1::FlowEngine warm(make_pipeline());  // pass memo on by default
   t1::FlowEngine cold(make_pipeline());
   cold.set_incremental(false);
 
@@ -168,7 +179,7 @@ int run_bench_nearduplicate(const Options& opts) {
   root.set("phases", opts.phases);
   root.set("runs", opts.bench_runs);
   root.set("verify_rounds", opts.verify_rounds);
-  root.set("cec", with_cec);
+  root.set("cec", false);
   root.set("mutants", kMutants);
   io::Json circuits_json = io::Json::object();
 
@@ -187,19 +198,13 @@ int run_bench_nearduplicate(const Options& opts) {
           std::chrono::duration<double>(Clock::now() - t0).count();
       T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
                                    flow.diagnostics.first_error());
-      base_bench.map.add(flow.times.map);
-      base_bench.t1_detect.add(flow.times.t1_detect);
-      base_bench.stage_assign.add(flow.times.stage_assign);
-      base_bench.dff_insert.add(flow.times.dff_insert);
-      base_bench.self_check.add(flow.times.self_check);
-      if (with_cec) base_bench.cec.add(flow.times.cec);
-      base_bench.total.add(run_total);
+      base_bench.add(flow.times, run_total, /*with_cec=*/false);
       base_stats = flow.stats;
     }
     io::Json base_entry = io::Json::object();
     base_entry.set("input", serve::aig_input_json(base, /*with_depth=*/false));
     base_entry.set("stats", serve::flow_stats_json(base_stats));
-    base_entry.set("stages", bench_json(base_bench, with_cec));
+    base_entry.set("stages", bench_json(base_bench, /*with_cec=*/false));
     circuits_json.set(name, std::move(base_entry));
 
     for (int m = 1; m <= kMutants; ++m) {
@@ -231,14 +236,8 @@ int run_bench_nearduplicate(const Options& opts) {
         T1MAP_REQUIRE(
             render_json(serve::flow_stats_json(flow.stats)) == ref_stats,
             "bench: warm run of " + key + " diverged from its cold run "
-            "(incremental splice is unsound)");
-        bench.map.add(flow.times.map);
-        bench.t1_detect.add(flow.times.t1_detect);
-        bench.stage_assign.add(flow.times.stage_assign);
-        bench.dff_insert.add(flow.times.dff_insert);
-        bench.self_check.add(flow.times.self_check);
-        if (with_cec) bench.cec.add(flow.times.cec);
-        bench.total.add(run_total);
+            "(the pass memo is unsound)");
+        bench.add(flow.times, run_total, /*with_cec=*/false);
         reuse = flow.reuse;
         stats = flow.stats;
       }
@@ -246,7 +245,7 @@ int run_bench_nearduplicate(const Options& opts) {
       io::Json entry = io::Json::object();
       entry.set("input", serve::aig_input_json(mutant, /*with_depth=*/false));
       entry.set("stats", serve::flow_stats_json(stats));
-      entry.set("stages", bench_json(bench, with_cec));
+      entry.set("stages", bench_json(bench, /*with_cec=*/false));
       entry.set("reuse", reuse_json(reuse));
       circuits_json.set(key, std::move(entry));
 
@@ -286,9 +285,9 @@ int run_bench(const Options& opts) {
   // every circuit, which is exactly how a long-lived mapping service runs.
   // The pipeline is the same one report mode would run (--passes is
   // rejected in bench mode, so this is the skip_checks/CEC selection).
-  // The cone memo is off: with it, every repetition after the first would
-  // splice the previous one and time the splice, not the flow.  Warm runs
-  // are the nearduplicate set's business.
+  // The pass memo is off: with it, every repetition after the first would
+  // reuse the previous one and time the memo, not the flow.  Warm runs are
+  // the nearduplicate set's business.
   t1::FlowEngine engine(build_pipeline(opts));
   engine.set_incremental(false);
 
@@ -321,17 +320,9 @@ int run_bench(const Options& opts) {
       T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
                                    flow.diagnostics.first_error());
       require_cold(flow.reuse, name);
-      bench.map.add(flow.times.map);
-      bench.t1_detect.add(flow.times.t1_detect);
-      bench.stage_assign.add(flow.times.stage_assign);
-      bench.dff_insert.add(flow.times.dff_insert);
-      bench.self_check.add(flow.times.self_check);
-      if (with_cec) {
-        T1MAP_REQUIRE(flow.cec == "equivalent",
-                      "bench: CEC did not prove equivalence on " + name);
-        bench.cec.add(flow.times.cec);
-      }
-      bench.total.add(run_total);
+      T1MAP_REQUIRE(!with_cec || flow.cec == "equivalent",
+                    "bench: CEC did not prove equivalence on " + name);
+      bench.add(flow.times, run_total, with_cec);
       stats = flow.stats;
     }
 
