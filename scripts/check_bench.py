@@ -74,11 +74,11 @@ def main() -> int:
     # when it alone regresses.  'total' rows are composites of the other
     # stages and get no vote at all — they'd double-count their dominant
     # constituent.  Near-duplicate mutant entries (NAME~mJ from
-    # --bench-set nearduplicate) also get no vote: their warm times are
-    # dominated by how much of the circuit the mutation dirtied — a
-    # property of the splice, not of the host.  A uniform slowdown still
-    # shifts every kind equally and cancels; a single-stage regression
-    # shifts only its own vote.
+    # --bench-set nearduplicate) also get no vote: their warm times depend
+    # on which passes the edit left reusable (an edit the mapper absorbs
+    # skips t1 and stage) — a property of the edit, not of the host.  A
+    # uniform slowdown still shifts every kind equally and cancels; a
+    # single-stage regression shifts only its own vote.
     by_kind = {}
     for name, stage, base, now in rows:
         if stage != "total" and "~m" not in name:
