@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "cli/report.hpp"
 #include "common/require.hpp"
 #include "fuzz/mutate.hpp"
 #include "gen/registry.hpp"
@@ -154,7 +153,7 @@ void require_cold(const t1::ReuseCounters& r, const std::string& name) {
 /// SAT CEC is always off here: bit-identity against the cold run is the
 /// correctness oracle, and miters on mutated arithmetic can take seconds —
 /// they would time the SAT solver, not the engine.  The random-sim
-/// self-check stays in unless --skip-checks.
+/// self-check runs unless --verify-rounds 0.
 int run_bench_nearduplicate(const Options& opts) {
   static const std::vector<std::string> bases = {"adder64", "mul8",
                                                  "cordic28"};
@@ -164,13 +163,8 @@ int run_bench_nearduplicate(const Options& opts) {
   params.num_phases = opts.phases;
   params.use_t1 = true;
   params.verify_rounds = opts.verify_rounds;
-  const auto make_pipeline = [&opts] {  // Pipeline is move-only
-    return opts.skip_checks ? t1::Pipeline::parse("map,t1,stage,dff")
-                            : t1::Pipeline::default_flow(/*with_cec=*/false);
-  };
-
-  t1::FlowEngine warm(make_pipeline());  // pass memo on by default
-  t1::FlowEngine cold(make_pipeline());
+  t1::FlowEngine warm;  // default flow without CEC; pass memo on
+  t1::FlowEngine cold;
   cold.set_incremental(false);
 
   io::Json root = io::Json::object();
@@ -279,16 +273,15 @@ int run_bench(const Options& opts) {
   params.use_t1 = true;
   params.verify_rounds = opts.verify_rounds;
 
-  const bool with_cec = opts.run_cec && !opts.skip_checks;
+  const bool with_cec = opts.run_cec;
   // One engine for the whole harness: its scratch state (cut arenas, SAT
   // solver, sim buffers) is reused across every --bench-runs repetition and
   // every circuit, which is exactly how a long-lived mapping service runs.
-  // The pipeline is the same one report mode would run (--passes is
-  // rejected in bench mode, so this is the skip_checks/CEC selection).
-  // The pass memo is off: with it, every repetition after the first would
-  // reuse the previous one and time the memo, not the flow.  Warm runs are
-  // the nearduplicate set's business.
-  t1::FlowEngine engine(build_pipeline(opts));
+  // It runs the flow report mode would run.  The pass memo is off: with
+  // it, every repetition after the first would reuse the previous one and
+  // time the memo, not the flow.  Warm runs are the nearduplicate set's
+  // business.
+  t1::FlowEngine engine(t1::Pipeline::default_flow(with_cec));
   engine.set_incremental(false);
 
   io::Json root = io::Json::object();

@@ -1,8 +1,7 @@
 #include "cli/options.hpp"
 
 #include <charconv>
-
-#include "t1/flow_engine.hpp"
+#include <vector>
 
 namespace t1map::cli {
 
@@ -32,23 +31,6 @@ int parse_int(const std::string& flag, const std::string& value, int lo,
                      std::to_string(hi) + "], got " + std::to_string(parsed));
   }
   return parsed;
-}
-
-/// Validates a --passes list by running it through the engine's own parser
-/// (one grammar, no drift), so typos fail as usage errors — with the
-/// accepted names — before any flow runs.
-void validate_passes(const std::string& spec) {
-  try {
-    (void)t1::Pipeline::parse(spec);
-  } catch (const ContractError& e) {
-    std::string known;
-    for (const std::string& name : t1::Pipeline::known_passes()) {
-      if (!known.empty()) known += '|';
-      known += name;
-    }
-    throw UsageError("--passes: " + std::string(e.what()) +
-                     " (accepted: " + known + ")");
-  }
 }
 
 }  // namespace
@@ -95,11 +77,6 @@ Options parse_options(int argc, const char* const* argv) {
       opts.run_cec = false;
     } else if (arg == "--threads") {
       opts.threads = parse_int(arg, value_of(i), 1, 256);
-    } else if (arg == "--skip-checks") {
-      opts.skip_checks = true;
-    } else if (arg == "--passes") {
-      opts.passes = value_of(i);
-      validate_passes(opts.passes);
     } else if (arg == "--bench") {
       opts.bench = true;
     } else if (arg == "--bench-runs") {
@@ -213,10 +190,6 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--fuzz generates its own random circuits; "
                        "--gen/--blif/--input do not apply");
     }
-    if (!opts.passes.empty() || opts.skip_checks) {
-      throw UsageError("--fuzz always runs the full differential pipeline; "
-                       "--passes/--skip-checks do not apply");
-    }
     if (!opts.incremental_from.empty()) {
       throw UsageError("--incremental-from primes a report-mode run; for "
                        "incremental coverage under --fuzz use --fuzz-mutate");
@@ -237,10 +210,6 @@ Options parse_options(int argc, const char* const* argv) {
     }
     return opts;
   }
-  if (opts.skip_checks && !opts.passes.empty()) {
-    throw UsageError("--skip-checks and --passes both select the pipeline; "
-                     "use one of them");
-  }
   if (opts.serve) {
     if (opts.bench) {
       throw UsageError("--serve and --bench are different run modes; "
@@ -252,11 +221,6 @@ Options parse_options(int argc, const char* const* argv) {
         !opts.input_path.empty()) {
       throw UsageError("--serve reads its circuits from the JSONL request "
                        "stream; --gen/--blif/--input do not apply");
-    }
-    if (!opts.passes.empty()) {
-      throw UsageError("--serve selects pipelines per request config; "
-                       "--passes does not apply (use --skip-checks to drop "
-                       "the verification stages)");
     }
     if (opts.config != "all") {
       throw UsageError("--serve jobs carry their own \"config\" field; "
@@ -288,11 +252,6 @@ Options parse_options(int argc, const char* const* argv) {
     return opts;
   }
   if (opts.bench) {
-    if (!opts.passes.empty()) {
-      throw UsageError("--bench times the fixed Table-I pipeline; --passes "
-                       "is a report-mode option (use --skip-checks to drop "
-                       "the verification stages)");
-    }
     // Bench mode runs a built-in circuit set; --gen narrows it to one
     // circuit, --blif is not supported there.
     if (!opts.blif_path.empty() || !opts.input_path.empty()) {
@@ -346,9 +305,11 @@ std::string usage() {
       "t1map — T1-aware SFQ technology mapping (DAC'24 flow)\n"
       "\n"
       "Runs the Table-I configurations (1-phase baseline, n-phase baseline,\n"
-      "n-phase + T1 cells) on a generated or BLIF-supplied circuit, verifies\n"
-      "each result against the source by SAT equivalence checking, and\n"
-      "reports JJ area, path-balancing DFFs and depth per configuration.\n"
+      "n-phase + T1 cells) on a generated or BLIF-supplied circuit.  Each\n"
+      "one maps the circuit, substitutes T1 cells (t1 only), assigns stages\n"
+      "and inserts DFFs, then checks the result: timing, random simulation\n"
+      "and SAT equivalence against the source.  The report gives JJ area,\n"
+      "path-balancing DFFs and depth per configuration.\n"
       "\n"
       "Usage:\n"
       "  t1map --gen NAME   [options]    map a generated benchmark\n"
@@ -363,17 +324,16 @@ std::string usage() {
       "  --phases N                  clock phases for nphi/t1 (default: 4)\n"
       "  --json                      machine-readable JSON report on stdout\n"
       "  --no-cec                    skip SAT equivalence checking\n"
-      "  --verify-rounds N           random-sim self-check rounds (default 8)\n"
+      "  --verify-rounds N           random-sim self-check rounds (default 8;\n"
+      "                              0 skips it; with --no-cec as well, only\n"
+      "                              the timing check runs)\n"
       "  --threads N                 worker threads, one netlist per worker:\n"
       "                              report mode runs the configurations in\n"
-      "                              parallel, bench mode times a batched\n"
-      "                              run_many of the whole set; results are\n"
-      "                              identical at every thread count\n"
-      "  --skip-checks               drop the verification passes (timing,\n"
-      "                              random-sim, CEC) from the pipeline\n"
-      "  --passes LIST               explicit pass pipeline, comma-separated\n"
-      "                              (map,t1,stage,dff,timing,sim,cec);\n"
-      "                              overrides --no-cec, report mode only\n"
+      "                              parallel (one after another under\n"
+      "                              --incremental-from), bench mode times a\n"
+      "                              batched run_many of the whole set;\n"
+      "                              results are identical at every thread\n"
+      "                              count\n"
       "  --bench                     measure per-stage wall times and write\n"
       "                              a BENCH_flow.json trajectory file\n"
       "  --bench-runs N              repetitions per circuit (default 3;\n"
@@ -451,7 +411,6 @@ std::string usage() {
       "  t1map --serve --threads 4 --cache-mb 512\n"
       "  t1map --bench --bench-runs 5 --threads 4\n"
       "  t1map --gen adder16 --config all\n"
-      "  t1map --gen mul8 --passes map,t1,stage,dff --json\n"
       "  t1map --gen adder16 --config all --json\n"
       "  t1map --gen c6288 --phases 6 --config t1 --out-blif c6288_t1.blif\n"
       "  t1map --blif design.blif --config t1 --out-dot design.dot\n"

@@ -28,9 +28,6 @@ struct Options {
   int verify_rounds = 8;       // --verify-rounds N (random-sim self-check)
   bool run_cec = true;         // --no-cec skips SAT equivalence checking
   int threads = 1;             // --threads N (batch workers)
-  bool skip_checks = false;    // --skip-checks drops timing/sim/cec passes
-  std::string passes;          // --passes LIST (explicit pipeline, e.g.
-                               //   "map,t1,stage,dff"; empty = default)
   std::string incremental_from;  // --incremental-from FILE (prime the
                                  //   engine's pass memo by mapping FILE
                                  //   first; the report gains reuse counters)

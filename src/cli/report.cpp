@@ -30,12 +30,6 @@ std::vector<std::string> selected_configs(const Options& opts) {
   return keys;
 }
 
-t1::Pipeline build_pipeline(const Options& opts) {
-  if (!opts.passes.empty()) return t1::Pipeline::parse(opts.passes);
-  if (opts.skip_checks) return t1::Pipeline::parse("map,t1,stage,dff");
-  return t1::Pipeline::default_flow(/*with_cec=*/opts.run_cec);
-}
-
 t1::FlowParams config_params(const std::string& key, const Options& opts) {
   t1::FlowParams params;
   params.verify_rounds = opts.verify_rounds;
@@ -64,7 +58,8 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
     results[i].params = config_params(keys[i], opts);
   }
 
-  const bool parallel = opts.threads > 1 && keys.size() > 1;
+  const t1::Pipeline pipeline = t1::Pipeline::default_flow(opts.run_cec);
+  const bool parallel = prime == nullptr && opts.threads > 1 && keys.size() > 1;
   if (!opts.json) {
     if (parallel) {
       std::cerr << "t1map: running " << keys.size() << " configurations on "
@@ -79,7 +74,7 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
   }
   if (prime == nullptr) {
     // One cold batch, one configuration per worker.
-    t1::FlowEngine engine(build_pipeline(opts));
+    t1::FlowEngine engine(pipeline);
     engine.set_incremental(false);
     engine.set_threads(opts.threads);
     std::vector<t1::FlowJob> jobs;
@@ -91,15 +86,15 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
   } else {
     // Each configuration primes a fresh pass memo with `prime` (untimed),
     // then maps `aig` on the same worker, reusing each pass whose input and
-    // parameters match the primed run's.
+    // parameters match the primed run's.  `run` always uses worker 0, so
+    // the engine needs no other.
     for (ConfigResult& c : results) {
-      t1::FlowEngine engine(build_pipeline(opts));
-      engine.set_threads(opts.threads);
+      t1::FlowEngine engine(pipeline);
       (void)engine.run(*prime, c.params);
       c.flow = engine.run(aig, c.params);
     }
   }
-  // A failed check pass makes t1map exit non-zero.
+  // A failed check makes t1map exit non-zero.
   for (const ConfigResult& c : results) {
     T1MAP_REQUIRE(c.flow.ok(), "config " + c.key + " failed: " +
                                    c.flow.diagnostics.first_error());

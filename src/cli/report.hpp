@@ -40,22 +40,18 @@ struct Report {
 /// canonical order (1phi, nphi, t1).
 std::vector<std::string> selected_configs(const Options& opts);
 
-/// The pass pipeline `opts` selects: `--passes` verbatim, else the default
-/// flow minus the verification stages under `--skip-checks`, with SAT CEC
-/// appended unless `--no-cec`.
-t1::Pipeline build_pipeline(const Options& opts);
-
 /// Flow parameters for one configuration key.
 t1::FlowParams config_params(const std::string& key, const Options& opts);
 
-/// Runs every configuration in `keys` on `aig` through the `opts` pipeline:
-/// one cold `FlowEngine::run_many` batch (with `--threads`, configurations
-/// run in parallel; results stay in `keys` order).  `prime`, when given
-/// (--incremental-from), instead runs the configurations one after
-/// another, each on a fresh engine that maps `prime` first to fill its pass
-/// memo; the timed run then reuses every pass whose input and parameters
-/// match, and its reuse counters land in the results.  Throws ContractError
-/// if any configuration's check passes fail.
+/// Runs every configuration in `keys` on `aig` through the default flow,
+/// with SAT CEC unless `--no-cec`: one cold `FlowEngine::run_many` batch
+/// (with `--threads`, configurations run in parallel; results stay in
+/// `keys` order).  `prime`, when given (--incremental-from), instead runs
+/// the configurations one after another on worker 0, each on a fresh engine
+/// that maps `prime` first to fill its pass memo; the timed run then reuses
+/// every pass whose input and parameters match, and its reuse counters land
+/// in the results.  Throws ContractError if any configuration's checks
+/// fail.
 std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
                                       const Options& opts,

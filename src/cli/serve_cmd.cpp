@@ -31,7 +31,6 @@ int run_serve(const Options& opts) {
   config.defaults.phases = opts.phases;
   config.defaults.verify_rounds = opts.verify_rounds;
   config.defaults.cec = opts.run_cec;
-  config.defaults.skip_checks = opts.skip_checks;
   config.cache.max_bytes = static_cast<std::size_t>(opts.cache_mb) << 20;
   config.cache_dir = opts.cache_dir;
   config.drain_timeout_ms = opts.drain_timeout_ms;

@@ -91,11 +91,6 @@ void export_netlist(const Options& opts, const ConfigResult& config) {
       opts.out_verilog.empty()) {
     return;
   }
-  // A partial --passes pipeline (no dff stage) has nothing to export;
-  // refuse rather than writing an empty netlist with exit code 0.
-  T1MAP_REQUIRE(config.flow.has_materialized,
-                "--out-blif/--out-dot/--export-verilog need a materialized "
-                "netlist; include the dff pass in --passes");
   if (!opts.out_blif.empty()) {
     std::ofstream ofs(opts.out_blif);
     T1MAP_REQUIRE(ofs.good(), "cannot open for writing: " + opts.out_blif);

@@ -6,8 +6,8 @@
 /// nφ + T1), asserting for every one:
 ///   * the flow's own checks pass (timing validation, random simulation);
 ///   * SAT CEC proves the materialized netlist equivalent to the source
-///     AIG — the external oracle, run by the fuzzer itself so it also
-///     covers pipelines built without a cec pass;
+///     AIG — the external oracle, run by the fuzzer itself on results its
+///     engines computed without CEC;
 ///   * run together as one `run_many` batch on `threads` workers, each
 ///     configuration's result is bit-identical to its serial run (netlist,
 ///     stage assignment and Table-I stats) — the determinism contract of

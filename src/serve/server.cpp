@@ -183,20 +183,18 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
     if (const io::Json* cec = request.find("cec")) {
       job.with_cec = cec->as_bool();
     }
-    if (defaults.skip_checks) job.with_cec = false;
   } catch (const ContractError& e) {
     job.error = e.what();
     return job;
   }
 
   // Cache key: structural AIG digest x configuration fingerprint x pipeline
-  // shape.  `group` keys the run_many batching (same configuration =>
-  // same group), the full `key` addresses the cache.
+  // shape, named "cec" or "default" (every key a disk tier holds depends on
+  // those names).  `group` keys the run_many batching (same configuration
+  // => same group), the full `key` addresses the cache.
   const Digest digest = hasher.hash(job.aig);
   const std::uint64_t pipeline_shape =
-      defaults.skip_checks ? t1::fingerprint_string("map,t1,stage,dff")
-                           : (job.with_cec ? t1::fingerprint_string("cec")
-                                           : t1::fingerprint_string("default"));
+      t1::fingerprint_string(job.with_cec ? "cec" : "default");
   job.group = t1::params_fingerprint(job.params) ^ pipeline_shape;
   job.key.hi = digest.hi ^ job.group;
   job.key.lo = digest.lo ^ (job.group * 0x9E3779B97F4A7C15ull);
@@ -227,10 +225,7 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
     }
 
     const Job& first = batch[members.front()];
-    engine.set_pipeline(
-        config_.defaults.skip_checks
-            ? t1::Pipeline::parse("map,t1,stage,dff")
-            : t1::Pipeline::default_flow(/*with_cec=*/first.with_cec));
+    engine.set_pipeline(t1::Pipeline::default_flow(first.with_cec));
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::uint8_t> cached;
     std::vector<t1::EngineResult> results =

@@ -69,8 +69,6 @@ struct JobDefaults {
   int phases = 4;
   int verify_rounds = 8;
   bool cec = true;
-  /// Drop the verification passes (timing/sim/cec) from every job.
-  bool skip_checks = false;
 };
 
 struct ServeConfig {

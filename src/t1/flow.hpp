@@ -3,15 +3,15 @@
 /// technology-mapping flow (paper §II) and of the 1φ / nφ baselines of
 /// Table I.
 ///
-/// Pipeline:
+/// Flow:
 ///   AIG  ──mapper──►  SFQ netlist  ──[T1 detect + rewrite]──►
 ///        ──stage assignment (§II-B)──►  DFF insertion (§II-C)──►
 ///        materialized netlist + Table-I statistics.
 ///
-/// A `FlowEngine` (flow_engine.hpp) runs it.  The default pipeline
-/// self-checks: the materialized netlist passes the independent timing
-/// validator and (optionally) random-simulation equivalence against the
-/// source AIG.
+/// A `FlowEngine` (flow_engine.hpp) runs it, then checks the materialized
+/// netlist: the independent timing validator, random simulation against
+/// the source AIG when `verify_rounds` > 0 and, when the engine's
+/// `Pipeline` asks for it, SAT CEC.
 
 #pragma once
 
@@ -41,7 +41,7 @@ struct FlowParams {
   /// Verify the result against the AIG by random simulation (rounds of 64
   /// patterns); 0 disables.
   int verify_rounds = 8;
-  /// Conflict budget of the SAT CEC pass when the pipeline includes it
+  /// Conflict budget of SAT CEC when the engine's `Pipeline` asks for it
   /// (flow_engine.hpp); < 0 = unlimited.
   std::int64_t cec_conflict_limit = -1;
 };
@@ -68,8 +68,8 @@ struct StageTimes {
   double stage_assign = 0.0; // phase assignment (§II-B)
   double dff_insert = 0.0;   // DFF materialization (§II-C)
   double self_check = 0.0;   // timing validation + random-sim equivalence
-  double cec = 0.0;          // SAT CEC, when the pipeline includes the pass
-  double total_wall = 0.0;   // the whole pipeline
+  double cec = 0.0;          // SAT CEC, when the `Pipeline` asks for it
+  double total_wall = 0.0;   // the whole flow
 };
 
 }  // namespace t1map::t1

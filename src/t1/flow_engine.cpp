@@ -60,6 +60,164 @@ long count_logic_cells(const sfq::Netlist& ntk) {
   return count;
 }
 
+/// The state one run evolves: what the passes read, the stage assignment
+/// that only stage and dff use, and the result they fill.
+struct FlowContext {
+  const Aig& aig;
+  const FlowParams& params;
+  FlowScratch& scratch;  // the allocations of the worker running the flow
+  /// The previous result of the map, t1 and stage passes (pass_memo.hpp),
+  /// or null for a cold run.  The engine passes its memo only to runs on
+  /// worker 0 alone: the memo is single-threaded state.
+  PassMemo* memo;
+  retime::StageAssignment assignment;
+  EngineResult result;
+
+  /// Records a structured failure of check `pass` and returns false, which
+  /// stops the run.
+  bool fail(FlowStatus failure, const char* pass, std::string message) {
+    result.status = failure;
+    result.diagnostics.error(pass, std::move(message));
+    return false;
+  }
+};
+
+// --- Passes ------------------------------------------------------------------
+
+/// Technology mapping (AIG → SFQ cells), including cut enumeration.
+void map_pass(FlowContext& ctx) {
+  EngineResult& r = ctx.result;
+  const bool reused = reuse_or_compute(
+      ctx.memo, &PassMemo::map,
+      [&] {
+        return PassKey{aig_digest::identity_digest(ctx.aig),
+                       sfq::mapper_params_key(ctx.params.mapper)};
+      },
+      [&] {
+        sfq::MapStats map_stats;
+        return sfq::map_to_sfq(ctx.aig, ctx.params.mapper, &map_stats,
+                               &ctx.scratch.cuts);
+      },
+      r.mapped);
+  r.reuse.map_cones_total = ctx.aig.num_ands();
+  r.reuse.map_cones_reused = reused ? r.reuse.map_cones_total : 0;
+  r.mapped.check_well_formed();
+}
+
+/// T1 detection + substitution (no-op when `params.use_t1` is false).
+void t1_pass(FlowContext& ctx) {
+  if (!ctx.params.use_t1) return;
+  EngineResult& r = ctx.result;
+  DetectResult det;
+  const bool reused = reuse_or_compute(
+      ctx.memo, &PassMemo::t1,
+      [&] {
+        return PassKey{sfq::netlist_identity_digest(r.mapped),
+                       detect_params_key(ctx.params.detect)};
+      },
+      [&] {
+        return detect_t1(r.mapped, ctx.params.detect, &ctx.scratch.cuts,
+                         &ctx.scratch.t1_detect);
+      },
+      det);
+  r.reuse.t1_cones_total =
+      static_cast<std::uint32_t>(count_logic_cells(r.mapped));
+  r.reuse.t1_cones_reused = reused ? r.reuse.t1_cones_total : 0;
+  r.reuse.t1_exact = reused;
+  r.stats.t1_found = det.found;
+  r.stats.t1_used = det.used;
+  if (!det.accepted.empty()) {
+    RewriteStats rw;
+    r.mapped = apply_t1_rewrite(r.mapped, det.accepted, &rw);
+  }
+}
+
+/// Multiphase stage assignment (§II-B).
+void stage_pass(FlowContext& ctx) {
+  const retime::StageParams stage_params{
+      ctx.params.num_phases, ctx.params.optimize_stages,
+      ctx.params.stage_sweeps};
+  ctx.result.reuse.stage_spliced = reuse_or_compute(
+      ctx.memo, &PassMemo::stage,
+      [&] {
+        return PassKey{sfq::netlist_identity_digest(ctx.result.mapped),
+                       retime::stage_params_key(stage_params)};
+      },
+      [&] { return retime::assign_stages(ctx.result.mapped, stage_params); },
+      ctx.assignment);
+}
+
+/// DFF materialization (§II-C) + Table-I statistics.
+void dff_pass(FlowContext& ctx) {
+  EngineResult& r = ctx.result;
+  r.materialized = retime::insert_dffs(r.mapped, ctx.assignment);
+  r.has_materialized = true;
+
+  const sfq::Netlist& mat = r.materialized.netlist;
+  FlowStats& s = r.stats;
+  s.dffs = mat.count_kind(sfq::CellKind::kDff);
+  s.area_jj = mat.cell_area_jj_total();
+  s.depth_cycles = r.materialized.stages.depth_cycles();
+  s.num_stages = r.materialized.stages.sigma_po;
+  s.t1_cores = mat.num_t1();
+  s.splitters = mat.splitter_count();
+  s.logic_cells = count_logic_cells(mat);
+}
+
+// --- Checks ------------------------------------------------------------------
+
+/// Independent timing validation of the materialized netlist.
+bool timing_check(FlowContext& ctx) {
+  const retime::MaterializeResult& mat = ctx.result.materialized;
+  const retime::TimingReport timing = retime::check_timing(
+      mat.netlist, mat.stages);
+  if (timing.ok) return true;
+  return ctx.fail(FlowStatus::kTimingViolation, "timing",
+                  "flow produced a timing-illegal netlist: " +
+                      (timing.violations.empty() ? std::string("?")
+                                                 : timing.violations.front()));
+}
+
+/// Random-simulation equivalence against the source AIG
+/// (`params.verify_rounds` rounds; no-op when 0).
+bool sim_check(FlowContext& ctx) {
+  if (ctx.params.verify_rounds <= 0) return true;
+  const std::optional<sfq::Mismatch> mismatch = sfq::find_sim_mismatch(
+      ctx.aig, ctx.result.materialized.netlist, ctx.params.verify_rounds,
+      /*seed=*/1, &ctx.scratch.sim);
+  if (!mismatch.has_value()) return true;
+  return ctx.fail(FlowStatus::kNotEquivalent, "sim",
+                  "flow result is not functionally equivalent to the source "
+                  "AIG (first mismatch on PO " +
+                      std::to_string(mismatch->po_index) + ")");
+}
+
+/// CEC of the materialized netlist against the source AIG (the sweep of
+/// sat/cec.hpp); records the verdict in `result.cec` and the sweep's work
+/// counters in an info diagnostic.
+void cec_check(FlowContext& ctx) {
+  EngineResult& r = ctx.result;
+  const sat::CecResult cec =
+      sat::check_equivalence(ctx.aig, r.materialized.netlist,
+                             ctx.params.cec_conflict_limit, ctx.scratch.solver);
+  r.cec = cec_verdict_name(cec.verdict);
+  r.diagnostics.info(
+      "cec", std::to_string(cec.cells_local) + " cells proved locally, " +
+                 std::to_string(cec.cells_sat) + " by SAT, " +
+                 std::to_string(cec.hints_refuted) + " hints refuted, " +
+                 std::to_string(cec.po_queries) + " PO queries, " +
+                 std::to_string(cec.conflicts) + " conflicts");
+  if (cec.verdict == sat::CecResult::Verdict::kNotEquivalent) {
+    ctx.fail(FlowStatus::kNotEquivalent, "cec",
+             "SAT CEC refuted equivalence: mapped netlist differs from the "
+             "source AIG");
+  } else if (cec.verdict == sat::CecResult::Verdict::kUnknown) {
+    r.diagnostics.warning(
+        "cec", "CEC inconclusive within the conflict limit (" +
+                   std::to_string(cec.conflicts) + " conflicts)");
+  }
+}
+
 }  // namespace
 
 // --- Diagnostics -------------------------------------------------------------
@@ -132,267 +290,6 @@ std::string Diagnostics::to_string() const {
   return os.str();
 }
 
-void FlowContext::fail(FlowStatus failure, std::string pass,
-                       std::string message) {
-  T1MAP_ASSERT(failure != FlowStatus::kOk);
-  status = failure;
-  diagnostics.error(std::move(pass), std::move(message));
-}
-
-// --- Passes ------------------------------------------------------------------
-
-bool MapPass::run(FlowContext& ctx) const {
-  const bool reused = reuse_or_compute(
-      ctx.memo, &PassMemo::map,
-      [&] {
-        return PassKey{aig_digest::identity_digest(ctx.aig),
-                       sfq::mapper_params_key(ctx.params.mapper)};
-      },
-      [&] {
-        sfq::MapStats map_stats;
-        return sfq::map_to_sfq(ctx.aig, ctx.params.mapper, &map_stats,
-                               &ctx.scratch.cuts);
-      },
-      ctx.mapped);
-  ctx.reuse.map_cones_total = ctx.aig.num_ands();
-  ctx.reuse.map_cones_reused = reused ? ctx.reuse.map_cones_total : 0;
-  ctx.mapped.check_well_formed();
-  ctx.has_mapped = true;
-  return true;
-}
-
-bool T1DetectPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.has_mapped, "T1DetectPass: no mapped netlist (run map "
-                                "before t1)");
-  if (!ctx.params.use_t1) return true;  // disabled by configuration
-  T1MAP_REQUIRE(ctx.params.num_phases >= 3,
-                "the T1 flow needs at least 3 phases (input separation)");
-  DetectResult det;
-  const bool reused = reuse_or_compute(
-      ctx.memo, &PassMemo::t1,
-      [&] {
-        return PassKey{sfq::netlist_identity_digest(ctx.mapped),
-                       detect_params_key(ctx.params.detect)};
-      },
-      [&] {
-        return detect_t1(ctx.mapped, ctx.params.detect, &ctx.scratch.cuts,
-                         &ctx.scratch.t1_detect);
-      },
-      det);
-  ctx.reuse.t1_cones_total =
-      static_cast<std::uint32_t>(count_logic_cells(ctx.mapped));
-  ctx.reuse.t1_cones_reused = reused ? ctx.reuse.t1_cones_total : 0;
-  ctx.reuse.t1_exact = reused;
-  ctx.stats.t1_found = det.found;
-  ctx.stats.t1_used = det.used;
-  if (!det.accepted.empty()) {
-    RewriteStats rw;
-    ctx.mapped = apply_t1_rewrite(ctx.mapped, det.accepted, &rw);
-  }
-  return true;
-}
-
-bool StageAssignPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.has_mapped, "StageAssignPass: no mapped netlist (run map "
-                                "before stage)");
-  const retime::StageParams stage_params{
-      ctx.params.num_phases, ctx.params.optimize_stages,
-      ctx.params.stage_sweeps};
-  ctx.reuse.stage_spliced = reuse_or_compute(
-      ctx.memo, &PassMemo::stage,
-      [&] {
-        return PassKey{sfq::netlist_identity_digest(ctx.mapped),
-                       retime::stage_params_key(stage_params)};
-      },
-      [&] { return retime::assign_stages(ctx.mapped, stage_params); },
-      ctx.assignment);
-  ctx.has_assignment = true;
-  return true;
-}
-
-bool DffInsertPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.has_assignment, "DffInsertPass: no stage assignment (run "
-                                    "stage before dff)");
-  ctx.materialized = retime::insert_dffs(ctx.mapped, ctx.assignment);
-  ctx.has_materialized = true;
-
-  // Table-I statistics of the materialized result.
-  const sfq::Netlist& mat = ctx.materialized.netlist;
-  FlowStats& s = ctx.stats;
-  s.dffs = mat.count_kind(sfq::CellKind::kDff);
-  s.area_jj = mat.cell_area_jj_total();
-  s.depth_cycles = ctx.materialized.stages.depth_cycles();
-  s.num_stages = ctx.materialized.stages.sigma_po;
-  s.t1_cores = mat.num_t1();
-  s.splitters = mat.splitter_count();
-  s.logic_cells = count_logic_cells(mat);
-  return true;
-}
-
-bool TimingCheckPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.has_materialized, "TimingCheckPass: no materialized "
-                                      "netlist (run dff before timing)");
-  const retime::TimingReport timing = retime::check_timing(
-      ctx.materialized.netlist, ctx.materialized.stages);
-  if (!timing.ok) {
-    ctx.fail(FlowStatus::kTimingViolation, name(),
-             "flow produced a timing-illegal netlist: " +
-                 (timing.violations.empty() ? std::string("?")
-                                            : timing.violations.front()));
-    return false;
-  }
-  return true;
-}
-
-bool SimEquivPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.has_materialized, "SimEquivPass: no materialized netlist "
-                                      "(run dff before sim)");
-  if (ctx.params.verify_rounds <= 0) return true;
-  const std::optional<sfq::Mismatch> mismatch = sfq::find_sim_mismatch(
-      ctx.aig, ctx.materialized.netlist, ctx.params.verify_rounds,
-      /*seed=*/1, &ctx.scratch.sim);
-  if (mismatch.has_value()) {
-    ctx.fail(FlowStatus::kNotEquivalent, name(),
-             "flow result is not functionally equivalent to the source AIG "
-             "(first mismatch on PO " +
-                 std::to_string(mismatch->po_index) + ")");
-    return false;
-  }
-  return true;
-}
-
-bool SatCecPass::run(FlowContext& ctx) const {
-  T1MAP_REQUIRE(ctx.has_materialized, "SatCecPass: no materialized netlist "
-                                      "(run dff before cec)");
-  const sat::CecResult result =
-      sat::check_equivalence(ctx.aig, ctx.materialized.netlist,
-                             ctx.params.cec_conflict_limit,
-                             ctx.scratch.solver);
-  ctx.cec = cec_verdict_name(result.verdict);
-  ctx.diagnostics.info(
-      name(), std::to_string(result.cells_local) + " cells proved locally, " +
-                  std::to_string(result.cells_sat) + " by SAT, " +
-                  std::to_string(result.hints_refuted) +
-                  " hints refuted, " + std::to_string(result.po_queries) +
-                  " PO queries, " + std::to_string(result.conflicts) +
-                  " conflicts");
-  if (result.verdict == sat::CecResult::Verdict::kNotEquivalent) {
-    ctx.fail(FlowStatus::kNotEquivalent, name(),
-             "SAT CEC refuted equivalence: mapped netlist differs from the "
-             "source AIG");
-    return false;
-  }
-  if (result.verdict == sat::CecResult::Verdict::kUnknown) {
-    ctx.diagnostics.warning(
-        name(), "CEC inconclusive within the conflict limit (" +
-                    std::to_string(result.conflicts) + " conflicts)");
-  }
-  return true;
-}
-
-// --- Pipeline ----------------------------------------------------------------
-
-namespace {
-
-/// The single name -> factory registry `make_pass` and `known_passes`
-/// both derive from, so the two can never drift.
-struct PassEntry {
-  const char* name;
-  std::unique_ptr<Pass> (*make)();
-};
-
-template <class P>
-std::unique_ptr<Pass> make_concrete() {
-  return std::make_unique<P>();
-}
-
-constexpr PassEntry kPassRegistry[] = {
-    {"map", &make_concrete<MapPass>},
-    {"t1", &make_concrete<T1DetectPass>},
-    {"stage", &make_concrete<StageAssignPass>},
-    {"dff", &make_concrete<DffInsertPass>},
-    {"timing", &make_concrete<TimingCheckPass>},
-    {"sim", &make_concrete<SimEquivPass>},
-    {"cec", &make_concrete<SatCecPass>},
-};
-
-}  // namespace
-
-std::unique_ptr<Pass> make_pass(const std::string& name) {
-  for (const PassEntry& entry : kPassRegistry) {
-    if (name == entry.name) return entry.make();
-  }
-  return nullptr;
-}
-
-Pipeline& Pipeline::add(std::unique_ptr<Pass> pass) {
-  T1MAP_REQUIRE(pass != nullptr, "Pipeline::add: null pass");
-  passes_.push_back(std::move(pass));
-  return *this;
-}
-
-std::string Pipeline::spec() const {
-  std::string out;
-  for (const auto& pass : passes_) {
-    if (!out.empty()) out += ',';
-    out += pass->name();
-  }
-  return out;
-}
-
-Pipeline Pipeline::default_flow(bool with_cec) {
-  Pipeline p;
-  p.add(std::make_unique<MapPass>())
-      .add(std::make_unique<T1DetectPass>())
-      .add(std::make_unique<StageAssignPass>())
-      .add(std::make_unique<DffInsertPass>())
-      .add(std::make_unique<TimingCheckPass>())
-      .add(std::make_unique<SimEquivPass>());
-  if (with_cec) p.add(std::make_unique<SatCecPass>());
-  return p;
-}
-
-Pipeline Pipeline::parse(const std::string& spec) {
-  // Errors are thrown directly (no T1MAP_REQUIRE source-location prefix):
-  // the CLI surfaces this text verbatim in its usage error.
-  Pipeline p;
-  std::vector<std::string> seen;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find(',', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string name = spec.substr(begin, end - begin);
-    std::unique_ptr<Pass> pass = make_pass(name);
-    if (pass == nullptr) {
-      throw ContractError("unknown pass '" + name + "' in '" + spec + "'");
-    }
-    // Ordering is statically checkable for spec-built pipelines, so an
-    // ill-ordered list fails here as a clean message instead of a run-time
-    // contract violation mid-flow.
-    if (const char* needed = pass->requires_pass()) {
-      bool satisfied = false;
-      for (const std::string& prior : seen) satisfied |= prior == needed;
-      if (!satisfied) {
-        throw ContractError("pass '" + name + "' requires '" + needed +
-                            "' earlier in the pipeline '" + spec + "'");
-      }
-    }
-    seen.push_back(name);
-    p.add(std::move(pass));
-    begin = end + 1;
-  }
-  return p;
-}
-
-const std::vector<std::string>& Pipeline::known_passes() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const PassEntry& entry : kPassRegistry) out.emplace_back(entry.name);
-    return out;
-  }();
-  return names;
-}
-
 // --- Result-caching hook -----------------------------------------------------
 
 std::uint64_t params_fingerprint(const FlowParams& params) {
@@ -429,8 +326,7 @@ std::uint64_t fingerprint_string(std::string_view text) {
 
 FlowEngine::FlowEngine() : FlowEngine(Pipeline::default_flow()) {}
 
-FlowEngine::FlowEngine(Pipeline pipeline)
-    : pipeline_(std::move(pipeline)), workers_(1) {
+FlowEngine::FlowEngine(Pipeline pipeline) : pipeline_(pipeline), workers_(1) {
   set_incremental(true);
 }
 
@@ -442,10 +338,6 @@ void FlowEngine::set_incremental(bool enabled) {
   } else if (memo_ == nullptr) {
     memo_ = std::make_unique<PassMemo>();
   }
-}
-
-void FlowEngine::set_pipeline(Pipeline pipeline) {
-  pipeline_ = std::move(pipeline);
 }
 
 void FlowEngine::set_threads(int threads) {
@@ -460,34 +352,35 @@ EngineResult FlowEngine::run_with(const Aig& aig, const FlowParams& params,
   T1MAP_REQUIRE(params.num_phases >= 1, "need at least one phase");
   T1MAP_REQUIRE(!params.use_t1 || params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
-  T1MAP_REQUIRE(!pipeline_.empty(), "FlowEngine: empty pipeline");
 
-  FlowContext ctx(aig, params, scratch, memo);
-
+  FlowContext ctx{aig, params, scratch, memo, {}, {}};
+  StageTimes& times = ctx.result.times;
   const Clock::time_point flow_start = Clock::now();
-  for (std::size_t i = 0; i < pipeline_.size(); ++i) {
-    const Pass& pass = pipeline_[i];
-    const Clock::time_point t0 = Clock::now();
-    const bool keep_going = pass.run(ctx);
-    ctx.times.*pass.time_slot() += seconds_between(t0, Clock::now());
-    if (!keep_going) {
-      T1MAP_ASSERT(ctx.status != FlowStatus::kOk);
-      break;
-    }
-  }
-  ctx.times.total_wall = seconds_between(flow_start, Clock::now());
+  Clock::time_point lap_start = flow_start;
+  // Seconds since the previous lap.
+  const auto lap = [&lap_start] {
+    const Clock::time_point now = Clock::now();
+    const double seconds = seconds_between(lap_start, now);
+    lap_start = now;
+    return seconds;
+  };
 
-  EngineResult result;
-  result.status = ctx.status;
-  result.mapped = std::move(ctx.mapped);
-  result.has_materialized = ctx.has_materialized;
-  result.materialized = std::move(ctx.materialized);
-  result.stats = ctx.stats;
-  result.times = ctx.times;
-  result.diagnostics = std::move(ctx.diagnostics);
-  result.reuse = ctx.reuse;
-  result.cec = std::move(ctx.cec);
-  return result;
+  map_pass(ctx);
+  times.map = lap();
+  t1_pass(ctx);
+  times.t1_detect = lap();
+  stage_pass(ctx);
+  times.stage_assign = lap();
+  dff_pass(ctx);
+  times.dff_insert = lap();
+  const bool checks_ok = timing_check(ctx) && sim_check(ctx);
+  times.self_check = lap();
+  if (checks_ok && pipeline_.with_cec) {
+    cec_check(ctx);
+    times.cec = lap();
+  }
+  times.total_wall = seconds_between(flow_start, Clock::now());
+  return std::move(ctx.result);
 }
 
 EngineResult FlowEngine::run(const Aig& aig, const FlowParams& params) {

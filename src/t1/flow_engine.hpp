@@ -1,22 +1,22 @@
 /// \file flow_engine.hpp
-/// \brief The Table-I flow as a composable pass pipeline, run by one engine.
+/// \brief The Table-I flow, run by one engine.
 ///
 /// A `FlowEngine` is the one way to run the flow, once or many times.  It
 /// owns the reusable state: a persistent pool of worker threads, one
 /// `FlowScratch` per worker (cut-enumeration arenas, the SAT solver,
-/// simulation buffers) and the pass memo (pass_memo.hpp).  It executes an
-/// explicit `Pipeline` of `Pass` objects over a `FlowContext`.
+/// simulation buffers) and the pass memo (pass_memo.hpp).  Every run makes
+/// the same steps in the same order: the four mapping passes (map, t1,
+/// stage, dff), then the checks its `Pipeline` selects.
 ///
 /// Design points:
-///   * Passes are stateless and const; all evolving data lives in the
-///     `FlowContext` and all reusable allocations in the `FlowScratch`, so
-///     one `Pipeline` can drive many worker threads concurrently.
-///   * The verification stages (timing validation, random-simulation
-///     equivalence, SAT CEC) are ordinary pipeline passes: individually
-///     toggleable, and reporting failures as structured `Diagnostic`
-///     records plus a `FlowStatus` the caller inspects — not bare throws.
-///     Contract violations on API misuse (e.g. a pipeline that inserts DFFs
-///     before mapping) still throw `ContractError`.
+///   * A run keeps its evolving data in its own result and its reusable
+///     allocations in the worker's `FlowScratch`, so one engine drives many
+///     worker threads concurrently.
+///   * The checks (timing validation, random-simulation equivalence, SAT
+///     CEC) report failures as structured `Diagnostic` records plus a
+///     `FlowStatus` the caller inspects — not bare throws.  Invalid
+///     parameters (e.g. T1 cells with fewer than 3 phases) still throw
+///     `ContractError`.
 ///   * `FlowEngine::run_many` deals a batch of `FlowJob`s over the engine's
 ///     workers, optionally through a `RunCache`; results are index-aligned
 ///     and bit-for-bit independent of the thread count.
@@ -59,12 +59,12 @@ const char* severity_name(Severity severity);
 /// One structured record emitted by a pass.
 struct Diagnostic {
   Severity severity = Severity::kInfo;
-  std::string pass;     // Pass::name() of the emitter
+  std::string pass;     // the emitting step, e.g. "timing" or "cec"
   std::string message;  // human-readable detail
 };
 
-/// Ordered sink of per-pass records; carried by the `FlowContext` and
-/// returned in the `EngineResult`.
+/// Ordered sink of per-pass records; filled by a run and returned in its
+/// `EngineResult`.
 class Diagnostics {
  public:
   void add(Severity severity, std::string pass, std::string message);
@@ -85,12 +85,12 @@ class Diagnostics {
   std::vector<Diagnostic> entries_;
 };
 
-/// How a pipeline execution ended.  Anything but kOk has at least one error
-/// diagnostic explaining it.
+/// How a run ended.  Anything but kOk has at least one error diagnostic
+/// explaining it.
 enum class FlowStatus {
   kOk = 0,
-  kTimingViolation,  // TimingCheckPass: materialized netlist is illegal
-  kNotEquivalent,    // SimEquivPass / SatCecPass: result differs from source
+  kTimingViolation,  // timing check: materialized netlist is illegal
+  kNotEquivalent,    // sim or cec check: result differs from the source
 };
 
 const char* flow_status_name(FlowStatus status);
@@ -120,144 +120,11 @@ struct ReuseCounters {
 /// touch.  Reset-and-reuse semantics — holding one `FlowScratch` across
 /// thousands of runs stops paying arena growth after the first.
 struct FlowScratch {
-  CutWorkspace cuts;        // MapPass + T1DetectPass enumeration arenas
-  DetectScratch t1_detect;  // T1DetectPass grouping/MFFC flat storage
-  sat::Solver solver;       // SatCecPass clause arena
-  sfq::SimScratch sim;      // SimEquivPass stimulus buffer
+  CutWorkspace cuts;        // map + t1 enumeration arenas
+  DetectScratch t1_detect;  // t1 grouping/MFFC flat storage
+  sat::Solver solver;       // cec clause arena
+  sfq::SimScratch sim;      // sim stimulus buffer
 };
-
-/// The shared state a pipeline evolves.  Passes read what upstream passes
-/// produced and write their own products; the `has_*` flags gate the
-/// ordering contracts.  Only the engine builds one.
-struct FlowContext {
-  FlowContext(const Aig& source, const FlowParams& flow_params,
-              FlowScratch& worker, PassMemo* pass_memo)
-      : aig(source), params(flow_params), scratch(worker), memo(pass_memo) {}
-
-  // Inputs.
-  const Aig& aig;
-  FlowParams params;
-  FlowScratch& scratch;  // the allocations of the worker running the pipeline
-  /// The previous result of the map, t1 and stage passes (pass_memo.hpp),
-  /// or null for a cold run.  The engine passes its memo only to runs on
-  /// worker 0 alone: the memo is single-threaded state.
-  PassMemo* memo;
-
-  // Evolving netlist state.
-  sfq::Netlist mapped;  // post-mapping (and post-T1-rewrite) network
-  bool has_mapped = false;
-  retime::StageAssignment assignment;
-  bool has_assignment = false;
-  retime::MaterializeResult materialized;
-  bool has_materialized = false;
-
-  // Outputs.
-  FlowStats stats;
-  StageTimes times;
-  Diagnostics diagnostics;
-  ReuseCounters reuse;
-  FlowStatus status = FlowStatus::kOk;
-  std::string cec = "skipped";  // SatCecPass verdict when the pass ran
-
-  /// Records a structured failure: sets `status` and appends an error
-  /// diagnostic.  The failing pass returns false to stop the pipeline.
-  void fail(FlowStatus failure, std::string pass, std::string message);
-};
-
-// --- Passes ------------------------------------------------------------------
-
-/// One pipeline stage.  Implementations are stateless (configuration comes
-/// from `ctx.params`), so a single instance may serve concurrent contexts.
-class Pass {
- public:
-  virtual ~Pass() = default;
-  /// Stable identifier: used by `Pipeline::parse`, diagnostics and docs.
-  virtual const char* name() const = 0;
-  /// Executes on `ctx`.  Returns false to stop the pipeline after recording
-  /// a structured failure via `ctx.fail`; throws only on API misuse.
-  virtual bool run(FlowContext& ctx) const = 0;
-  /// The `StageTimes` bucket this pass accumulates into.
-  virtual double StageTimes::* time_slot() const {
-    return &StageTimes::self_check;
-  }
-  /// Name of the pass that must appear earlier in a pipeline for this one
-  /// to find its inputs (nullptr = none).  `Pipeline::parse` rejects specs
-  /// that violate it; the run-time `T1MAP_REQUIRE`s in `run` stay the
-  /// authority for programmatically composed pipelines.
-  virtual const char* requires_pass() const { return nullptr; }
-};
-
-/// Technology mapping (AIG → SFQ cells), including cut enumeration.
-class MapPass final : public Pass {
- public:
-  const char* name() const override { return "map"; }
-  bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override { return &StageTimes::map; }
-};
-
-/// T1 detection + substitution (no-op when `params.use_t1` is false).
-class T1DetectPass final : public Pass {
- public:
-  const char* name() const override { return "t1"; }
-  bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override {
-    return &StageTimes::t1_detect;
-  }
-  const char* requires_pass() const override { return "map"; }
-};
-
-/// Multiphase stage assignment (§II-B).
-class StageAssignPass final : public Pass {
- public:
-  const char* name() const override { return "stage"; }
-  bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override {
-    return &StageTimes::stage_assign;
-  }
-  const char* requires_pass() const override { return "map"; }
-};
-
-/// DFF materialization (§II-C) + Table-I statistics.
-class DffInsertPass final : public Pass {
- public:
-  const char* name() const override { return "dff"; }
-  bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override {
-    return &StageTimes::dff_insert;
-  }
-  const char* requires_pass() const override { return "stage"; }
-};
-
-/// Independent timing validation of the materialized netlist.
-class TimingCheckPass final : public Pass {
- public:
-  const char* name() const override { return "timing"; }
-  bool run(FlowContext& ctx) const override;
-  const char* requires_pass() const override { return "dff"; }
-};
-
-/// Random-simulation equivalence against the source AIG
-/// (`params.verify_rounds` rounds; no-op when 0).
-class SimEquivPass final : public Pass {
- public:
-  const char* name() const override { return "sim"; }
-  bool run(FlowContext& ctx) const override;
-  const char* requires_pass() const override { return "dff"; }
-};
-
-/// CEC of the materialized netlist against the source AIG (the sweep of
-/// sat/cec.hpp); records the verdict in `ctx.cec` and the sweep's work
-/// counters in an info diagnostic.
-class SatCecPass final : public Pass {
- public:
-  const char* name() const override { return "cec"; }
-  bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override { return &StageTimes::cec; }
-  const char* requires_pass() const override { return "dff"; }
-};
-
-/// Factory over the pass registry; nullptr for unknown names.
-std::unique_ptr<Pass> make_pass(const std::string& name);
 
 // --- Result-caching hook -----------------------------------------------------
 
@@ -265,7 +132,7 @@ struct EngineResult;  // declared with the engine below
 
 /// Opaque 128-bit key identifying one (source AIG, configuration) mapping
 /// problem.  Producers combine a canonical structural hash of the AIG
-/// (serve::AigHasher) with `params_fingerprint` and the pipeline spec; the
+/// (serve::AigHasher) with `params_fingerprint` and the `Pipeline`; the
 /// engine never interprets the bits.
 struct RunKey {
   std::uint64_t hi = 0;
@@ -322,53 +189,38 @@ class RunCache {
 /// sets with equal fingerprints are interchangeable for caching.
 std::uint64_t params_fingerprint(const FlowParams& params);
 
-/// Platform-stable 64-bit FNV-1a, used to fold strings (e.g. a pipeline
-/// spec) into cache keys.
+/// Platform-stable 64-bit FNV-1a, used to fold strings (e.g. a name for
+/// the `Pipeline`) into cache keys.
 std::uint64_t fingerprint_string(std::string_view text);
 
 // --- Pipeline ----------------------------------------------------------------
 
-/// An ordered, owned sequence of passes.  Move-only.
-class Pipeline {
- public:
-  Pipeline() = default;
-  Pipeline(Pipeline&&) = default;
-  Pipeline& operator=(Pipeline&&) = default;
+/// Which checks follow the four mapping passes.  Every run maps the AIG
+/// to SFQ cells (map), substitutes T1 cells (t1), assigns stages (stage)
+/// and inserts DFFs (dff).  Then it runs the timing check, random
+/// simulation when `FlowParams::verify_rounds > 0`, and SAT CEC when
+/// `with_cec` is set, in that order.  A failed check stops the run.
+struct Pipeline {
+  bool with_cec = false;
 
-  Pipeline& add(std::unique_ptr<Pass> pass);
-
-  std::size_t size() const { return passes_.size(); }
-  bool empty() const { return passes_.empty(); }
-  const Pass& operator[](std::size_t i) const { return *passes_[i]; }
-  /// Comma-joined pass names, `parse`-compatible.
-  std::string spec() const;
-
-  /// The Table-I flow a default `FlowEngine` executes:
-  /// map,t1,stage,dff,timing,sim.  Pass `with_cec` to append SAT CEC.
-  static Pipeline default_flow(bool with_cec = false);
-  /// Builds from a comma-separated name list (e.g. "map,t1,stage,dff").
-  /// Throws ContractError on unknown or empty names.
-  static Pipeline parse(const std::string& spec);
-  /// Every name `parse`/`make_pass` accepts, in canonical flow order.
-  static const std::vector<std::string>& known_passes();
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
+  /// The Table-I flow; `with_cec` adds SAT CEC.
+  static Pipeline default_flow(bool with_cec = false) {
+    return Pipeline{with_cec};
+  }
 };
 
 // --- Engine ------------------------------------------------------------------
 
 /// What one run of the flow returns: the netlists, the Table-I statistics
-/// and the structured outcome.  On failure (`!ok()`), the netlist fields are
-/// filled up to the failing pass, so callers can post-mortem the partial
-/// result.
+/// and the structured outcome.  On failure (`!ok()`) a check rejected the
+/// result; its netlists are still filled, so callers can post-mortem it.
 struct EngineResult {
   FlowStatus status = FlowStatus::kOk;
   bool ok() const { return status == FlowStatus::kOk; }
 
   sfq::Netlist mapped;                    // pre-retiming network
-  /// False when the pipeline had no dff pass (or stopped before it):
-  /// `materialized` is then default-constructed, not a mapped design.
+  /// Set on every result a `FlowEngine` returns.  False only on a result
+  /// built elsewhere whose `materialized` is not a mapped design.
   bool has_materialized = false;
   retime::MaterializeResult materialized;
   FlowStats stats;
@@ -389,18 +241,17 @@ struct FlowJob {
   RunKey key;
 };
 
-/// Executes a `Pipeline` over AIGs on a persistent pool of workers, each
-/// with its own `FlowScratch`.  Not itself thread-safe: use one engine per
-/// calling thread.
+/// Runs the flow over AIGs on a persistent pool of workers, each with its
+/// own `FlowScratch`.  Not itself thread-safe: use one engine per calling
+/// thread.
 class FlowEngine {
  public:
-  /// Engine over the default Table-I pipeline (no CEC).
+  /// Engine over the default Table-I flow (no CEC).
   FlowEngine();
   explicit FlowEngine(Pipeline pipeline);
   ~FlowEngine();  // out of line: PassMemo and WorkerPool are incomplete here
 
-  const Pipeline& pipeline() const { return pipeline_; }
-  void set_pipeline(Pipeline pipeline);
+  void set_pipeline(Pipeline pipeline) { pipeline_ = pipeline; }
 
   /// The pass memo across this engine's runs (default on): on worker 0,
   /// the map, t1 and stage passes each reuse their whole previous result
@@ -420,7 +271,7 @@ class FlowEngine {
   void set_threads(int threads);
   int threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs the pipeline on one AIG on worker 0.
+  /// Runs the flow on one AIG on worker 0.
   EngineResult run(const Aig& aig, const FlowParams& params = {});
 
   /// Deterministic batched execution; results are index-aligned with `jobs`
@@ -442,8 +293,8 @@ class FlowEngine {
                                          nullptr);
 
  private:
-  /// Executes the pipeline on `aig` with `scratch`, reusing from `memo`
-  /// when it is not null.
+  /// Runs the flow on `aig` with `scratch`, reusing from `memo` when it is
+  /// not null.
   EngineResult run_with(const Aig& aig, const FlowParams& params,
                         FlowScratch& scratch, PassMemo* memo) const;
 

@@ -293,6 +293,39 @@ TEST(Cli, IncrementalFromAnUnrelatedDesignReusesNoCone) {
   std::remove(aag.c_str());
 }
 
+// A primed run maps the configurations one after another, each on worker 0
+// of its own engine, so its progress lines say so whatever --threads asks.
+TEST(Cli, IncrementalFromRunsTheConfigurationsOneAfterAnother) {
+  const std::string aag = "/tmp/t1map_cli_inc_seq_adder16.aag";
+  std::string out;
+  ASSERT_EQ(run_command(kCli + " --gen adder16 --export-aiger " + aag +
+                            " --json 2>/dev/null",
+                        out),
+            0);
+  std::string batch_err;
+  ASSERT_EQ(run_command(kCli + " --gen adder16 --threads 3 --no-cec " +
+                            "2>&1 >/dev/null",
+                        batch_err),
+            0);
+  EXPECT_NE(batch_err.find("running 3 configurations on 3 threads"),
+            std::string::npos)
+      << batch_err;
+
+  std::string primed_err;
+  ASSERT_EQ(run_command(kCli + " --gen adder16 --threads 3 --no-cec " +
+                            "--incremental-from " + aag + " 2>&1 >/dev/null",
+                        primed_err),
+            0);
+  EXPECT_EQ(primed_err.find("configurations on"), std::string::npos)
+      << primed_err;
+  for (const char* key : {"baseline_1phi", "baseline_4phi", "t1"}) {
+    EXPECT_NE(primed_err.find(std::string("t1map: running ") + key + " ..."),
+              std::string::npos)
+        << primed_err;
+  }
+  std::remove(aag.c_str());
+}
+
 TEST(Cli, ListGensAndHelp) {
   std::string out;
   ASSERT_EQ(run_command(kCli + " --list-gens", out), 0);

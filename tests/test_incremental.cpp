@@ -8,7 +8,9 @@
 //     edited AIG misses the map slot, and t1 and stage reuse only when
 //     the edit leaves their input netlist the same node for node;
 //   * exact re-runs reuse all three passes, a phase change reuses map and
-//     t1 only, and a port rename misses the map slot.
+//     t1 only, and a port rename misses the map slot;
+//   * every field of the map, t1 and stage parameters is part of its pass's
+//     key: changing one makes that pass recompute.
 
 #include <gtest/gtest.h>
 
@@ -231,6 +233,57 @@ TEST(Incremental, PhaseChangeReusesMapAndT1AndRecomputesStage) {
   EXPECT_TRUE(warm5.reuse.t1_exact);
   EXPECT_EQ(warm5.reuse.t1_cones_reused, warm5.reuse.t1_cones_total);
   EXPECT_FALSE(warm5.reuse.stage_spliced);
+}
+
+// A field missing from `mapper_params_key`, `detect_params_key` or
+// `stage_params_key` would let a warm run with that field changed reuse a
+// stale result.  Each change below runs right after the base parameters
+// filled the memo, so the pass that reads the field must miss while the
+// passes upstream of it still reuse.
+TEST(Incremental, EveryParamsFieldMakesItsPassRecompute) {
+  const Aig aig = gen::make_named("mul8");
+  const t1::FlowParams base = t1_params();
+  struct Change {
+    const char* field;
+    std::string pass;  // the pass that reads the field
+    t1::FlowParams params;
+  };
+  std::vector<Change> changes;
+  const auto change = [&](const char* field, const char* pass) -> auto& {
+    changes.push_back({field, pass, base});
+    return changes.back().params;
+  };
+  change("mapper.cuts.k", "map").mapper.cuts.k = 2;
+  change("mapper.cuts.max_cuts", "map").mapper.cuts.max_cuts = 8;
+  change("detect.cuts.k", "t1").detect.cuts.k = 4;
+  change("detect.cuts.max_cuts", "t1").detect.cuts.max_cuts = 8;
+  change("detect.allow_input_negation", "t1").detect.allow_input_negation =
+      false;
+  change("detect.min_gain", "t1").detect.min_gain = 10;
+  change("num_phases", "stage").num_phases = 5;
+  change("optimize_stages", "stage").optimize_stages = false;
+  change("stage_sweeps", "stage").stage_sweeps = 2;
+
+  t1::FlowEngine warm;
+  t1::FlowEngine cold;
+  cold.set_incremental(false);
+  for (const Change& c : changes) {
+    (void)warm.run(aig, base);
+    const t1::EngineResult r = warm.run(aig, c.params);
+    ASSERT_TRUE(r.ok()) << c.field;
+    const t1::ReuseCounters& reuse = r.reuse;
+    const bool map_hit = reuse.map_cones_reused == reuse.map_cones_total;
+    if (c.pass == "map") {
+      EXPECT_EQ(reuse.map_cones_reused, 0u) << c.field;
+    } else if (c.pass == "t1") {
+      EXPECT_TRUE(map_hit) << c.field;
+      EXPECT_FALSE(reuse.t1_exact) << c.field;
+    } else {
+      EXPECT_TRUE(map_hit && reuse.t1_exact) << c.field;
+      EXPECT_FALSE(reuse.stage_spliced) << c.field;
+    }
+    EXPECT_EQ(signature(r), signature(cold.run(aig, c.params))) << c.field;
+  }
 }
 
 TEST(Incremental, RenamedPortsMissTheMapSlot) {

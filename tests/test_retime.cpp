@@ -390,7 +390,7 @@ void digest_retime(const Netlist& mapped, int phases, PinDigest& stages,
 /// The mapped (and, with `use_t1`, T1-rewritten) netlist the flow's stage
 /// pass sees for this configuration.
 Netlist mapped_netlist(const std::string& gen, int phases, bool use_t1) {
-  t1::FlowEngine engine(t1::Pipeline::parse("map,t1"));
+  t1::FlowEngine engine;
   engine.set_incremental(false);
   t1::FlowParams params;
   params.num_phases = phases;

@@ -170,6 +170,15 @@ TEST(ParamsFingerprint, SensitiveToEveryResultField) {
   p.detect.allow_input_negation = false;
   EXPECT_TRUE(differs(p));
   p = base;
+  p.detect.cuts.k = 4;
+  EXPECT_TRUE(differs(p));
+  p = base;
+  p.detect.cuts.max_cuts = 8;
+  EXPECT_TRUE(differs(p));
+  p = base;
+  p.mapper.cuts.k = 2;
+  EXPECT_TRUE(differs(p));
+  p = base;
   p.mapper.cuts.max_cuts = 8;
   EXPECT_TRUE(differs(p));
   p = base;
