@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -481,6 +482,73 @@ TEST(Server, ProtocolOrderingHitsAndErrors) {
   EXPECT_EQ(cache_stats.at("insertions").as_number(), 2);  // t1 + nphi
   EXPECT_GE(cache_stats.at("hits").as_number(), 1);
   EXPECT_EQ(r6.at("serve").at("errors").as_number(), 2);
+}
+
+/// Every member path of `value` in document order ("a.b", "a.list[1].c"),
+/// values ignored; `latency` is listed but not entered.
+void collect_key_paths(const io::Json& value, const std::string& path,
+                       std::string& out) {
+  if (value.is_object()) {
+    for (const auto& [key, member] : value.members()) {
+      const std::string child = path.empty() ? key : path + "." + key;
+      out += (out.empty() ? "" : " ") + child;
+      if (key != "latency") collect_key_paths(member, child, out);
+    }
+  } else if (value.is_array()) {
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      collect_key_paths(value.at(i), path + "[" + std::to_string(i) + "]",
+                        out);
+    }
+  }
+}
+
+TEST(Server, StatsKeyPathsArePinned) {
+  // perfbench's serve-mix and scripts/serve_smoke.py read this document,
+  // so its member paths and their order are fixed, with and without a
+  // disk tier.
+  const std::string head =
+      "id ok serve serve.requests serve.batches serve.errors "
+      "serve.connections serve.cache serve.cache.hits serve.cache.misses "
+      "serve.cache.insertions serve.cache.evictions serve.cache.entries "
+      "serve.cache.bytes serve.cache.tiers serve.cache.tiers[0].name "
+      "serve.cache.tiers[0].hits serve.cache.tiers[0].misses "
+      "serve.cache.tiers[0].insertions serve.cache.tiers[0].evictions "
+      "serve.cache.tiers[0].entries serve.cache.tiers[0].bytes "
+      "serve.cache.tiers[0].shards";
+  const std::string disk =
+      " serve.cache.tiers[1].name serve.cache.tiers[1].hits "
+      "serve.cache.tiers[1].misses serve.cache.tiers[1].insertions "
+      "serve.cache.tiers[1].evictions serve.cache.tiers[1].entries "
+      "serve.cache.tiers[1].bytes serve.cache.tiers[1].recovered_entries "
+      "serve.cache.tiers[1].recovered_truncated_bytes";
+  const std::string tail =
+      " serve.incremental serve.incremental.flow_runs "
+      "serve.incremental.map_cones_total serve.incremental.map_cones_reused "
+      "serve.incremental.map_hit_rate serve.incremental.t1_cones_total "
+      "serve.incremental.t1_cones_reused serve.incremental.t1_hit_rate "
+      "serve.incremental.t1_exact_hits serve.incremental.stage_splice_hits "
+      "serve.latency";
+  const std::string script =
+      "{\"id\":1,\"gen\":\"adder8\"}\n{\"id\":2,\"cmd\":\"stats\"}\n";
+  const auto stats_paths = [&script](const serve::ServeConfig& config) {
+    const std::vector<std::string> lines = serve_script(script, config);
+    EXPECT_EQ(lines.size(), 2u);
+    std::string paths;
+    if (lines.size() == 2) {
+      collect_key_paths(io::Json::parse(lines[1]), "", paths);
+    }
+    return paths;
+  };
+
+  EXPECT_EQ(stats_paths(fast_config()), head + tail);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "t1map_stats_key_paths";
+  std::filesystem::remove_all(dir);
+  serve::ServeConfig config = fast_config();
+  config.cache_dir = dir.string();
+  EXPECT_EQ(stats_paths(config), head + disk + tail);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, InlineBlifJobsShareTheCacheWithGeneratorJobs) {
