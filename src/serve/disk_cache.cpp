@@ -52,22 +52,19 @@ std::uint64_t get_u64(const char* p) {
   return v;
 }
 
-/// Full write at an offset; EINTR-safe.  Throws on I/O failure — a store
-/// that cannot land must not leave a half-committed record *believed*
-/// committed, and the caller treats the exception as fatal for the tier.
-void pwrite_all(int fd, const char* data, std::size_t len,
+/// Full write at an offset; EINTR-safe.  Returns false on I/O failure
+/// (disk full, file-size limit), with `errno` set; a prefix may have landed.
+bool pwrite_all(int fd, const char* data, std::size_t len,
                 std::uint64_t offset) {
   while (len > 0) {
     const ssize_t n = ::pwrite(fd, data, len, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      T1MAP_REQUIRE(false, std::string("disk cache write failed: ") +
-                               std::strerror(errno));
-    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
     data += n;
     len -= static_cast<std::size_t>(n);
     offset += static_cast<std::uint64_t>(n);
   }
+  return true;
 }
 
 /// Full read at an offset; returns false on short read or I/O error (a
@@ -105,7 +102,11 @@ int open_cache_file(const std::string& path, std::uint32_t magic,
     put_u32(header + 4, kResultCodecVersion);
     if (::ftruncate(fd, 0) != 0) { /* best effort; pwrite below rules */
     }
-    pwrite_all(fd, header, sizeof header, 0);
+    if (!pwrite_all(fd, header, sizeof header, 0)) {
+      const std::string err = std::strerror(errno);
+      ::close(fd);
+      T1MAP_REQUIRE(false, "cannot write cache file: " + path + ": " + err);
+    }
     size = kHeaderBytes;
     return fd;
   }
@@ -271,7 +272,12 @@ void DiskCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
     return;
   }
   const std::uint64_t offset = records_size_;
-  pwrite_all(records_fd_, record.data(), record.size(), offset);
+  if (!pwrite_all(records_fd_, record.data(), record.size(), offset)) {
+    // Rejected like a store into a full log; the torn bytes lie past the
+    // committed end, where the next store or recovery discards them.
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   if (config_.fsync_stores) ::fsync(records_fd_);
 
   // The index entry is the commit point — written (and synced) after the
@@ -281,7 +287,10 @@ void DiskCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   put_u64(entry + 8, key.lo);
   put_u64(entry + 16, offset);
   put_u32(entry + 24, static_cast<std::uint32_t>(payload.size()));
-  pwrite_all(index_fd_, entry, sizeof entry, index_size_);
+  if (!pwrite_all(index_fd_, entry, sizeof entry, index_size_)) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   if (config_.fsync_stores) ::fsync(index_fd_);
 
   records_size_ += record.size();
@@ -290,8 +299,8 @@ void DiskCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-t1::CacheStats DiskCache::stats() const {
-  t1::CacheStats s;
+CacheStats DiskCache::stats() const {
+  CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);

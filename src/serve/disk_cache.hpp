@@ -20,7 +20,10 @@
 /// Crash tolerance: a record is committed by its *index entry* (written
 /// after the record).  Recovery drops any index tail that points past the
 /// end of the log (crash mid-record or mid-entry), truncates both files
-/// back to their last consistent prefix, and carries on.  Checksums are
+/// back to their last consistent prefix, and carries on.  A store whose
+/// write fails (disk full, file-size limit) is rejected like one into a
+/// full log: neither file's committed size advances, and the next store
+/// overwrites the torn bytes.  Checksums are
 /// verified on every lookup; a corrupt record is dropped from the index
 /// and reported as a miss — the cache heals rather than serves garbage.
 ///
@@ -40,7 +43,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "serve/tiered_cache.hpp"
+#include "serve/flow_cache.hpp"
 
 namespace t1map::serve {
 
@@ -56,22 +59,23 @@ struct DiskCacheConfig {
   bool fsync_stores = false;
 };
 
-class DiskCache final : public CacheTier {
+/// The second tier of `TieredCache`.
+class DiskCache {
  public:
   /// Opens (or creates) the store and recovers the index.  Throws
   /// `ContractError` when the directory is unusable or holds an
   /// incompatible cache.
   explicit DiskCache(DiskCacheConfig config);
-  ~DiskCache() override;
+  ~DiskCache();
 
   DiskCache(const DiskCache&) = delete;
   DiskCache& operator=(const DiskCache&) = delete;
 
-  // CacheTier.
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out) override;
-  void store(const t1::RunKey& key, const t1::EngineResult& result) override;
-  t1::CacheStats stats() const override;
-  const char* tier_name() const override { return "disk"; }
+  /// Fills `out` and returns true when `key` has a sound record.
+  bool lookup(const t1::RunKey& key, t1::EngineResult& out);
+  /// Appends a successful result; a failed write rejects the store.
+  void store(const t1::RunKey& key, const t1::EngineResult& result);
+  CacheStats stats() const;
 
   /// Entries recovered by the warm-start scan of the boot.
   std::uint64_t recovered_entries() const { return recovered_; }
@@ -82,11 +86,6 @@ class DiskCache final : public CacheTier {
   struct Loc {
     std::uint64_t offset = 0;  // of the record header in the log
     std::uint32_t payload_len = 0;
-  };
-  struct KeyHash {
-    std::size_t operator()(const t1::RunKey& k) const {
-      return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9E3779B97F4A7C15ull));
-    }
   };
 
   void open_files();
@@ -99,7 +98,7 @@ class DiskCache final : public CacheTier {
   int index_fd_ = -1;
 
   mutable std::mutex mu_;  // index map + append path
-  std::unordered_map<t1::RunKey, Loc, KeyHash> index_;
+  std::unordered_map<t1::RunKey, Loc, RunKeyHash> index_;
   std::uint64_t records_size_ = 0;
   std::uint64_t index_size_ = 0;
 
@@ -108,7 +107,7 @@ class DiskCache final : public CacheTier {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> insertions_{0};
-  std::atomic<std::uint64_t> rejected_{0};  // capacity / corruption drops
+  std::atomic<std::uint64_t> rejected_{0};  // full, failed or corrupt
 };
 
 }  // namespace t1map::serve

@@ -37,8 +37,7 @@ std::size_t estimate_result_bytes(const t1::EngineResult& result) {
 }
 
 FlowCache::FlowCache(CacheConfig config)
-    : config_(config),
-      shard_mask_(std::bit_ceil(static_cast<std::size_t>(
+    : shard_mask_(std::bit_ceil(static_cast<std::size_t>(
                       std::max(config.num_shards, 1))) -
                   1),
       shard_budget_(config.max_bytes / (shard_mask_ + 1)),
@@ -106,8 +105,8 @@ void FlowCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   }
 }
 
-t1::CacheStats FlowCache::stats() const {
-  t1::CacheStats total;
+CacheStats FlowCache::stats() const {
+  CacheStats total;
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mu);
     total.hits += shard.hits;
@@ -127,15 +126,6 @@ std::vector<std::uint64_t> FlowCache::shard_occupancy() const {
     occupancy[i] = shards_[i].lru.size();
   }
   return occupancy;
-}
-
-void FlowCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
 }
 
 }  // namespace t1map::serve

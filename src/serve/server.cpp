@@ -4,8 +4,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -14,7 +16,6 @@
 #include "io/aiger.hpp"
 #include "io/blif.hpp"
 #include "io/json.hpp"
-#include "serve/disk_cache.hpp"
 #include "serve/json_out.hpp"
 
 namespace t1map::serve {
@@ -53,7 +54,17 @@ double stage_times_ms(const t1::StageTimes& t) {
                 t.self_check + t.cec);
 }
 
-void write_cache_stats_fields(io::JsonWriter& w, const t1::CacheStats& c) {
+/// Platform-stable FNV-1a: folds the pipeline's name into a cache key.
+std::uint64_t fingerprint_string(std::string_view text) {
+  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+void write_cache_stats_fields(io::JsonWriter& w, const CacheStats& c) {
   w.key("hits").value(c.hits).key("misses").value(c.misses);
   w.key("insertions").value(c.insertions);
   w.key("evictions").value(c.evictions);
@@ -75,7 +86,6 @@ struct Server::Job {
   bool with_cec = true;
   t1::RunKey key;
   std::uint64_t group = 0;  // configuration fingerprint (grouping key)
-  bool dispatched = false;
   bool cached = false;
   t1::EngineResult result;
 };
@@ -88,18 +98,8 @@ struct Server::SessionState {
   std::atomic<bool> done{false};
 };
 
-Server::Server(ServeConfig config) : config_(std::move(config)) {
-  auto memory = std::make_unique<FlowCache>(config_.cache);
-  memory_tier_ = memory.get();
-  cache_.add_tier(std::move(memory));
-  if (!config_.cache_dir.empty()) {
-    DiskCacheConfig disk;
-    disk.dir = config_.cache_dir;
-    auto tier = std::make_unique<DiskCache>(disk);
-    disk_tier_ = tier.get();
-    cache_.add_tier(std::move(tier));
-  }
-}
+Server::Server(ServeConfig config)
+    : config_(std::move(config)), cache_(config_.cache, config_.cache_dir) {}
 
 Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
                                   AigHasher& hasher) const {
@@ -194,7 +194,7 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
   // => same group), the full `key` addresses the cache.
   const Digest digest = hasher.hash(job.aig);
   const std::uint64_t pipeline_shape =
-      t1::fingerprint_string(job.with_cec ? "cec" : "default");
+      fingerprint_string(job.with_cec ? "cec" : "default");
   job.group = t1::params_fingerprint(job.params) ^ pipeline_shape;
   job.key.hi = digest.hi ^ job.group;
   job.key.lo = digest.lo ^ (job.group * 0x9E3779B97F4A7C15ull);
@@ -238,7 +238,6 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
       Job& job = batch[members[m]];
       job.result = std::move(results[m]);
       job.cached = cached[m] != 0;
-      job.dispatched = true;
       // Cache hits carry zeroed reuse counters; count only computed ok-runs
       // so the reported hit rates cover actual flow executions.
       if (!job.cached && job.result.ok()) {
@@ -286,22 +285,17 @@ void Server::write_response(Connection& conn, const Job& job) {
     w.key("cache").begin_object();
     write_cache_stats_fields(w, cache_.stats());
     w.key("tiers").begin_array();
-    for (std::size_t i = 0; i < cache_.num_tiers(); ++i) {
-      const CacheTier& tier = cache_.tier(i);
-      w.begin_object().key("name").value(tier.tier_name());
-      write_cache_stats_fields(w, tier.stats());
-      if (&tier == memory_tier_) {
-        w.key("shards").begin_array();
-        for (const std::uint64_t n : memory_tier_->shard_occupancy()) {
-          w.value(n);
-        }
-        w.end_array();
-      }
-      if (&tier == disk_tier_) {
-        w.key("recovered_entries").value(disk_tier_->recovered_entries());
-        w.key("recovered_truncated_bytes")
-            .value(disk_tier_->recovered_truncated_bytes());
-      }
+    w.begin_object().key("name").value("memory");
+    write_cache_stats_fields(w, cache_.memory().stats());
+    w.key("shards").begin_array();
+    for (const std::uint64_t n : cache_.memory().shard_occupancy()) w.value(n);
+    w.end_array().end_object();
+    if (const DiskCache* disk = cache_.disk()) {
+      w.begin_object().key("name").value("disk");
+      write_cache_stats_fields(w, disk->stats());
+      w.key("recovered_entries").value(disk->recovered_entries());
+      w.key("recovered_truncated_bytes")
+          .value(disk->recovered_truncated_bytes());
       w.end_object();
     }
     w.end_array().end_object();
@@ -503,7 +497,7 @@ ServeCounters Server::counters() const {
 
 std::string Server::summary() const {
   const ServeCounters n = counters();
-  const t1::CacheStats c = cache_.stats();
+  const CacheStats c = cache_.stats();
   std::ostringstream os;
   os << n.requests << " requests in " << n.batches << " batches ("
      << n.errors << " errors), cache: " << c.hits << " hits / " << c.misses

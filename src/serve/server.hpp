@@ -46,21 +46,17 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "serve/aig_hash.hpp"
-#include "serve/flow_cache.hpp"
 #include "serve/histogram.hpp"
 #include "serve/tiered_cache.hpp"
 #include "serve/transport.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map::serve {
-
-class DiskCache;
 
 /// Per-request defaults applied when a flow-job omits the field.  Shared
 /// by the server and the CLI so "what does an empty request mean" has one
@@ -111,12 +107,8 @@ class Server {
   /// ignored.
   std::uint64_t serve(std::istream& in, std::ostream& out);
 
-  /// The shared two-tier cache (tier 0 = memory, tier 1 = disk when
-  /// configured).
-  const TieredCache& cache() const { return cache_; }
-  TieredCache& cache() { return cache_; }
   /// The disk tier, or nullptr when no `cache_dir` was configured.
-  const DiskCache* disk_tier() const { return disk_tier_; }
+  const DiskCache* disk_tier() const { return cache_.disk(); }
 
   ServeCounters counters() const;
 
@@ -136,8 +128,6 @@ class Server {
 
   ServeConfig config_;
   TieredCache cache_;
-  FlowCache* memory_tier_ = nullptr;  // borrowed from cache_
-  DiskCache* disk_tier_ = nullptr;    // borrowed from cache_; may be null
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> responses_{0};

@@ -1,49 +1,46 @@
 #include "serve/tiered_cache.hpp"
 
-#include <utility>
-
 namespace t1map::serve {
 
-CacheTier& TieredCache::add_tier(std::unique_ptr<CacheTier> tier) {
-  tiers_.push_back(std::move(tier));
-  return *tiers_.back();
+TieredCache::TieredCache(CacheConfig memory, const std::string& disk_dir)
+    : memory_(memory) {
+  if (!disk_dir.empty()) {
+    disk_ = std::make_unique<DiskCache>(DiskCacheConfig{disk_dir});
+  }
 }
 
 bool TieredCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    if (!tiers_[i]->lookup(key, out)) continue;
-    // Promote into every faster tier so the next lookup stops there.
-    for (std::size_t j = 0; j < i; ++j) tiers_[j]->store(key, out);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  bool hit = memory_.lookup(key, out);
+  if (!hit && disk_ != nullptr && disk_->lookup(key, out)) {
+    memory_.store(key, out);  // promote: the next lookup stops at memory
+    hit = true;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return hit;
 }
 
 void TieredCache::store(const t1::RunKey& key,
                         const t1::EngineResult& result) {
   if (!result.ok()) return;  // tiers reject these too; don't count them
   insertions_.fetch_add(1, std::memory_order_relaxed);
-  for (const std::unique_ptr<CacheTier>& tier : tiers_) {
-    tier->store(key, result);
-  }
+  memory_.store(key, result);
+  if (disk_ != nullptr) disk_->store(key, result);
 }
 
-t1::CacheStats TieredCache::stats() const {
-  t1::CacheStats s;
+CacheStats TieredCache::stats() const {
+  // Evictions and residency are per-tier facts; the composition reports
+  // their totals (entries may count one key in both tiers — that is the
+  // honest answer for "how much is resident").
+  CacheStats s = memory_.stats();
+  if (disk_ != nullptr) {
+    const CacheStats d = disk_->stats();
+    s.evictions += d.evictions;
+    s.entries += d.entries;
+    s.bytes += d.bytes;
+  }
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
-  // Evictions and residency are per-tier facts; the composition reports
-  // their totals (entries may count one key in several tiers — that is
-  // the honest answer for "how much is resident").
-  for (const std::unique_ptr<CacheTier>& tier : tiers_) {
-    const t1::CacheStats t = tier->stats();
-    s.evictions += t.evictions;
-    s.entries += t.entries;
-    s.bytes += t.bytes;
-  }
   return s;
 }
 

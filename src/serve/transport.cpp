@@ -35,11 +35,8 @@ void set_nonblocking(int fd) {
 /// MSG_NOSIGNAL so a vanished peer is an error return, not a SIGPIPE.
 class SocketConnection final : public Connection {
  public:
-  SocketConnection(int fd, int wake_fd, int idle_timeout_ms, std::string peer)
-      : fd_(fd),
-        wake_fd_(wake_fd),
-        idle_timeout_ms_(idle_timeout_ms),
-        peer_(std::move(peer)) {
+  SocketConnection(int fd, int wake_fd, int idle_timeout_ms)
+      : fd_(fd), wake_fd_(wake_fd), idle_timeout_ms_(idle_timeout_ms) {
     set_nonblocking(fd_);
   }
 
@@ -117,8 +114,6 @@ class SocketConnection final : public Connection {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 
-  std::string peer() const override { return peer_; }
-
  private:
   /// Moves the next complete line out of the buffer.  Returns false when
   /// no terminated line is buffered (a trailing unterminated line is
@@ -162,7 +157,6 @@ class SocketConnection final : public Connection {
   std::atomic<int> fd_;
   const int wake_fd_;
   const int idle_timeout_ms_;
-  const std::string peer_;
   std::string buf_;
   std::size_t scan_ = 0;  // resume point for the newline search
   std::string out_;
@@ -189,7 +183,6 @@ class StreamConnection final : public Connection {
     return static_cast<bool>(out_);
   }
   void abort() override {}
-  std::string peer() const override { return "stream"; }
 
  private:
   std::istream& in_;
@@ -336,7 +329,7 @@ std::unique_ptr<Connection> SocketListener::accept() {
       ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     }
     return std::make_unique<SocketConnection>(client, wake_read_fd_,
-                                              idle_timeout_ms_, describe());
+                                              idle_timeout_ms_);
   }
 }
 

@@ -63,9 +63,6 @@ class Connection {
   /// read in progress on the owning session thread.  The only Connection
   /// method that is safe to call from another thread; used by drain.
   virtual void abort() = 0;
-
-  /// Human-readable peer label for logs ("stdin", "unix:...", "tcp:...").
-  virtual std::string peer() const = 0;
 };
 
 class Transport {
@@ -80,9 +77,6 @@ class Transport {
   /// reads see `kClosed`.  Async-signal-safe for `SocketListener` (one
   /// `write` to a pipe) and idempotent.
   virtual void shutdown() = 0;
-
-  /// Human-readable endpoint description.
-  virtual std::string describe() const = 0;
 };
 
 /// Parsed `--serve-listen` endpoint.
@@ -105,7 +99,6 @@ class StreamTransport final : public Transport {
 
   std::unique_ptr<Connection> accept() override;
   void shutdown() override { done_ = true; }
-  std::string describe() const override { return "stream"; }
 
  private:
   std::istream& in_;
@@ -130,7 +123,8 @@ class SocketListener final : public Transport {
 
   std::unique_ptr<Connection> accept() override;
   void shutdown() override;
-  std::string describe() const override;
+  /// The bound endpoint ("unix:PATH", "tcp:HOST:PORT") for messages.
+  std::string describe() const;
 
   std::uint16_t bound_port() const { return bound_port_; }
 

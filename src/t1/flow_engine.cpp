@@ -313,15 +313,6 @@ std::uint64_t params_fingerprint(const FlowParams& params) {
   return h;
 }
 
-std::uint64_t fingerprint_string(std::string_view text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 // --- Engine ------------------------------------------------------------------
 
 FlowEngine::FlowEngine() : FlowEngine(Pipeline::default_flow()) {}

@@ -36,7 +36,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cut/cut_enum.hpp"
@@ -140,34 +139,12 @@ struct RunKey {
   friend bool operator==(const RunKey&, const RunKey&) = default;
 };
 
-/// Point-in-time counter snapshot of a `RunCache` implementation.  Every
-/// concrete cache (in-memory, disk, tiered composition) reports through
-/// this one struct, so callers — the serve `stats` command, the CLI
-/// summary line — never reach for implementation-specific counters.
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;  // incl. capacity-rejected admissions
-  std::uint64_t entries = 0;    // resident entries
-  std::uint64_t bytes = 0;      // resident (or on-log) bytes
-
-  CacheStats& operator+=(const CacheStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    insertions += other.insertions;
-    evictions += other.evictions;
-    entries += other.entries;
-    bytes += other.bytes;
-    return *this;
-  }
-};
-
-/// Cache interface `run_many` consults, when given one, before dispatching
-/// work.  Implementations must be safe for concurrent callers
-/// (serve::FlowCache / serve::TieredCache are the production ones): several
-/// engines dispatching against one shared cache — e.g. one per serve
-/// connection — may call `lookup` and `store` simultaneously.
+/// The cache `run_many` consults, when given one, before it dispatches
+/// work: `lookup` for every job, `store` for every fresh result it may
+/// keep.  Implementations must be safe for concurrent callers: several
+/// engines (one per serve session) may share one cache.  The serving layer
+/// implements it (serve::FlowCache in memory, serve::TieredCache over
+/// memory and an optional disk log) and keeps its own counters.
 ///
 /// A hit ran no pass, so it reports zero `times` and zero `reuse`, whichever
 /// tier served it and whatever run computed it.
@@ -179,19 +156,12 @@ class RunCache {
   /// Offers a freshly computed successful result for retention (never one
   /// whose CEC came back inconclusive).
   virtual void store(const RunKey& key, const EngineResult& result) = 0;
-  /// Counter snapshot; the default (an empty snapshot) keeps trivial test
-  /// fakes trivial.
-  virtual CacheStats stats() const { return {}; }
 };
 
 /// Platform-stable 64-bit fingerprint of every `FlowParams` field that
 /// influences the mapped result or its recorded verdicts.  Two parameter
 /// sets with equal fingerprints are interchangeable for caching.
 std::uint64_t params_fingerprint(const FlowParams& params);
-
-/// Platform-stable 64-bit FNV-1a, used to fold strings (e.g. a name for
-/// the `Pipeline`) into cache keys.
-std::uint64_t fingerprint_string(std::string_view text);
 
 // --- Pipeline ----------------------------------------------------------------
 

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/json.hpp"
 
@@ -324,6 +328,60 @@ TEST(Cli, IncrementalFromRunsTheConfigurationsOneAfterAnother) {
         << primed_err;
   }
   std::remove(aag.c_str());
+}
+
+// A disk tier whose writes fail rejects the stores, and the server keeps
+// answering from memory.  The file-size limit makes the writes fail: one
+// block holds the files' headers but no record, and with SIGXFSZ ignored
+// the write returns EFBIG instead of killing the process.
+TEST(Cli, ServeSurvivesFailingDiskWrites) {
+  const std::string dir = "/tmp/t1map_cli_xfsz";
+  const std::string requests = "/tmp/t1map_cli_xfsz.jsonl";
+  std::filesystem::remove_all(dir);
+  {
+    std::ofstream script(requests);
+    const std::string job =
+        "\"gen\":\"adder8\",\"cec\":false,\"verify_rounds\":0";
+    script << "{\"id\":1," << job << "}\n"
+           << "{\"id\":2," << job << ",\"config\":\"nphi\"}\n"
+           << "{\"id\":3," << job << "}\n"
+           << "{\"id\":4,\"cmd\":\"stats\"}\n";
+  }
+  std::string out;
+  ASSERT_EQ(run_command("(trap '' XFSZ; ulimit -f 1; " + kCli +
+                            " --serve --cache-dir " + dir + ") < " +
+                            requests + " 2>/dev/null",
+                        out),
+            0)
+      << out;
+  std::vector<io::Json> responses;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    responses.push_back(io::Json::parse(line));
+  }
+  ASSERT_EQ(responses.size(), 4u) << out;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(responses[i].at("ok").as_bool()) << i;
+  }
+  EXPECT_TRUE(responses[2].at("cached").as_bool());  // from memory
+  const io::Json& tiers = responses[3].at("serve").at("cache").at("tiers");
+  ASSERT_EQ(tiers.size(), 2u);
+  EXPECT_EQ(tiers.at(1).at("insertions").as_number(), 0);
+  EXPECT_EQ(tiers.at(1).at("evictions").as_number(), 2);  // both stores
+  EXPECT_EQ(tiers.at(1).at("entries").as_number(), 0);
+
+  // The log stayed at its last committed entry: a second server on the
+  // directory recovers nothing.
+  ASSERT_EQ(run_command("echo '{\"cmd\":\"stats\"}' | " + kCli +
+                            " --serve --cache-dir " + dir + " 2>/dev/null",
+                        out),
+            0)
+      << out;
+  const io::Json reopened = io::Json::parse(out);
+  const io::Json& disk = reopened.at("serve").at("cache").at("tiers").at(1);
+  EXPECT_EQ(disk.at("recovered_entries").as_number(), 0);
+  std::filesystem::remove_all(dir);
+  std::remove(requests.c_str());
 }
 
 TEST(Cli, ListGensAndHelp) {

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,7 +233,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
   t1::EngineResult out;
   EXPECT_FALSE(cache.lookup(key, out));  // checksum fails -> miss, healed
   EXPECT_FALSE(cache.lookup(key, out));  // stays gone
-  const t1::CacheStats s = cache.stats();
+  const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.entries, 0u);
@@ -263,7 +262,7 @@ TEST(DiskCache, FullLogRejectsStoresAndCountsThem) {
   serve::DiskCache cache(config);
   cache.store(key_of(a, params), ra);
   cache.store(key_of(b, params), rb);  // over budget: rejected
-  const t1::CacheStats s = cache.stats();
+  const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.insertions, 1u);
   EXPECT_EQ(s.evictions, 1u);  // the rejected store
   t1::EngineResult out;
@@ -304,27 +303,20 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
     seeder.store(key, cold);
   }
 
-  serve::TieredCache tiers;
-  serve::CacheTier& memory =
-      tiers.add_tier(std::make_unique<serve::FlowCache>());
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
-  ASSERT_EQ(tiers.num_tiers(), 2u);
-  EXPECT_STREQ(tiers.tier(0).tier_name(), "memory");
-  EXPECT_STREQ(tiers.tier(1).tier_name(), "disk");
+  serve::TieredCache tiers({}, dir.string());
+  ASSERT_NE(tiers.disk(), nullptr);
 
   // First lookup: memory misses, disk hits, result promoted to memory.
   t1::EngineResult out;
   ASSERT_TRUE(tiers.lookup(key, out));
   expect_results_identical(cold, out, "disk hit");
-  EXPECT_EQ(memory.stats().entries, 1u);
+  EXPECT_EQ(tiers.memory().stats().entries, 1u);
 
   // Second lookup is served by the memory tier (disk hit count frozen).
-  const std::uint64_t disk_hits = tiers.tier(1).stats().hits;
+  const std::uint64_t disk_hits = tiers.disk()->stats().hits;
   ASSERT_TRUE(tiers.lookup(key, out));
-  EXPECT_EQ(tiers.tier(1).stats().hits, disk_hits);
-  EXPECT_EQ(memory.stats().hits, 1u);
+  EXPECT_EQ(tiers.disk()->stats().hits, disk_hits);
+  EXPECT_EQ(tiers.memory().stats().hits, 1u);
   EXPECT_EQ(tiers.stats().hits, 2u);  // composition: both were tiered hits
 
   // A miss everywhere is one tiered miss.
@@ -342,22 +334,23 @@ TEST(TieredCache, WritesThroughToEveryTier) {
   const t1::EngineResult cold = engine.run(aig, params);
   ASSERT_TRUE(cold.ok());
 
-  serve::TieredCache tiers;
-  tiers.add_tier(std::make_unique<serve::FlowCache>());
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
-
+  serve::TieredCache tiers({}, dir.string());
   tiers.store(key, cold);
-  EXPECT_EQ(tiers.tier(0).stats().entries, 1u);
-  EXPECT_EQ(tiers.tier(1).stats().entries, 1u);
+  EXPECT_EQ(tiers.memory().stats().entries, 1u);
+  EXPECT_EQ(tiers.disk()->stats().entries, 1u);
 
   // Failed results are stored nowhere and not counted.
   t1::EngineResult failed;
   failed.status = t1::FlowStatus::kNotEquivalent;
   tiers.store(t1::RunKey{5, 5}, failed);
   EXPECT_EQ(tiers.stats().insertions, 1u);
-  EXPECT_EQ(tiers.tier(1).stats().entries, 1u);
+  EXPECT_EQ(tiers.disk()->stats().entries, 1u);
+
+  // Without a directory there is no disk tier.
+  serve::TieredCache memory_only({}, "");
+  EXPECT_EQ(memory_only.disk(), nullptr);
+  memory_only.store(key, cold);
+  EXPECT_EQ(memory_only.stats().entries, 1u);
   fs::remove_all(dir);
 }
 
@@ -374,25 +367,31 @@ TEST(TieredCache, HitsCarryNoReuseCountersInEitherTier) {
   ASSERT_TRUE(warm.reuse.t1_exact);
   ASSERT_TRUE(warm.reuse.stage_spliced);
 
-  serve::TieredCache tiers;
-  tiers.add_tier(std::make_unique<serve::FlowCache>());
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
-  tiers.store(key, warm);
-
   // A hit ran no pass, whichever tier serves it.
-  for (std::size_t t = 0; t < tiers.num_tiers(); ++t) {
+  const auto expect_no_reuse = [&warm](const t1::EngineResult& hit,
+                                       const std::string& tier) {
+    expect_results_identical(warm, hit, tier);
+    EXPECT_EQ(hit.reuse.map_cones_total, 0u) << tier;
+    EXPECT_EQ(hit.reuse.map_cones_reused, 0u) << tier;
+    EXPECT_EQ(hit.reuse.t1_cones_total, 0u) << tier;
+    EXPECT_EQ(hit.reuse.t1_cones_reused, 0u) << tier;
+    EXPECT_FALSE(hit.reuse.t1_exact) << tier;
+    EXPECT_FALSE(hit.reuse.stage_spliced) << tier;
+  };
+  {
+    serve::TieredCache tiers({}, dir.string());
+    tiers.store(key, warm);
     t1::EngineResult hit;
-    ASSERT_TRUE(tiers.tier(t).lookup(key, hit)) << tiers.tier(t).tier_name();
-    expect_results_identical(warm, hit, tiers.tier(t).tier_name());
-    EXPECT_EQ(hit.reuse.map_cones_total, 0u) << tiers.tier(t).tier_name();
-    EXPECT_EQ(hit.reuse.map_cones_reused, 0u) << tiers.tier(t).tier_name();
-    EXPECT_EQ(hit.reuse.t1_cones_total, 0u) << tiers.tier(t).tier_name();
-    EXPECT_EQ(hit.reuse.t1_cones_reused, 0u) << tiers.tier(t).tier_name();
-    EXPECT_FALSE(hit.reuse.t1_exact) << tiers.tier(t).tier_name();
-    EXPECT_FALSE(hit.reuse.stage_spliced) << tiers.tier(t).tier_name();
+    ASSERT_TRUE(tiers.lookup(key, hit));
+    EXPECT_EQ(tiers.memory().stats().hits, 1u);
+    expect_no_reuse(hit, "memory");
   }
+  // A fresh cache on the same directory answers from disk.
+  serve::TieredCache reopened({}, dir.string());
+  t1::EngineResult hit;
+  ASSERT_TRUE(reopened.lookup(key, hit));
+  EXPECT_EQ(reopened.disk()->stats().hits, 1u);
+  expect_no_reuse(hit, "disk");
   fs::remove_all(dir);
 }
 
@@ -413,11 +412,7 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
     ASSERT_TRUE(results.back().ok());
   }
 
-  serve::TieredCache tiers;
-  tiers.add_tier(std::make_unique<serve::FlowCache>());
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
+  serve::TieredCache tiers({}, dir.string());
 
   constexpr int kThreads = 8;
   constexpr int kIters = 100;
@@ -441,15 +436,17 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
   for (std::thread& t : threads) t.join();
   for (const int m : mismatches) EXPECT_EQ(m, 0);
 
-  const t1::CacheStats c = tiers.stats();
+  const serve::CacheStats c = tiers.stats();
   EXPECT_EQ(c.hits + c.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(c.hits, 0u);
-  EXPECT_LE(tiers.tier(1).stats().entries, names.size());
+  EXPECT_LE(tiers.disk()->stats().entries, names.size());
 
   // Everything the hammer stored is recoverable by a fresh disk tier.
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
   serve::DiskCache reopened(config);
-  EXPECT_EQ(reopened.recovered_entries(), tiers.tier(1).stats().entries);
+  EXPECT_EQ(reopened.recovered_entries(), tiers.disk()->stats().entries);
   fs::remove_all(dir);
 }
 

@@ -225,7 +225,7 @@ TEST(FlowCache, HitIsBitIdenticalToColdRun) {
     EXPECT_EQ(warm.times.map, 0.0) << label;
     EXPECT_EQ(warm.times.cec, 0.0) << label;
   }
-  const t1::CacheStats c = cache.stats();
+  const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.insertions, golden_rows().size());
   EXPECT_EQ(c.hits, golden_rows().size());
   EXPECT_EQ(c.misses, golden_rows().size());
@@ -266,18 +266,13 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
   ASSERT_TRUE(cache.lookup(keys[0], out));
   cache.store(keys[2], results[2]);
 
-  const t1::CacheStats c = cache.stats();
+  const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.evictions, 1u);
   EXPECT_EQ(c.entries, 2u);
   EXPECT_LE(c.bytes, config.max_bytes);
   EXPECT_TRUE(cache.lookup(keys[0], out));   // recently used: survived
   EXPECT_FALSE(cache.lookup(keys[1], out));  // LRU: evicted
   EXPECT_TRUE(cache.lookup(keys[2], out));
-
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  EXPECT_FALSE(cache.lookup(keys[0], out));
 }
 
 TEST(FlowCache, NeverStoresFailedRuns) {
@@ -332,7 +327,7 @@ TEST(FlowCache, ConcurrentHitMissHammering) {
   for (std::thread& t : threads) t.join();
   for (const int m : mismatches) EXPECT_EQ(m, 0);
 
-  const t1::CacheStats c = cache.stats();
+  const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.hits + c.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(c.hits, 0u);
