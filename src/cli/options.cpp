@@ -55,8 +55,6 @@ Options parse_options(int argc, const char* const* argv) {
     const std::string& arg = args[i];
     if (arg == "--gen") {
       opts.gen_name = value_of(i);
-    } else if (arg == "--blif") {
-      opts.blif_path = value_of(i);
     } else if (arg == "--input") {
       opts.input_path = value_of(i);
       if (opts.input_path.empty()) {
@@ -185,10 +183,9 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--fuzz is its own run mode; it conflicts with "
                        "--bench/--serve");
     }
-    if (!opts.gen_name.empty() || !opts.blif_path.empty() ||
-        !opts.input_path.empty()) {
+    if (!opts.gen_name.empty() || !opts.input_path.empty()) {
       throw UsageError("--fuzz generates its own random circuits; "
-                       "--gen/--blif/--input do not apply");
+                       "--gen/--input do not apply");
     }
     if (!opts.incremental_from.empty()) {
       throw UsageError("--incremental-from primes a report-mode run; for "
@@ -217,10 +214,9 @@ Options parse_options(int argc, const char* const* argv) {
     }
     // Serve mode takes its work from the request stream; per-job fields
     // override the CLI defaults (--phases, --verify-rounds, --no-cec).
-    if (!opts.gen_name.empty() || !opts.blif_path.empty() ||
-        !opts.input_path.empty()) {
+    if (!opts.gen_name.empty() || !opts.input_path.empty()) {
       throw UsageError("--serve reads its circuits from the JSONL request "
-                       "stream; --gen/--blif/--input do not apply");
+                       "stream; --gen/--input do not apply");
     }
     if (opts.config != "all") {
       throw UsageError("--serve jobs carry their own \"config\" field; "
@@ -253,8 +249,8 @@ Options parse_options(int argc, const char* const* argv) {
   }
   if (opts.bench) {
     // Bench mode runs a built-in circuit set; --gen narrows it to one
-    // circuit, --blif is not supported there.
-    if (!opts.blif_path.empty() || !opts.input_path.empty()) {
+    // circuit, --input is not supported there.
+    if (!opts.input_path.empty()) {
       throw UsageError("--bench works on generated circuits; use --gen NAME "
                        "to bench a single one");
     }
@@ -284,12 +280,8 @@ Options parse_options(int argc, const char* const* argv) {
     }
     return opts;
   }
-  const int num_inputs = (opts.gen_name.empty() ? 0 : 1) +
-                         (opts.blif_path.empty() ? 0 : 1) +
-                         (opts.input_path.empty() ? 0 : 1);
-  if (num_inputs != 1) {
-    throw UsageError(
-        "exactly one of --gen NAME, --blif FILE or --input FILE is required");
+  if (opts.gen_name.empty() == opts.input_path.empty()) {
+    throw UsageError("exactly one of --gen NAME or --input FILE is required");
   }
   // T1 substitution needs >= 3 phases; fail before any config runs.
   if ((opts.config == "all" || opts.config == "t1") && opts.phases < 3) {
@@ -313,7 +305,6 @@ std::string usage() {
       "\n"
       "Usage:\n"
       "  t1map --gen NAME   [options]    map a generated benchmark\n"
-      "  t1map --blif FILE  [options]    map a BLIF file ('-' = stdin)\n"
       "  t1map --input FILE [options]    map an AIGER (.aag/.aig) or BLIF\n"
       "                                  file, auto-detected ('-' = stdin)\n"
       "  t1map --serve      [options]    cached JSONL serving loop\n"
@@ -413,7 +404,7 @@ std::string usage() {
       "  t1map --gen adder16 --config all\n"
       "  t1map --gen adder16 --config all --json\n"
       "  t1map --gen c6288 --phases 6 --config t1 --out-blif c6288_t1.blif\n"
-      "  t1map --blif design.blif --config t1 --out-dot design.dot\n"
+      "  t1map --input design.blif --config t1 --out-dot design.dot\n"
       "  t1map --input design.aig --config t1 --export-verilog design.v\n"
       "  t1map --fuzz 200 --fuzz-seed 7 --threads 4\n";
 }

@@ -16,9 +16,8 @@ class UsageError : public std::runtime_error {
 };
 
 struct Options {
-  // Input (exactly one of the three).
+  // Input (exactly one of the two).
   std::string gen_name;    // --gen NAME (registry or parametric, e.g. adder16)
-  std::string blif_path;   // --blif FILE ("-" = stdin)
   std::string input_path;  // --input FILE (AIGER or BLIF, auto-detected;
                            //   "-" = stdin)
 

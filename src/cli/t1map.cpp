@@ -1,12 +1,12 @@
 // t1map — unified driver for the T1-aware SFQ mapping flow.
 //
-// Reads a circuit (named generator or BLIF), runs the requested Table-I
-// configurations (1φ baseline, nφ baseline, nφ + T1), verifies each mapped
-// netlist against the source with SAT CEC, and prints a stats report as
-// text or JSON.  Optionally exports the final mapped netlist as BLIF/DOT.
+// Reads a circuit (named generator, AIGER or BLIF), runs the requested
+// Table-I configurations (1φ baseline, nφ baseline, nφ + T1), verifies each
+// mapped netlist against the source with SAT CEC, and prints a stats report
+// as text or JSON.  Optionally exports the final mapped netlist as BLIF/DOT.
 //
 //   $ t1map --gen adder16 --config all
-//   $ t1map --blif design.blif --config t1 --json
+//   $ t1map --input design.blif --config t1 --json
 
 #include <fstream>
 #include <iostream>
@@ -46,31 +46,17 @@ Aig load_input(const Options& opts, Report& report) {
     report.source = "gen:" + opts.gen_name;
     return gen::make_named(opts.gen_name);
   }
-  if (!opts.input_path.empty()) {
-    // Auto-detect from the leading bytes: both AIGER variants start with
-    // their magic word, anything else is treated as BLIF.
-    const std::string text = slurp(opts.input_path);
-    const bool aiger = text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0;
-    report.source = (aiger ? "aiger:" : "blif:") + opts.input_path;
-    if (aiger) {
-      report.design = opts.input_path == "-" ? "aiger" : opts.input_path;
-      return io::read_aiger_string(text);
-    }
-    std::string model_name;
-    Aig aig = io::read_blif_string(text, &model_name);
-    report.design = model_name;
-    return aig;
+  // Auto-detect from the leading bytes: both AIGER variants start with
+  // their magic word, anything else is treated as BLIF.
+  const std::string text = slurp(opts.input_path);
+  const bool aiger = text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0;
+  report.source = (aiger ? "aiger:" : "blif:") + opts.input_path;
+  if (aiger) {
+    report.design = opts.input_path == "-" ? "aiger" : opts.input_path;
+    return io::read_aiger_string(text);
   }
-  report.source = "blif:" + opts.blif_path;
   std::string model_name;
-  Aig aig;
-  if (opts.blif_path == "-") {
-    aig = io::read_blif(std::cin, &model_name);
-  } else {
-    std::ifstream ifs(opts.blif_path);
-    T1MAP_REQUIRE(ifs.good(), "cannot open BLIF file: " + opts.blif_path);
-    aig = io::read_blif(ifs, &model_name);
-  }
+  Aig aig = io::read_blif_string(text, &model_name);
   report.design = model_name;
   return aig;
 }

@@ -230,6 +230,40 @@ TEST(Cli, ThreadCountDoesNotChangeTheReport) {
             without_seconds(io::Json::parse(serial)).dump());
 }
 
+TEST(Cli, InputReadsBlifFromFileAndStdin) {
+  // Export a mapped netlist, then map it again as a BLIF design, from the
+  // file and from stdin: both runs see the same circuit.
+  const std::string blif = "/tmp/t1map_cli_rt.blif";
+  std::string out;
+  ASSERT_EQ(run_command(kCli + " --gen adder16 --config t1 --out-blif " +
+                            blif + " 2>/dev/null",
+                        out),
+            0);
+  std::string from_file;
+  std::string from_stdin;
+  ASSERT_EQ(run_command(kCli + " --input " + blif +
+                            " --config nphi --json 2>/dev/null",
+                        from_file),
+            0)
+      << from_file;
+  ASSERT_EQ(run_command(kCli + " --input - --config nphi --json < " + blif +
+                            " 2>/dev/null",
+                        from_stdin),
+            0)
+      << from_stdin;
+  const io::Json file_report = without_seconds(io::Json::parse(from_file));
+  const io::Json stdin_report = without_seconds(io::Json::parse(from_stdin));
+  EXPECT_EQ(file_report.at("source").as_string(), "blif:" + blif);
+  EXPECT_EQ(stdin_report.at("source").as_string(), "blif:-");
+  EXPECT_EQ(file_report.at("design").as_string(),
+            stdin_report.at("design").as_string());
+  const io::Json& nphi = file_report.at("configs").at("baseline_4phi");
+  EXPECT_EQ(nphi.at("cec").as_string(), "equivalent");
+  EXPECT_EQ(file_report.at("configs").dump(),
+            stdin_report.at("configs").dump());
+  std::remove(blif.c_str());
+}
+
 TEST(Cli, IncrementalFromTheSameDesignSplicesEveryCone) {
   const std::string aag = "/tmp/t1map_cli_inc_mul8.aag";
   std::string out;
