@@ -57,7 +57,6 @@ class Aig {
     return lit_not(create_and(lit_not(a), lit_not(b)));
   }
   Lit create_xor(Lit a, Lit b);
-  Lit create_and3(Lit a, Lit b, Lit c) { return create_and(create_and(a, b), c); }
   Lit create_or3(Lit a, Lit b, Lit c) { return create_or(create_or(a, b), c); }
   Lit create_xor3(Lit a, Lit b, Lit c) { return create_xor(create_xor(a, b), c); }
   /// if s then t else e

@@ -55,7 +55,6 @@ class Csr {
   std::size_t num_rows() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
-  std::size_t num_entries() const { return data_.size(); }
 
  private:
   std::vector<std::uint32_t> offsets_;  // num_rows + 1 prefix sums

@@ -46,13 +46,11 @@ class Model {
   void add_constraint(std::vector<Term> terms, Rel rel, double rhs);
 
   int num_vars() const { return static_cast<int>(lo_.size()); }
-  int num_constraints() const { return static_cast<int>(rows_.size()); }
 
   const std::vector<double>& lower_bounds() const { return lo_; }
   const std::vector<double>& upper_bounds() const { return hi_; }
   const std::vector<double>& objective() const { return obj_; }
   const std::vector<bool>& integrality() const { return integer_; }
-  const std::string& var_name(int v) const { return names_[v]; }
 
   struct Row {
     std::vector<Term> terms;

@@ -55,7 +55,6 @@ class Circuit {
   /// Adds a named node; returns its index (> 0; 0 is ground).
   int add_node(std::string name = {});
   int num_nodes() const { return static_cast<int>(node_names_.size()); }
-  const std::string& node_name(int n) const { return node_names_.at(n); }
 
   void add_resistor(int n1, int n2, double ohms);
   void add_inductor(int n1, int n2, double henries);
@@ -70,7 +69,6 @@ class Circuit {
   /// nominal value at `seconds` (0 = ideal step).  Real bias supplies ramp;
   /// a hard step rings small readout junctions through their capacitance.
   void set_dc_ramp(double seconds) { dc_ramp_ = seconds; }
-  double dc_ramp() const { return dc_ramp_; }
 
   // Element tables (read by the transient engine).
   struct Res { int n1, n2; double g; };
@@ -84,8 +82,6 @@ class Circuit {
   const std::vector<Ind>& inductors() const { return ind_; }
   const std::vector<Cap>& capacitors() const { return cap_; }
   const std::vector<Jj>& junctions() const { return jj_; }
-  const std::vector<Dc>& dc_sources() const { return dc_; }
-  const std::vector<Pulse>& pulse_sources() const { return pulse_; }
 
   /// Total injected current of all sources into `node` at time `t`.
   double source_current(int node, double t) const;

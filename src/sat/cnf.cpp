@@ -62,12 +62,6 @@ void encode_and2(Solver& solver, Lit out, Lit a, Lit b) {
   solver.add_clause({out, lit_negate(a), lit_negate(b)});
 }
 
-void encode_or2(Solver& solver, Lit out, Lit a, Lit b) {
-  solver.add_clause({out, lit_negate(a)});
-  solver.add_clause({out, lit_negate(b)});
-  solver.add_clause({lit_negate(out), a, b});
-}
-
 void encode_xor2(Solver& solver, Lit out, Lit a, Lit b) {
   solver.add_clause({lit_negate(out), a, b});
   solver.add_clause({lit_negate(out), lit_negate(a), lit_negate(b)});

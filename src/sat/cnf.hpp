@@ -21,9 +21,6 @@ inline Lit fresh_lit(Solver& solver) { return mk_lit(solver.new_var()); }
 /// Encodes `out <-> a & b`.
 void encode_and2(Solver& solver, Lit out, Lit a, Lit b);
 
-/// Encodes `out <-> a | b`.
-void encode_or2(Solver& solver, Lit out, Lit a, Lit b);
-
 /// Encodes `out <-> a ^ b`.
 void encode_xor2(Solver& solver, Lit out, Lit a, Lit b);
 
