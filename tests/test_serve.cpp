@@ -479,6 +479,48 @@ TEST(Server, ProtocolOrderingHitsAndErrors) {
   EXPECT_EQ(r6.at("serve").at("errors").as_number(), 2);
 }
 
+TEST(Server, InBatchDuplicatesCountAMissThenAHit) {
+  // adder16, mul8, adder16 in three batches of three: config t1, t1 again,
+  // then nphi.  An in-batch duplicate misses with its first occurrence and
+  // hits once that occurrence is stored, so it computes nothing.
+  std::string script;
+  int id = 0;
+  for (const char* config : {"t1", "t1", "nphi"}) {
+    for (const char* gen : {"adder16", "mul8", "adder16"}) {
+      script += "{\"id\":" + std::to_string(++id) + ",\"gen\":\"" + gen +
+                "\",\"config\":\"" + config + "\"}\n";
+    }
+  }
+  script += "{\"id\":10,\"cmd\":\"stats\"}\n";
+  serve::ServeConfig config = fast_config();
+  config.threads = 2;
+  config.batch_size = 3;
+  const std::vector<std::string> lines = serve_script(script, config);
+  ASSERT_EQ(lines.size(), 10u);
+
+  const std::vector<bool> cached = {false, false, true,  true, true,
+                                    true,  false, false, true};
+  std::vector<io::Json> flows;
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    flows.push_back(io::Json::parse(lines[i]));
+    ASSERT_TRUE(flows[i].at("ok").as_bool()) << lines[i];
+    EXPECT_EQ(flows[i].at("cached").as_bool(), cached[i]) << lines[i];
+  }
+  for (std::size_t first = 0; first < flows.size(); first += 3) {
+    EXPECT_EQ(flows[first].at("stats").dump(-1),
+              flows[first + 2].at("stats").dump(-1))
+        << "batch " << first / 3;
+  }
+
+  const io::Json stats = io::Json::parse(lines[9]);
+  EXPECT_EQ(stats.at("serve").at("batches").as_number(), 4);
+  const io::Json& cache = stats.at("serve").at("cache");
+  EXPECT_EQ(cache.at("hits").as_number(), 5);
+  EXPECT_EQ(cache.at("misses").as_number(), 6);
+  EXPECT_EQ(cache.at("insertions").as_number(), 4);
+  EXPECT_EQ(cache.at("entries").as_number(), 4);
+}
+
 /// Every member path of `value` in document order ("a.b", "a.list[1].c"),
 /// values ignored; `latency` is listed but not entered.
 void collect_key_paths(const io::Json& value, const std::string& path,
