@@ -339,7 +339,7 @@ int run_bench(const Options& opts) {
   // the thread count, which the engine guarantees and CI's TSan job checks.
   std::vector<t1::FlowJob> batch;
   batch.reserve(aigs.size());
-  for (const Aig& aig : aigs) batch.push_back({&aig, params, {}});
+  for (const Aig& aig : aigs) batch.push_back({&aig, params});
 
   engine.set_threads(opts.threads);
   const Clock::time_point t0 = Clock::now();

@@ -78,7 +78,7 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
     engine.set_incremental(false);
     engine.set_threads(opts.threads);
     std::vector<t1::FlowJob> jobs;
-    for (const ConfigResult& c : results) jobs.push_back({&aig, c.params, {}});
+    for (const ConfigResult& c : results) jobs.push_back({&aig, c.params});
     std::vector<t1::EngineResult> flows = engine.run_many(jobs);
     for (std::size_t i = 0; i < results.size(); ++i) {
       results[i].flow = std::move(flows[i]);

@@ -1,7 +1,6 @@
 #include "common/worker_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/require.hpp"
 
@@ -81,26 +80,6 @@ void WorkerPool::run(const std::function<void(int)>& fn) {
   first_error_ = nullptr;
   lock.unlock();
   if (error) std::rethrow_exception(error);
-}
-
-void for_each_chunk(
-    WorkerPool* pool, std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, int)>& fn) {
-  if (count == 0) return;
-  if (grain == 0) grain = 1;
-  if (pool == nullptr || pool->num_workers() <= 1 || count <= grain) {
-    fn(0, count, 0);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  pool->run([&](int worker) {
-    for (;;) {
-      const std::size_t begin =
-          next.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= count) return;
-      fn(begin, std::min(count, begin + grain), worker);
-    }
-  });
 }
 
 }  // namespace t1map

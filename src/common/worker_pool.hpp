@@ -13,7 +13,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -56,14 +55,5 @@ class WorkerPool {
 
   std::exception_ptr first_error_;
 };
-
-/// Deals the index range [0, count) to the pool's workers in contiguous
-/// chunks of `grain`, calling `fn(begin, end, worker_id)` per chunk.  Chunks
-/// are claimed dynamically, so `fn` must only write state distinct per
-/// index.  A null pool (or a single-worker pool) degenerates to one inline
-/// `fn(0, count, 0)` call.
-void for_each_chunk(
-    WorkerPool* pool, std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, int)>& fn);
 
 }  // namespace t1map

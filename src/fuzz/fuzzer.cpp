@@ -132,7 +132,7 @@ class ConfigChecker {
                                  const std::vector<std::string>& serial) {
     std::vector<t1::FlowJob> jobs;
     for (const Config& config : configs) {
-      jobs.push_back({&aig, config.params, {}});
+      jobs.push_back({&aig, config.params});
     }
     flows_run_ += static_cast<long>(jobs.size());
     const std::vector<t1::EngineResult> results = batch_.run_many(jobs);

@@ -72,9 +72,10 @@ class DiskCache {
   DiskCache& operator=(const DiskCache&) = delete;
 
   /// Fills `out` and returns true when `key` has a sound record.
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out);
-  /// Appends a successful result; a failed write rejects the store.
-  void store(const t1::RunKey& key, const t1::EngineResult& result);
+  bool lookup(const RunKey& key, t1::EngineResult& out);
+  /// Appends `result` unless `key` is present; a failed write rejects the
+  /// store.
+  void store(const RunKey& key, const t1::EngineResult& result);
   CacheStats stats() const;
 
   /// Entries recovered by the warm-start scan of the boot.
@@ -98,7 +99,7 @@ class DiskCache {
   int index_fd_ = -1;
 
   mutable std::mutex mu_;  // index map + append path
-  std::unordered_map<t1::RunKey, Loc, RunKeyHash> index_;
+  std::unordered_map<RunKey, Loc, RunKeyHash> index_;
   std::uint64_t records_size_ = 0;
   std::uint64_t index_size_ = 0;
 

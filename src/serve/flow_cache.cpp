@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <string_view>
 #include <utility>
+
+#include "common/hash_mix.hpp"
 
 namespace t1map::serve {
 
@@ -22,6 +25,39 @@ std::size_t netlist_bytes(const sfq::Netlist& ntk) {
 }
 
 }  // namespace
+
+std::uint64_t config_fingerprint(const t1::FlowParams& params,
+                                 bool with_cec) {
+  // Every field that can change the mapped netlist, the reported
+  // statistics, or a recorded check verdict takes part; adding a FlowParams
+  // field without extending this list is the classic stale-cache bug, so
+  // keep the two in lockstep.
+  std::uint64_t h = 0xC4F1A9B2D6E85301ull;  // domain seed
+  const auto absorb = [&h](std::uint64_t value) { h = mix64(h ^ value); };
+  absorb(static_cast<std::uint64_t>(params.num_phases));
+  absorb(params.use_t1 ? 1 : 0);
+  absorb(params.optimize_stages ? 1 : 0);
+  absorb(static_cast<std::uint64_t>(params.stage_sweeps));
+  absorb(static_cast<std::uint64_t>(params.detect.cuts.k));
+  absorb(static_cast<std::uint64_t>(params.detect.cuts.max_cuts));
+  absorb(params.detect.allow_input_negation ? 1 : 0);
+  absorb(static_cast<std::uint64_t>(params.detect.min_gain));
+  absorb(static_cast<std::uint64_t>(params.mapper.cuts.k));
+  absorb(static_cast<std::uint64_t>(params.mapper.cuts.max_cuts));
+  absorb(static_cast<std::uint64_t>(params.verify_rounds));
+  absorb(static_cast<std::uint64_t>(params.cec_conflict_limit));
+  // The pipeline's name, FNV-1a hashed, folds in last.
+  std::uint64_t pipeline = 0xCBF29CE484222325ull;  // FNV-1a offset basis
+  for (const char c : std::string_view(with_cec ? "cec" : "default")) {
+    pipeline = (pipeline ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+  }
+  return h ^ pipeline;
+}
+
+RunKey run_key(const Digest& digest, std::uint64_t config) {
+  return RunKey{digest.hi ^ config,
+                digest.lo ^ (config * 0x9E3779B97F4A7C15ull)};
+}
 
 std::size_t estimate_result_bytes(const t1::EngineResult& result) {
   std::size_t bytes = sizeof(t1::EngineResult);
@@ -43,7 +79,7 @@ FlowCache::FlowCache(CacheConfig config)
       shard_budget_(config.max_bytes / (shard_mask_ + 1)),
       shards_(shard_mask_ + 1) {}
 
-bool FlowCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
+bool FlowCache::lookup(const RunKey& key, t1::EngineResult& out) {
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
@@ -57,10 +93,7 @@ bool FlowCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
   return true;
 }
 
-void FlowCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
-  // Failed runs never enter the cache: their netlists are partial state.
-  if (!result.ok()) return;
-
+void FlowCache::store(const RunKey& key, const t1::EngineResult& result) {
   Shard& shard = shard_for(key);
   {
     // Duplicate stores (several threads missed, all computed) are common
@@ -76,8 +109,8 @@ void FlowCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   Entry entry;  // the deep copy happens outside the shard lock
   entry.key = key;
   entry.result = result;
-  // A hit runs no pass (t1::RunCache): the computing run's stage times and
-  // memo reuse would read as a (wrong) measurement of the hit.
+  // A hit runs no pass: the computing run's stage times and memo reuse
+  // would read as a (wrong) measurement of the hit.
   entry.result.times = t1::StageTimes{};
   entry.result.reuse = t1::ReuseCounters{};
   entry.bytes = estimate_result_bytes(entry.result);

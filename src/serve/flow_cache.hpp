@@ -2,13 +2,13 @@
 /// \brief Sharded, thread-safe in-memory LRU cache of mapped flow results
 /// — the memory tier of the serving cache.
 ///
-/// A `t1::RunCache` on its own, and the first tier of `TieredCache`:
-/// keys are 128-bit `(AIG digest, configuration fingerprint)` values (see
-/// aig_hash.hpp and `t1::params_fingerprint`), entries hold the complete
-/// `EngineResult` — mapped netlist, materialized netlist, Table-I
+/// The first tier of `TieredCache`: keys are 128-bit `RunKey`s (an AIG
+/// digest folded with a configuration fingerprint), entries hold the
+/// complete `EngineResult` — mapped netlist, materialized netlist, Table-I
 /// statistics, diagnostics and the CEC verdict — so a hit reproduces a
 /// cold `run` bit for bit (stage times and reuse counters excepted: a hit
-/// runs no pass, so they are zeroed, see `t1::RunCache`).
+/// runs no pass, so they are zeroed).  It stores whatever it is given;
+/// `TieredCache::store` decides what may be cached.
 ///
 /// Concurrency: the key space is split across `num_shards` independently
 /// locked shards, so concurrent lookups/stores contend only when they land
@@ -17,8 +17,9 @@
 /// overflows.  Hit/miss/insertion/eviction counters are maintained per
 /// shard and aggregated by `stats()`.
 ///
-/// `CacheStats` and `RunKeyHash` live here too: the disk tier and the
-/// tiered composition report and hash through them.
+/// The cache key (`RunKey` and its one recipe, `config_fingerprint` plus
+/// `run_key`) and `CacheStats` live here too: the disk tier and the tiered
+/// composition key, hash and report through them.
 
 #pragma once
 
@@ -29,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "serve/aig_hash.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map::serve {
@@ -44,13 +46,32 @@ struct CacheStats {
   std::uint64_t bytes = 0;      // resident (or on-log) bytes
 };
 
-/// `std::unordered_map` hasher of a `t1::RunKey`.  The key is already a
+/// Cache address of one mapping problem: a source AIG under one
+/// configuration.  Build it with `run_key`.
+struct RunKey {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  friend bool operator==(const RunKey&, const RunKey&) = default;
+};
+
+/// `std::unordered_map` hasher of a `RunKey`.  The key is already a
 /// high-quality hash; this folds the halves.
 struct RunKeyHash {
-  std::size_t operator()(const t1::RunKey& k) const {
+  std::size_t operator()(const RunKey& k) const {
     return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9E3779B97F4A7C15ull));
   }
 };
+
+/// Platform-stable 64-bit fingerprint of a job's configuration: every
+/// `FlowParams` field that influences the mapped result or its recorded
+/// verdicts, and whether the pipeline runs SAT CEC.  Jobs with equal
+/// fingerprints are interchangeable for caching.  Every key a disk tier
+/// holds depends on this recipe, so changing it orphans those entries.
+std::uint64_t config_fingerprint(const t1::FlowParams& params, bool with_cec);
+
+/// The cache key of the AIG with structural digest `digest` (aig_hash.hpp)
+/// under the configuration fingerprinted as `config`.
+RunKey run_key(const Digest& digest, std::uint64_t config);
 
 struct CacheConfig {
   /// Total byte budget across all shards (estimated entry sizes).
@@ -64,12 +85,15 @@ struct CacheConfig {
 /// the budget exists to bound memory, not to bill it exactly.
 std::size_t estimate_result_bytes(const t1::EngineResult& result);
 
-class FlowCache final : public t1::RunCache {
+class FlowCache {
  public:
   explicit FlowCache(CacheConfig config = {});
 
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out) override;
-  void store(const t1::RunKey& key, const t1::EngineResult& result) override;
+  /// Fills `out` and returns true when `key` is present.
+  bool lookup(const RunKey& key, t1::EngineResult& out);
+  /// Keeps a copy of `result` under `key` (times and reuse zeroed); a key
+  /// already present keeps its entry.
+  void store(const RunKey& key, const t1::EngineResult& result);
   CacheStats stats() const;
 
   /// Resident entry count per shard — the `stats` command's occupancy
@@ -78,7 +102,7 @@ class FlowCache final : public t1::RunCache {
 
  private:
   struct Entry {
-    t1::RunKey key;
+    RunKey key;
     t1::EngineResult result;
     std::size_t bytes = 0;
   };
@@ -86,7 +110,7 @@ class FlowCache final : public t1::RunCache {
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<t1::RunKey, std::list<Entry>::iterator, RunKeyHash>
+    std::unordered_map<RunKey, std::list<Entry>::iterator, RunKeyHash>
         index;
     std::size_t bytes = 0;
     std::uint64_t hits = 0;
@@ -95,7 +119,7 @@ class FlowCache final : public t1::RunCache {
     std::uint64_t evictions = 0;
   };
 
-  Shard& shard_for(const t1::RunKey& key) {
+  Shard& shard_for(const RunKey& key) {
     return shards_[static_cast<std::size_t>(key.hi) & shard_mask_];
   }
 

@@ -14,7 +14,7 @@
 /// decode — a corrupt payload fails as `ContractError`, never as a
 /// malformed in-memory object.  Stage times and reuse counters are
 /// deliberately *not* persisted: a cache hit runs no pass, so
-/// `decode_result` returns them zeroed (the `t1::RunCache` rule).
+/// `decode_result` returns them zeroed (see tiered_cache.hpp).
 
 #pragma once
 

@@ -7,8 +7,8 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/require.hpp"
@@ -54,16 +54,6 @@ double stage_times_ms(const t1::StageTimes& t) {
                 t.self_check + t.cec);
 }
 
-/// Platform-stable FNV-1a: folds the pipeline's name into a cache key.
-std::uint64_t fingerprint_string(std::string_view text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 void write_cache_stats_fields(io::JsonWriter& w, const CacheStats& c) {
   w.key("hits").value(c.hits).key("misses").value(c.misses);
   w.key("insertions").value(c.insertions);
@@ -84,8 +74,8 @@ struct Server::Job {
   Aig aig;
   t1::FlowParams params;
   bool with_cec = true;
-  t1::RunKey key;
-  std::uint64_t group = 0;  // configuration fingerprint (grouping key)
+  std::uint64_t group = 0;  // `config_fingerprint`: one dispatch per group
+  RunKey key;
   bool cached = false;
   t1::EngineResult result;
 };
@@ -188,56 +178,64 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
     return job;
   }
 
-  // Cache key: structural AIG digest x configuration fingerprint x pipeline
-  // shape, named "cec" or "default" (every key a disk tier holds depends on
-  // those names).  `group` keys the run_many batching (same configuration
-  // => same group), the full `key` addresses the cache.
-  const Digest digest = hasher.hash(job.aig);
-  const std::uint64_t pipeline_shape =
-      fingerprint_string(job.with_cec ? "cec" : "default");
-  job.group = t1::params_fingerprint(job.params) ^ pipeline_shape;
-  job.key.hi = digest.hi ^ job.group;
-  job.key.lo = digest.lo ^ (job.group * 0x9E3779B97F4A7C15ull);
+  job.group = config_fingerprint(job.params, job.with_cec);
+  job.key = run_key(hasher.hash(job.aig), job.group);
   return job;
 }
 
 void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
-  // Group flow jobs by configuration fingerprint; each group is one
-  // cache-aware run_many dispatch.
-  std::vector<std::uint64_t> groups;
-  for (const Job& job : batch) {
-    if (!job.error.empty() || !job.cmd.empty()) continue;
-    bool seen = false;
-    for (const std::uint64_t g : groups) seen |= g == job.group;
-    if (!seen) groups.push_back(job.group);
+  // Flow jobs by configuration, groups in order of first appearance; each
+  // group is one engine dispatch.
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<std::uint64_t, std::size_t> group_index;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!batch[i].error.empty() || !batch[i].cmd.empty()) continue;
+    const auto [it, fresh] =
+        group_index.emplace(batch[i].group, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
-  for (const std::uint64_t group : groups) {
-    std::vector<std::size_t> members;
-    std::vector<t1::FlowJob> jobs;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const Job& job = batch[i];
-      if (!job.error.empty() || !job.cmd.empty() || job.group != group) {
-        continue;
-      }
-      members.push_back(i);
-      jobs.push_back({&job.aig, job.params, job.key});
-    }
-
+  for (const std::vector<std::size_t>& members : groups) {
     const Job& first = batch[members.front()];
     engine.set_pipeline(t1::Pipeline::default_flow(first.with_cec));
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::uint8_t> cached;
-    std::vector<t1::EngineResult> results =
-        engine.run_many(jobs, &cache_, &cached);
+    // Every member is looked up; the first miss of each key computes.  A
+    // later miss of that key (an in-batch duplicate) is looked up again
+    // once the first is stored, so it counts one miss, then one hit.
+    std::unordered_map<RunKey, std::size_t, RunKeyHash> first_miss;
+    std::vector<std::size_t> misses;
+    std::vector<std::size_t> duplicates;
+    std::vector<t1::FlowJob> jobs;
+    for (const std::size_t i : members) {
+      Job& job = batch[i];
+      if (cache_.lookup(job.key, job.result)) {
+        job.cached = true;
+      } else if (first_miss.emplace(job.key, i).second) {
+        misses.push_back(i);
+        jobs.push_back({&job.aig, job.params});
+      } else {
+        duplicates.push_back(i);
+      }
+    }
+    std::vector<t1::EngineResult> results = engine.run_many(jobs);
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+      Job& job = batch[misses[m]];
+      job.result = std::move(results[m]);
+      cache_.store(job.key, job.result);
+    }
+    for (const std::size_t i : duplicates) {
+      Job& job = batch[i];
+      job.cached = cache_.lookup(job.key, job.result);
+      // The first occurrence's result was not cacheable: copy it.
+      if (!job.cached) job.result = batch[first_miss.at(job.key)].result;
+    }
     const double dispatch_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      Job& job = batch[members[m]];
-      job.result = std::move(results[m]);
-      job.cached = cached[m] != 0;
+    for (const std::size_t i : members) {
+      const Job& job = batch[i];
       // Cache hits carry zeroed reuse counters; count only computed ok-runs
       // so the reported hit rates cover actual flow executions.
       if (!job.cached && job.result.ok()) {

@@ -24,16 +24,16 @@
 /// Execution model: the server accepts connections from a `Transport` and
 /// runs one session thread per connection.  Each session reads requests in
 /// batches (up to `ServeConfig::batch_size` lines), hashes them
-/// (`AigHasher`), groups by configuration fingerprint, and dispatches
-/// group-wise onto the session engine's cache-aware `FlowEngine::run_many`
-/// — hits fill without touching the flow, misses run on the engine's
-/// `threads` persistent workers, duplicates within a batch compute once.
-/// Sessions share one `TieredCache` (in-memory `FlowCache`, optionally
-/// backed by a persistent `DiskCache` under `cache_dir`), so any client's
-/// cold run is every client's warm hit — across server restarts when the
-/// disk tier is on.  Everything except the timing fields is deterministic:
-/// a given request script produces byte-identical responses regardless of
-/// worker count or transport.
+/// (`AigHasher`), groups them by configuration fingerprint and looks every
+/// job up in the cache.  Per group, the first miss of each key runs in one
+/// `FlowEngine::run_many` on the engine's `threads` persistent workers; a
+/// duplicate within the batch computes nothing and is looked up again once
+/// its first occurrence is stored.  Sessions share one `TieredCache`
+/// (in-memory `FlowCache`, optionally backed by a persistent `DiskCache`
+/// under `cache_dir`), so any client's cold run is every client's warm hit
+/// — across server restarts when the disk tier is on.  Everything except
+/// the timing fields is deterministic: a given request script produces
+/// byte-identical responses regardless of worker count or transport.
 ///
 /// Shutdown: a `quit` command (or `Transport::shutdown()`, e.g. from a
 /// SIGTERM handler) stops the accept loop and asks every session to

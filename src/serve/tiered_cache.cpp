@@ -9,7 +9,7 @@ TieredCache::TieredCache(CacheConfig memory, const std::string& disk_dir)
   }
 }
 
-bool TieredCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
+bool TieredCache::lookup(const RunKey& key, t1::EngineResult& out) {
   bool hit = memory_.lookup(key, out);
   if (!hit && disk_ != nullptr && disk_->lookup(key, out)) {
     memory_.store(key, out);  // promote: the next lookup stops at memory
@@ -19,9 +19,11 @@ bool TieredCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
   return hit;
 }
 
-void TieredCache::store(const t1::RunKey& key,
-                        const t1::EngineResult& result) {
-  if (!result.ok()) return;  // tiers reject these too; don't count them
+void TieredCache::store(const RunKey& key, const t1::EngineResult& result) {
+  // A failed run carries partial state that must not masquerade as a
+  // mapped design on a later hit, and an inconclusive CEC must not come
+  // back as a hit that looks verified.
+  if (!result.ok() || result.cec == "unknown") return;
   insertions_.fetch_add(1, std::memory_order_relaxed);
   memory_.store(key, result);
   if (disk_ != nullptr) disk_->store(key, result);

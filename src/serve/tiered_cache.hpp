@@ -6,8 +6,10 @@
 ///
 ///   * `lookup` tries memory, then disk; a disk hit is *promoted* into
 ///     memory, so a result recovered after a restart pays the decode once
-///     and is served from memory thereafter;
-///   * `store` writes through to both;
+///     and is served from memory thereafter.  A hit ran no pass, so it
+///     reports zero `times` and zero `reuse`, whichever tier served it;
+///   * `store` is the one place that decides what may be cached, and
+///     writes what it admits through to both tiers;
 ///   * `stats` reports the composition's own lookup/store outcomes (a hit
 ///     in either tier is one hit; a miss means both missed) plus the
 ///     tiers' resident totals.  Each tier's counters stay available
@@ -30,15 +32,18 @@
 
 namespace t1map::serve {
 
-class TieredCache final : public t1::RunCache {
+class TieredCache {
  public:
   /// A memory tier sized by `memory`, backed by a disk tier under
   /// `disk_dir` unless it is empty.  Throws `ContractError` when the
   /// directory is unusable (see `DiskCache`).
   TieredCache(CacheConfig memory, const std::string& disk_dir);
 
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out) override;
-  void store(const t1::RunKey& key, const t1::EngineResult& result) override;
+  /// Fills `out` and returns true when either tier holds `key`.
+  bool lookup(const RunKey& key, t1::EngineResult& out);
+  /// Caches a successful run whose CEC verdict is not "unknown"; drops
+  /// (and does not count) any other result.
+  void store(const RunKey& key, const t1::EngineResult& result);
   CacheStats stats() const;
 
   const FlowCache& memory() const { return memory_; }

@@ -1,12 +1,12 @@
 #include "t1/flow_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <utility>
 
 #include "aig/aig_digest.hpp"
-#include "common/hash_mix.hpp"
 #include "common/worker_pool.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist_digest.hpp"
@@ -22,10 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-std::uint64_t absorb(std::uint64_t acc, std::uint64_t value) {
-  return mix64(acc ^ value);
 }
 
 /// The one reuse rule of the map, t1 and stage passes (pass_memo.hpp).
@@ -290,29 +286,6 @@ std::string Diagnostics::to_string() const {
   return os.str();
 }
 
-// --- Result-caching hook -----------------------------------------------------
-
-std::uint64_t params_fingerprint(const FlowParams& params) {
-  // Every field that can change the mapped netlist, the reported
-  // statistics, or a recorded check verdict takes part; adding a FlowParams
-  // field without extending this list is the classic stale-cache bug, so
-  // keep the two in lockstep.
-  std::uint64_t h = 0xC4F1A9B2D6E85301ull;  // domain seed
-  h = absorb(h, static_cast<std::uint64_t>(params.num_phases));
-  h = absorb(h, params.use_t1 ? 1 : 0);
-  h = absorb(h, params.optimize_stages ? 1 : 0);
-  h = absorb(h, static_cast<std::uint64_t>(params.stage_sweeps));
-  h = absorb(h, static_cast<std::uint64_t>(params.detect.cuts.k));
-  h = absorb(h, static_cast<std::uint64_t>(params.detect.cuts.max_cuts));
-  h = absorb(h, params.detect.allow_input_negation ? 1 : 0);
-  h = absorb(h, static_cast<std::uint64_t>(params.detect.min_gain));
-  h = absorb(h, static_cast<std::uint64_t>(params.mapper.cuts.k));
-  h = absorb(h, static_cast<std::uint64_t>(params.mapper.cuts.max_cuts));
-  h = absorb(h, static_cast<std::uint64_t>(params.verify_rounds));
-  h = absorb(h, static_cast<std::uint64_t>(params.cec_conflict_limit));
-  return h;
-}
-
 // --- Engine ------------------------------------------------------------------
 
 FlowEngine::FlowEngine() : FlowEngine(Pipeline::default_flow()) {}
@@ -375,78 +348,33 @@ EngineResult FlowEngine::run_with(const Aig& aig, const FlowParams& params,
 }
 
 EngineResult FlowEngine::run(const Aig& aig, const FlowParams& params) {
-  const FlowJob job{&aig, params, {}};
+  const FlowJob job{&aig, params};
   return std::move(run_many(std::span(&job, 1)).front());
 }
 
-std::vector<EngineResult> FlowEngine::run_many(
-    std::span<const FlowJob> jobs, RunCache* cache,
-    std::vector<std::uint8_t>* cached) {
+std::vector<EngineResult> FlowEngine::run_many(std::span<const FlowJob> jobs) {
   for (const FlowJob& job : jobs) {
     T1MAP_REQUIRE(job.aig != nullptr, "run_many: null AIG in batch");
   }
   std::vector<EngineResult> results(jobs.size());
-  if (cached != nullptr) cached->assign(jobs.size(), 0);
-
-  // Partition the batch: cache hits are filled immediately, the first
-  // occurrence of each unseen key is computed, and later duplicates of a
-  // computed key become aliases served after it.  Without a cache every
-  // job computes.
-  std::vector<std::size_t> compute;
-  std::vector<std::pair<std::size_t, std::size_t>> alias;  // (index, rep)
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (cache != nullptr) {
-      if (cache->lookup(jobs[i].key, results[i])) {
-        if (cached != nullptr) (*cached)[i] = 1;
-        continue;
-      }
-      const auto rep =
-          std::find_if(compute.begin(), compute.end(), [&](std::size_t m) {
-            return jobs[m].key == jobs[i].key;
-          });
-      if (rep != compute.end()) {
-        alias.emplace_back(i, *rep);
-        continue;
-      }
+  // One thread or one job runs inline on worker 0, the only one that
+  // reuses from the pass memo.
+  if (threads() == 1 || jobs.size() <= 1) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      results[i] = run_with(*jobs[i].aig, jobs[i].params, workers_.front(),
+                            memo_.get());
     }
-    compute.push_back(i);
+    return results;
   }
-
-  if (!compute.empty()) {
-    // Whole jobs go to the workers.  One thread or one job to compute runs
-    // inline on worker 0, the only one that reuses from the pass memo.
-    const bool inline_run = threads() == 1 || compute.size() == 1;
-    PassMemo* memo = inline_run ? memo_.get() : nullptr;
-    for_each_chunk(inline_run ? nullptr : pool_.get(), compute.size(),
-                   /*grain=*/1,
-                   [&](std::size_t begin, std::size_t end, int worker) {
-                     for (std::size_t c = begin; c < end; ++c) {
-                       const FlowJob& job = jobs[compute[c]];
-                       results[compute[c]] = run_with(
-                           *job.aig, job.params,
-                           workers_[static_cast<std::size_t>(worker)], memo);
-                     }
-                   });
-  }
-  if (cache == nullptr) return results;
-
-  // Only ok-results are offered: a failed run carries partial state that
-  // must not masquerade as a mapped design on a later hit, and an
-  // inconclusive CEC must not come back as a hit that looks verified.
-  for (const std::size_t i : compute) {
-    if (results[i].ok() && results[i].cec != "unknown") {
-      cache->store(jobs[i].key, results[i]);
+  // Otherwise each worker claims whole jobs until none is left.
+  std::atomic<std::size_t> next{0};
+  pool_->run([&](int worker) {
+    FlowScratch& scratch = workers_[static_cast<std::size_t>(worker)];
+    for (std::size_t i = next++; i < jobs.size(); i = next++) {
+      results[i] = run_with(*jobs[i].aig, jobs[i].params, scratch,
+                            /*memo=*/nullptr);
     }
-  }
-  // Aliases re-read through the cache so hit counters stay truthful; a
-  // representative that was never stored is copied directly instead.
-  for (const auto& [i, rep] : alias) {
-    if (cache->lookup(jobs[i].key, results[i])) {
-      if (cached != nullptr) (*cached)[i] = 1;
-    } else {
-      results[i] = results[rep];
-    }
-  }
+  });
   return results;
 }
 

@@ -18,8 +18,9 @@
 ///     parameters (e.g. T1 cells with fewer than 3 phases) still throw
 ///     `ContractError`.
 ///   * `FlowEngine::run_many` deals a batch of `FlowJob`s over the engine's
-///     workers, optionally through a `RunCache`; results are index-aligned
-///     and bit-for-bit independent of the thread count.
+///     workers; results are index-aligned and bit-for-bit independent of
+///     the thread count.  Caching results is the serving layer's business
+///     (serve/tiered_cache.hpp).
 ///
 /// Minimal embedding:
 /// \code
@@ -125,44 +126,6 @@ struct FlowScratch {
   sfq::SimScratch sim;      // sim stimulus buffer
 };
 
-// --- Result-caching hook -----------------------------------------------------
-
-struct EngineResult;  // declared with the engine below
-
-/// Opaque 128-bit key identifying one (source AIG, configuration) mapping
-/// problem.  Producers combine a canonical structural hash of the AIG
-/// (serve::AigHasher) with `params_fingerprint` and the `Pipeline`; the
-/// engine never interprets the bits.
-struct RunKey {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  friend bool operator==(const RunKey&, const RunKey&) = default;
-};
-
-/// The cache `run_many` consults, when given one, before it dispatches
-/// work: `lookup` for every job, `store` for every fresh result it may
-/// keep.  Implementations must be safe for concurrent callers: several
-/// engines (one per serve session) may share one cache.  The serving layer
-/// implements it (serve::FlowCache in memory, serve::TieredCache over
-/// memory and an optional disk log) and keeps its own counters.
-///
-/// A hit ran no pass, so it reports zero `times` and zero `reuse`, whichever
-/// tier served it and whatever run computed it.
-class RunCache {
- public:
-  virtual ~RunCache() = default;
-  /// Fills `out` and returns true when `key` is present.
-  virtual bool lookup(const RunKey& key, EngineResult& out) = 0;
-  /// Offers a freshly computed successful result for retention (never one
-  /// whose CEC came back inconclusive).
-  virtual void store(const RunKey& key, const EngineResult& result) = 0;
-};
-
-/// Platform-stable 64-bit fingerprint of every `FlowParams` field that
-/// influences the mapped result or its recorded verdicts.  Two parameter
-/// sets with equal fingerprints are interchangeable for caching.
-std::uint64_t params_fingerprint(const FlowParams& params);
-
 // --- Pipeline ----------------------------------------------------------------
 
 /// Which checks follow the four mapping passes.  Every run maps the AIG
@@ -197,7 +160,7 @@ struct EngineResult {
   StageTimes times;
   Diagnostics diagnostics;
   /// What this run reused from the pass memo (see `ReuseCounters`).  A
-  /// result served from a `RunCache` carries all zeros: it ran no pass.
+  /// result served from the serve cache carries all zeros: it ran no pass.
   ReuseCounters reuse;
   std::string cec = "skipped";
 };
@@ -206,9 +169,6 @@ struct EngineResult {
 struct FlowJob {
   const Aig* aig = nullptr;
   FlowParams params;
-  /// Cache address of the job (see `RunKey`); read only when `run_many` is
-  /// given a cache.
-  RunKey key;
 };
 
 /// Runs the flow over AIGs on a persistent pool of workers, each with its
@@ -234,33 +194,24 @@ class FlowEngine {
   bool incremental() const { return memo_ != nullptr; }
 
   /// Batch workers for this engine's runs (default 1).  `run_many` deals
-  /// whole jobs to `min(threads, jobs to compute)` workers, one netlist per
-  /// worker at a time; every pass runs serially inside its job, and `run`
-  /// always runs on worker 0.  The workers and their scratch persist across
-  /// calls.  Results never depend on the setting.
+  /// whole jobs to the workers, one netlist per worker at a time; every
+  /// pass runs serially inside its job, and `run` always runs on worker 0.
+  /// The workers and their scratch persist across calls.  Results never
+  /// depend on the setting.
   void set_threads(int threads);
   int threads() const { return static_cast<int>(workers_.size()); }
 
   /// Runs the flow on one AIG on worker 0.
   EngineResult run(const Aig& aig, const FlowParams& params = {});
 
-  /// Deterministic batched execution; results are index-aligned with `jobs`
-  /// and identical to running each job alone, at any thread count.  A batch
-  /// that runs on worker 0 alone (one job to compute, or one thread) reuses
-  /// from the pass memo; a batch spread over several workers runs cold.  The
-  /// first exception a job throws (a contract violation) is rethrown on the
-  /// calling thread, and the engine stays usable.
-  ///
-  /// With a `cache`, each job's `key` is looked up first: hits are filled
-  /// without touching the flow, and duplicate keys within the batch compute
-  /// once.  Fresh ok-results are offered back via `store`, except those
-  /// whose CEC verdict is "unknown" (an exhausted budget must never come
-  /// back as a hit that looks verified).  When `cached` is non-null it
-  /// receives one flag per job (1 = served from the cache).
-  std::vector<EngineResult> run_many(std::span<const FlowJob> jobs,
-                                     RunCache* cache = nullptr,
-                                     std::vector<std::uint8_t>* cached =
-                                         nullptr);
+  /// Deterministic batched execution: runs every job, and results are
+  /// index-aligned with `jobs` and identical to running each job alone, at
+  /// any thread count.  A batch that runs on worker 0 alone (one job, or
+  /// one thread) reuses from the pass memo; a batch spread over several
+  /// workers runs cold.  The first exception a job throws (a contract
+  /// violation) is rethrown on the calling thread, and the engine stays
+  /// usable.
+  std::vector<EngineResult> run_many(std::span<const FlowJob> jobs);
 
  private:
   /// Runs the flow on `aig` with `scratch`, reusing from `memo` when it is

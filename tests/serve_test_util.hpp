@@ -11,6 +11,7 @@
 
 #include "io/blif.hpp"
 #include "serve/aig_hash.hpp"
+#include "serve/flow_cache.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map::testutil {
@@ -47,10 +48,10 @@ inline void expect_results_identical(const t1::EngineResult& a,
   }
 }
 
-inline t1::RunKey key_of(const Aig& aig, const t1::FlowParams& params) {
-  const serve::Digest d = serve::hash_aig(aig);
-  const std::uint64_t fp = t1::params_fingerprint(params);
-  return t1::RunKey{d.hi ^ fp, d.lo ^ (fp * 0x9E3779B97F4A7C15ull)};
+/// The key the server gives a job on `aig` under `params` without CEC.
+inline serve::RunKey key_of(const Aig& aig, const t1::FlowParams& params) {
+  return serve::run_key(serve::hash_aig(aig),
+                        serve::config_fingerprint(params, /*with_cec=*/false));
 }
 
 }  // namespace t1map::testutil

@@ -319,7 +319,7 @@ TEST(CecContract, IdenticalAtEveryThreadCount) {
   std::vector<Aig> aigs;
   for (const std::string& name : names) aigs.push_back(gen::make_named(name));
   std::vector<t1::FlowJob> jobs;
-  for (const Aig& aig : aigs) jobs.push_back({&aig, params, {}});
+  for (const Aig& aig : aigs) jobs.push_back({&aig, params});
 
   // One batch at 1 thread, then on 4 workers, where each job's CEC runs
   // beside the others.

@@ -102,7 +102,7 @@ TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
   const t1::FlowParams params = fast_params();
 
   const std::vector<std::string> names = {"adder8", "adder12", "mul8"};
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::RunKey> keys;
   std::vector<t1::EngineResult> cold;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);
@@ -137,7 +137,7 @@ TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
     EXPECT_EQ(warm.times.map, 0.0) << names[i];  // times are zeroed
   }
   t1::EngineResult out;
-  EXPECT_FALSE(reopened.lookup(t1::RunKey{1, 2}, out));
+  EXPECT_FALSE(reopened.lookup(serve::RunKey{1, 2}, out));
   fs::remove_all(dir);
 }
 
@@ -146,7 +146,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig good_aig = gen::make_named("adder8");
-  const t1::RunKey good_key = key_of(good_aig, params);
+  const serve::RunKey good_key = key_of(good_aig, params);
   const t1::EngineResult good = engine.run(good_aig, params);
   ASSERT_TRUE(good.ok());
 
@@ -193,7 +193,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   expect_results_identical(good, warm, "post-recovery hit");
   // The log is appendable again after truncation.
   const Aig other_aig = gen::make_named("adder12");
-  const t1::RunKey other_key = key_of(other_aig, params);
+  const serve::RunKey other_key = key_of(other_aig, params);
   const t1::EngineResult other = engine.run(other_aig, params);
   ASSERT_TRUE(other.ok());
   recovered.store(other_key, other);
@@ -207,7 +207,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::RunKey key = key_of(aig, params);
   const t1::EngineResult result = engine.run(aig, params);
   ASSERT_TRUE(result.ok());
 
@@ -291,7 +291,7 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::RunKey key = key_of(aig, params);
   const t1::EngineResult cold = engine.run(aig, params);
   ASSERT_TRUE(cold.ok());
 
@@ -320,7 +320,7 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
   EXPECT_EQ(tiers.stats().hits, 2u);  // composition: both were tiered hits
 
   // A miss everywhere is one tiered miss.
-  EXPECT_FALSE(tiers.lookup(t1::RunKey{9, 9}, out));
+  EXPECT_FALSE(tiers.lookup(serve::RunKey{9, 9}, out));
   EXPECT_EQ(tiers.stats().misses, 1u);
   fs::remove_all(dir);
 }
@@ -330,7 +330,7 @@ TEST(TieredCache, WritesThroughToEveryTier) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::RunKey key = key_of(aig, params);
   const t1::EngineResult cold = engine.run(aig, params);
   ASSERT_TRUE(cold.ok());
 
@@ -339,11 +339,16 @@ TEST(TieredCache, WritesThroughToEveryTier) {
   EXPECT_EQ(tiers.memory().stats().entries, 1u);
   EXPECT_EQ(tiers.disk()->stats().entries, 1u);
 
-  // Failed results are stored nowhere and not counted.
+  // Failed results and inconclusive CEC verdicts are stored nowhere and
+  // not counted.
   t1::EngineResult failed;
   failed.status = t1::FlowStatus::kNotEquivalent;
-  tiers.store(t1::RunKey{5, 5}, failed);
+  tiers.store(serve::RunKey{5, 5}, failed);
+  t1::EngineResult inconclusive = cold;
+  inconclusive.cec = "unknown";
+  tiers.store(serve::RunKey{6, 6}, inconclusive);
   EXPECT_EQ(tiers.stats().insertions, 1u);
+  EXPECT_EQ(tiers.memory().stats().entries, 1u);
   EXPECT_EQ(tiers.disk()->stats().entries, 1u);
 
   // Without a directory there is no disk tier.
@@ -358,7 +363,7 @@ TEST(TieredCache, HitsCarryNoReuseCountersInEitherTier) {
   const fs::path dir = fresh_dir("tier_reuse");
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::RunKey key = key_of(aig, params);
   t1::FlowEngine engine;
   (void)engine.run(aig, params);
   const t1::EngineResult warm = engine.run(aig, params);  // memo hit
@@ -403,7 +408,7 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
   const t1::FlowParams params = fast_params();
   const std::vector<std::string> names = {"adder8", "adder10", "adder12",
                                           "adder14"};
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::RunKey> keys;
   std::vector<t1::EngineResult> results;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);

@@ -6,8 +6,8 @@
 //     identical FlowStats, on workers that persist across batches of any
 //     shape and across a failed batch (this suite is also a TSan CI target);
 //   * only runs on worker 0 alone reuse from the pass memo;
-//   * the checks: the CEC verdict, an inconclusive CEC never cached, the
-//     run without CEC, structured diagnostics and per-pass stage times.
+//   * the checks: the CEC verdict, the run without CEC, structured
+//     diagnostics and per-pass stage times.
 
 #include <gtest/gtest.h>
 
@@ -53,7 +53,7 @@ std::string to_blif(const sfq::Netlist& ntk) {
 std::vector<FlowJob> jobs_of(const std::vector<const Aig*>& aigs,
                              const FlowParams& params) {
   std::vector<FlowJob> jobs;
-  for (const Aig* aig : aigs) jobs.push_back({aig, params, {}});
+  for (const Aig* aig : aigs) jobs.push_back({aig, params});
   return jobs;
 }
 
@@ -165,11 +165,11 @@ TEST(FlowEngine, ContractErrorInABatchLeavesTheEngineUsable) {
   FlowEngine engine;
   engine.set_threads(4);
   const std::vector<FlowJob> bad = {
-      {&adder, FlowParams{}, {}}, {&adder, broken, {}}, {&adder, {}, {}}};
+      {&adder, FlowParams{}}, {&adder, broken}, {&adder, {}}};
   EXPECT_THROW(engine.run_many(bad), ContractError);
 
-  const std::vector<FlowJob> good = {{&adder, FlowParams{}, {}},
-                                     {&adder, FlowParams{}, {}}};
+  const std::vector<FlowJob> good = {{&adder, FlowParams{}},
+                                     {&adder, FlowParams{}}};
   const std::vector<EngineResult> results = engine.run_many(good);
   ASSERT_EQ(results.size(), 2u);
   expect_identical(results[0], results[1], "after the failed batch");
@@ -227,63 +227,6 @@ TEST(FlowEngine, CecPassRecordsVerdictAndTiming) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.cec, "equivalent");
   EXPECT_GE(r.times.cec, 0.0);
-}
-
-/// Records what `run_many` offers and finds.
-class RecordingCache final : public RunCache {
- public:
-  bool lookup(const RunKey& key, EngineResult& out) override {
-    for (const auto& [k, r] : entries_) {
-      if (k == key) {
-        out = r;
-        return true;
-      }
-    }
-    return false;
-  }
-  void store(const RunKey& key, const EngineResult& result) override {
-    entries_.emplace_back(key, result);
-  }
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  std::vector<std::pair<RunKey, EngineResult>> entries_;
-};
-
-TEST(FlowEngine, InconclusiveCecIsNeverCached) {
-  // sin10's T1 flow exhausts a zero conflict budget: a real inconclusive
-  // CEC.
-  const Aig aig = gen::make_named("sin10");
-  FlowParams exhausted;
-  exhausted.cec_conflict_limit = 0;
-  // The same job twice.
-  const std::vector<FlowJob> batch = {{&aig, exhausted, RunKey{1, 2}},
-                                      {&aig, exhausted, RunKey{1, 2}}};
-  RecordingCache cache;
-  std::vector<std::uint8_t> cached;
-
-  FlowEngine engine(Pipeline::default_flow(/*with_cec=*/true));
-  const auto first = engine.run_many(batch, &cache, &cached);
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_TRUE(first[0].ok());
-  EXPECT_EQ(first[0].cec, "unknown");
-  EXPECT_EQ(first[1].cec, "unknown");  // the duplicate copies the result
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0}));
-
-  // A repeat of the job misses the cache and runs again.
-  const auto again = engine.run_many(batch, &cache, &cached);
-  EXPECT_EQ(again[0].cec, "unknown");
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0}));
-
-  // A conclusive run under the same key is stored and then hit.
-  const std::vector<FlowJob> conclusive = {{&aig, FlowParams{}, RunKey{1, 2}},
-                                           {&aig, FlowParams{}, RunKey{1, 2}}};
-  const auto proved = engine.run_many(conclusive, &cache, &cached);
-  EXPECT_EQ(proved[0].cec, "equivalent");
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 1}));
 }
 
 TEST(FlowEngine, RunWithoutCecProducesGoldenStats) {

@@ -1,5 +1,5 @@
-// WorkerPool correctness: full id coverage, reuse across runs, chunk
-// dealing and exception propagation.  The pool is the substrate of
+// WorkerPool correctness: full id coverage, reuse across runs, inline
+// single-worker runs and exception propagation.  The pool is the substrate of
 // FlowEngine::run_many's batch workers, whose determinism test_flow_engine
 // covers.
 //
@@ -50,29 +50,6 @@ TEST(WorkerPool, RethrowsWorkerException) {
   std::atomic<int> ok{0};
   pool.run([&](int) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 3);
-}
-
-TEST(WorkerPool, ForEachChunkCoversRangeExactlyOnce) {
-  WorkerPool pool(4);
-  const std::size_t count = 1003;
-  std::vector<std::atomic<int>> seen(count);
-  for (auto& s : seen) s.store(0);
-  for_each_chunk(&pool, count, 16,
-                 [&](std::size_t begin, std::size_t end, int) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     seen[i].fetch_add(1);
-                   }
-                 });
-  for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(seen[i].load(), 1) << i;
-  // Null pool: inline single chunk.
-  int inline_calls = 0;
-  for_each_chunk(nullptr, 10, 4, [&](std::size_t b, std::size_t e, int w) {
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 10u);
-    EXPECT_EQ(w, 0);
-    ++inline_calls;
-  });
-  EXPECT_EQ(inline_calls, 1);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The serving layer: canonical AIG hashing (stability, sensitivity,
-// collision sanity), the sharded LRU FlowCache (bit-identical hits, byte-
-// budget eviction, concurrent hammering — the TSan CI leg runs this
-// suite), the cache-aware FlowEngine::run_many hook, and the JSONL server
-// protocol (ordering, hit counters, error handling, thread-count
-// determinism).
+// collision sanity), the configuration fingerprint of the cache key, the
+// sharded LRU FlowCache (bit-identical hits, byte-budget eviction,
+// concurrent hammering — the TSan CI leg runs this suite), and the JSONL
+// server protocol (ordering, hit counters, in-batch duplicates, error
+// handling, thread-count determinism).
 
 #include <gtest/gtest.h>
 
@@ -142,15 +142,16 @@ TEST(AigHasher, CollisionSanityAcrossGenerators) {
   }
 }
 
-// --- params_fingerprint ------------------------------------------------------
+// --- config_fingerprint ------------------------------------------------------
 
-TEST(ParamsFingerprint, SensitiveToEveryResultField) {
+TEST(ConfigFingerprint, SensitiveToEveryResultField) {
   const t1::FlowParams base;
-  const std::uint64_t fp = t1::params_fingerprint(base);
-  EXPECT_EQ(fp, t1::params_fingerprint(base));  // stable
+  const std::uint64_t fp = serve::config_fingerprint(base, false);
+  EXPECT_EQ(fp, serve::config_fingerprint(base, false));  // stable
+  EXPECT_NE(fp, serve::config_fingerprint(base, /*with_cec=*/true));
 
   const auto differs = [fp](t1::FlowParams p) {
-    return t1::params_fingerprint(p) != fp;
+    return serve::config_fingerprint(p, false) != fp;
   };
   t1::FlowParams p = base;
   p.num_phases = 5;
@@ -208,7 +209,7 @@ TEST(FlowCache, HitIsBitIdenticalToColdRun) {
     params.num_phases = g.phases;
     params.use_t1 = g.use_t1;
     params.verify_rounds = 0;
-    const t1::RunKey key = key_of(aig, params);
+    const serve::RunKey key = key_of(aig, params);
     const std::string label = g.gen + "/" + std::to_string(g.phases) +
                               (g.use_t1 ? "/t1" : "/base");
 
@@ -239,7 +240,7 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
 
   const std::vector<std::string> names = {"adder8", "adder12", "adder16"};
   std::vector<Aig> aigs;
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::RunKey> keys;
   std::vector<t1::EngineResult> results;
   std::size_t total_bytes = 0;
   for (const std::string& name : names) {
@@ -275,17 +276,6 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
   EXPECT_TRUE(cache.lookup(keys[2], out));
 }
 
-TEST(FlowCache, NeverStoresFailedRuns) {
-  serve::FlowCache cache;
-  t1::EngineResult failed;
-  failed.status = t1::FlowStatus::kNotEquivalent;
-  const t1::RunKey key{1, 2};
-  cache.store(key, failed);
-  t1::EngineResult out;
-  EXPECT_FALSE(cache.lookup(key, out));
-  EXPECT_EQ(cache.stats().insertions, 0u);
-}
-
 TEST(FlowCache, ConcurrentHitMissHammering) {
   // 8 threads hammer a 4-entry working set through lookup+store; the TSan
   // CI leg runs this test to prove the sharded locking sound.
@@ -294,7 +284,7 @@ TEST(FlowCache, ConcurrentHitMissHammering) {
   params.verify_rounds = 0;
   const std::vector<std::string> names = {"adder8", "adder10", "adder12",
                                           "adder14"};
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::RunKey> keys;
   std::vector<t1::EngineResult> results;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);
@@ -332,54 +322,6 @@ TEST(FlowCache, ConcurrentHitMissHammering) {
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(c.hits, 0u);
   EXPECT_LE(c.entries, names.size());
-}
-
-// --- Cache-aware run_many ----------------------------------------------------
-
-TEST(RunManyCached, HitsDuplicatesAndDeterminism) {
-  t1::FlowParams params;
-  params.verify_rounds = 0;
-  const Aig a = gen::make_named("adder16");
-  const Aig b = gen::make_named("mul8");
-  // adder16 twice in one batch: the duplicate computes once.
-  const std::vector<t1::FlowJob> batch = {{&a, params, key_of(a, params)},
-                                          {&b, params, key_of(b, params)},
-                                          {&a, params, key_of(a, params)}};
-
-  t1::FlowEngine cold_engine;
-  const std::vector<t1::EngineResult> reference = cold_engine.run_many(batch);
-
-  serve::FlowCache cache;
-  t1::FlowEngine engine;
-  engine.set_threads(2);
-  std::vector<std::uint8_t> cached;
-  const std::vector<t1::EngineResult> first =
-      engine.run_many(batch, &cache, &cached);
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0, 1}));
-  EXPECT_EQ(cache.stats().insertions, 2u);  // duplicate stored once
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    expect_results_identical(reference[i], first[i],
-                             "first pass " + std::to_string(i));
-  }
-
-  const std::vector<t1::EngineResult> second =
-      engine.run_many(batch, &cache, &cached);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{1, 1, 1}));
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    expect_results_identical(reference[i], second[i],
-                             "second pass " + std::to_string(i));
-  }
-  // A different configuration must miss: no stale cross-config hits.
-  t1::FlowParams other = params;
-  other.use_t1 = false;
-  const std::vector<t1::FlowJob> other_batch = {
-      {&a, other, key_of(a, other)},
-      {&b, other, key_of(b, other)},
-      {&a, other, key_of(a, other)}};
-  engine.set_threads(1);
-  engine.run_many(other_batch, &cache, &cached);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0, 1}));
 }
 
 // --- Server protocol ---------------------------------------------------------

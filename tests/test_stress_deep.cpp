@@ -114,7 +114,7 @@ TEST(StressDeep, RunManyIsDeterministicAcrossThreadCounts) {
   params.use_t1 = true;
   params.verify_rounds = 1;
   std::vector<t1::FlowJob> batch;
-  for (const Aig& aig : aigs) batch.push_back({&aig, params, {}});
+  for (const Aig& aig : aigs) batch.push_back({&aig, params});
 
   t1::FlowEngine engine;
   const std::vector<t1::EngineResult> seq = engine.run_many(batch);
