@@ -86,6 +86,13 @@ int run_serve(const Options& opts) {
   }
 
   std::cerr << "t1map: serve done: " << server.summary() << std::endl;
+  // A socket client may hang up; the one stream reader must get every
+  // response.
+  if (opts.serve_listen.empty() && server.counters().undelivered > 0) {
+    std::cerr << "t1map: error: responses could not be written to stdout"
+              << std::endl;
+    return 1;
+  }
   return 0;
 }
 

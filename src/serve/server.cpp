@@ -409,11 +409,14 @@ void Server::run_session(Connection& conn, Transport& transport) {
 
     batches_.fetch_add(1, std::memory_order_relaxed);
     process_batch(engine, batch);
-    for (const Job& job : batch) {
-      write_response(conn, job);
-      responses_.fetch_add(1, std::memory_order_relaxed);
+    for (const Job& job : batch) write_response(conn, job);
+    // A batch is delivered when its flush succeeds.  Once one fails the
+    // peer gets nothing more, so the session ends.
+    if (!conn.flush()) {
+      undelivered_.fetch_add(batch.size(), std::memory_order_relaxed);
+      break;
     }
-    conn.flush();
+    responses_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
 
   // quit shuts the whole server down, not just this client: the accept
@@ -487,6 +490,7 @@ ServeCounters Server::counters() const {
   ServeCounters c;
   c.requests = requests_.load(std::memory_order_relaxed);
   c.responses = responses_.load(std::memory_order_relaxed);
+  c.undelivered = undelivered_.load(std::memory_order_relaxed);
   c.errors = errors_.load(std::memory_order_relaxed);
   c.batches = batches_.load(std::memory_order_relaxed);
   c.connections = connections_.load(std::memory_order_relaxed);
@@ -498,7 +502,9 @@ std::string Server::summary() const {
   const CacheStats c = cache_.stats();
   std::ostringstream os;
   os << n.requests << " requests in " << n.batches << " batches ("
-     << n.errors << " errors), cache: " << c.hits << " hits / " << c.misses
+     << n.errors << " errors), ";
+  if (n.undelivered > 0) os << n.undelivered << " responses undelivered, ";
+  os << "cache: " << c.hits << " hits / " << c.misses
      << " misses, " << c.entries << " entries, " << c.bytes / 1024 << " KiB";
   if (c.evictions > 0) os << ", " << c.evictions << " evictions";
   const std::uint64_t map_total =

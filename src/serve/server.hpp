@@ -28,7 +28,8 @@
 /// job up in the cache.  Per group, the first miss of each key runs in one
 /// `FlowEngine::run_many` on the engine's `threads` persistent workers; a
 /// duplicate within the batch computes nothing and is looked up again once
-/// its first occurrence is stored.  Sessions share one `TieredCache`
+/// its first occurrence is stored.  A session ends when a batch's
+/// responses cannot be flushed.  Sessions share one `TieredCache`
 /// (in-memory `FlowCache`, optionally backed by a persistent `DiskCache`
 /// under `cache_dir`), so any client's cold run is every client's warm hit
 /// — across server restarts when the disk tier is on.  Everything except
@@ -86,7 +87,8 @@ struct ServeConfig {
 
 struct ServeCounters {
   std::uint64_t requests = 0;
-  std::uint64_t responses = 0;
+  std::uint64_t responses = 0;    // delivered: their batch flushed
+  std::uint64_t undelivered = 0;  // responses whose flush failed
   std::uint64_t errors = 0;  // malformed / rejected requests among them
   std::uint64_t batches = 0;
   std::uint64_t connections = 0;
@@ -98,7 +100,7 @@ class Server {
 
   /// Accepts connections from `transport` and serves each on its own
   /// thread until a `quit` command or `transport.shutdown()`, then drains.
-  /// Returns the total number of responses written.
+  /// Returns the total number of responses delivered.
   std::uint64_t serve(Transport& transport);
 
   /// Single-session convenience over the historical stream pair: reads
@@ -131,6 +133,7 @@ class Server {
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> responses_{0};
+  std::atomic<std::uint64_t> undelivered_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> connections_{0};

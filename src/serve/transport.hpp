@@ -56,7 +56,7 @@ class Connection {
   virtual void write(const std::string& data) = 0;
 
   /// Pushes queued bytes to the peer.  Returns false once the peer is
-  /// unreachable; the session stops writing but still drains its batch.
+  /// unreachable; the server then ends the session.
   virtual bool flush() = 0;
 
   /// Forcibly tears the connection down (both directions), unblocking any

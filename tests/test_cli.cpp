@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -416,6 +418,36 @@ TEST(Cli, ServeSurvivesFailingDiskWrites) {
   EXPECT_EQ(disk.at("recovered_entries").as_number(), 0);
   std::filesystem::remove_all(dir);
   std::remove(requests.c_str());
+}
+
+// A response that cannot be written is not counted as served: the session
+// ends at the first batch whose flush fails, the summary names the
+// undelivered responses, and stream mode exits 1.  The same file-size
+// limit, now on stdout, fails the first batch: four responses of some 250
+// bytes each.
+TEST(Cli, ServeFailsWhenResponsesCannotBeWritten) {
+  const std::string requests = "/tmp/t1map_cli_stdout_xfsz.jsonl";
+  const std::string responses = "/tmp/t1map_cli_stdout_xfsz.out";
+  {
+    std::ofstream script(requests);
+    for (int id = 1; id <= 16; ++id) {
+      script << "{\"id\":" << id
+             << ",\"gen\":\"adder8\",\"cec\":false,\"verify_rounds\":0}\n";
+    }
+  }
+  std::string err;
+  const int status = run_command("(trap '' XFSZ; ulimit -f 1; " + kCli +
+                                     " --serve --serve-batch 4 < " +
+                                     requests + " > " + responses + ") 2>&1",
+                                 err);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+  EXPECT_NE(err.find("serve done: 4 requests in 1 batches (0 errors), "
+                     "4 responses undelivered"),
+            std::string::npos)
+      << err;
+  std::remove(requests.c_str());
+  std::remove(responses.c_str());
 }
 
 TEST(Cli, ListGensAndHelp) {
