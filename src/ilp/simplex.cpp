@@ -23,16 +23,13 @@ std::string to_string(Status s) {
   return "?";
 }
 
-int Model::add_var(double lo, double hi, double obj, bool integer,
-                   std::string name) {
+int Model::add_var(double lo, double hi, double obj, bool integer) {
   T1MAP_REQUIRE(std::isfinite(lo), "variable lower bound must be finite");
   T1MAP_REQUIRE(hi >= lo, "variable bounds are inverted");
   lo_.push_back(lo);
   hi_.push_back(hi);
   obj_.push_back(obj);
   integer_.push_back(integer);
-  if (name.empty()) name = "x" + std::to_string(lo_.size() - 1);
-  names_.push_back(std::move(name));
   return static_cast<int>(lo_.size()) - 1;
 }
 

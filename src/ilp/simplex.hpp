@@ -39,8 +39,7 @@ std::string to_string(Status s);
 class Model {
  public:
   /// Adds a variable, returns its index.
-  int add_var(double lo, double hi, double obj, bool integer,
-              std::string name = {});
+  int add_var(double lo, double hi, double obj, bool integer);
 
   /// Adds `terms (rel) rhs`.
   void add_constraint(std::vector<Term> terms, Rel rel, double rhs);
@@ -68,7 +67,6 @@ class Model {
  private:
   std::vector<double> lo_, hi_, obj_;
   std::vector<bool> integer_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

@@ -6,10 +6,10 @@ JtlHandle make_jtl(Circuit& ckt, int stages, const JjParams& params,
                    double inductance, double bias_fraction) {
   T1MAP_REQUIRE(stages >= 1, "JTL needs at least one stage");
   JtlHandle handle;
-  int prev = ckt.add_node("jtl0");
+  int prev = ckt.add_node();
   handle.input = prev;
   for (int s = 0; s < stages; ++s) {
-    const int node = s == 0 ? prev : ckt.add_node("jtl" + std::to_string(s));
+    const int node = s == 0 ? prev : ckt.add_node();
     if (s > 0) {
       ckt.add_inductor(prev, node, inductance);
     }
@@ -32,11 +32,11 @@ T1Handle make_t1(Circuit& ckt, const T1Params& p) {
   // ("red solid path", state 1); the next T pulse then switches JC
   // (C* output, ratioed below JS so it goes first), annihilating the
   // fluxon.
-  h.t_in = ckt.add_node("T");
-  const int x = ckt.add_node("X");
-  const int y = ckt.add_node("Y");
-  const int z = ckt.add_node("Z");
-  const int w = ckt.add_node("W");
+  h.t_in = ckt.add_node();
+  const int x = ckt.add_node();
+  const int y = ckt.add_node();
+  const int z = ckt.add_node();
+  const int w = ckt.add_node();
   ckt.add_inductor(h.t_in, y, p.l_t);
   h.jq = ckt.add_jj(x, 0, p.jq);
   ckt.add_inductor(x, y, p.l1);
@@ -56,11 +56,11 @@ T1Handle make_t1(Circuit& ckt, const T1Params& p) {
   //   * state 0 (branch cold): JS stays sub-critical and the pulse escapes
   //     by switching JR -- "rejected" with no output.
   h.js = ckt.add_jj(z, w, p.js);
-  const int v = ckt.add_node("V");
+  const int v = ckt.add_node();
   ckt.add_inductor(w, v, p.l3);  // raises the JC-path impedance at readout
   h.jc = ckt.add_jj(v, 0, p.jc);
-  h.r_in = ckt.add_node("R");
-  const int rn = ckt.add_node("Rn");
+  h.r_in = ckt.add_node();
+  const int rn = ckt.add_node();
   ckt.add_inductor(h.r_in, rn, p.l_r);
   h.jr = ckt.add_jj(rn, w, p.jr);
 

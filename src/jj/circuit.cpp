@@ -4,12 +4,6 @@
 
 namespace t1map::jj {
 
-int Circuit::add_node(std::string name) {
-  if (name.empty()) name = "n" + std::to_string(num_nodes());
-  node_names_.push_back(std::move(name));
-  return num_nodes() - 1;
-}
-
 void Circuit::add_resistor(int n1, int n2, double ohms) {
   check_node(n1);
   check_node(n2);

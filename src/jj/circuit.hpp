@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/require.hpp"
@@ -50,11 +49,9 @@ struct PulseTrain {
 
 class Circuit {
  public:
-  Circuit() { node_names_.push_back("gnd"); }
-
-  /// Adds a named node; returns its index (> 0; 0 is ground).
-  int add_node(std::string name = {});
-  int num_nodes() const { return static_cast<int>(node_names_.size()); }
+  /// Adds a node; returns its index (> 0; 0 is ground).
+  int add_node() { return num_nodes_++; }
+  int num_nodes() const { return num_nodes_; }
 
   void add_resistor(int n1, int n2, double ohms);
   void add_inductor(int n1, int n2, double henries);
@@ -92,7 +89,7 @@ class Circuit {
   }
 
   double dc_ramp_ = 0.0;
-  std::vector<std::string> node_names_;
+  int num_nodes_ = 1;  // ground
   std::vector<Res> res_;
   std::vector<Ind> ind_;
   std::vector<Cap> cap_;

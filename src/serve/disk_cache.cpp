@@ -277,10 +277,9 @@ void DiskCache::store(const RunKey& key, const t1::EngineResult& result) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (config_.fsync_stores) ::fsync(records_fd_);
 
-  // The index entry is the commit point — written (and synced) after the
-  // record so recovery never indexes a torn record.
+  // The index entry is the commit point — written after the record so
+  // recovery never indexes a torn record.
   char entry[kIndexEntryBytes];
   put_u64(entry, key.hi);
   put_u64(entry + 8, key.lo);
@@ -290,7 +289,6 @@ void DiskCache::store(const RunKey& key, const t1::EngineResult& result) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (config_.fsync_stores) ::fsync(index_fd_);
 
   records_size_ += record.size();
   index_size_ += sizeof entry;

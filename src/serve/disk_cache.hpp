@@ -26,6 +26,9 @@
 /// overwrites the torn bytes.  Checksums are
 /// verified on every lookup; a corrupt record is dropped from the index
 /// and reported as a miss — the cache heals rather than serves garbage.
+/// Stores are never fsync'd: the log is a cache, and a tail that a crash
+/// tears or loses costs only those entries, which recovery and the
+/// per-lookup checksums already handle.
 ///
 /// Keys are the platform-stable 128-bit digest × params fingerprints, so a
 /// cache directory written by one build/host warm-starts any other.
@@ -54,9 +57,6 @@ struct DiskCacheConfig {
   /// full cache rejects new stores (counted as evictions) instead of
   /// rewriting history.
   std::size_t max_bytes = 0;
-  /// fsync record and index after every store.  Off by default: the log
-  /// is a cache, and recovery already tolerates a torn tail.
-  bool fsync_stores = false;
 };
 
 /// The second tier of `TieredCache`.

@@ -5,9 +5,9 @@
 /// Nodes are PIs, constants and cells (including T1 cores and their output
 /// taps); primary outputs are sinks referencing driver nodes.  Node ids are
 /// a topological order by construction.  Path-balancing DFF *chains* are
-/// kept in a separate `RetimeResult` (see retime/) so the combinational
-/// structure stays canonical; `materialize_dffs` produces an explicit-DFF
-/// netlist for export and cross-checking.
+/// kept out of the mapped netlist so the combinational structure stays
+/// canonical; `retime::insert_dffs` produces an explicit-DFF netlist (a
+/// `retime::MaterializeResult`) for export and cross-checking.
 ///
 /// Structural conventions enforced by `check_well_formed`:
 ///   * only taps may use a `kT1` core as fanin, and each tap kind appears at
@@ -150,8 +150,8 @@ class Netlist {
   /// cores are exempt (each tap is a distinct physical pin).
   long splitter_count() const;
 
-  /// Combinational cell area in JJs, *including* splitters, *excluding*
-  /// path-balancing DFFs (those live in RetimeResult).
+  /// Cell area in JJs of every node, *including* splitters; DFFs count only
+  /// once `retime::insert_dffs` has made them nodes.
   long cell_area_jj_total() const;
 
   /// Throws ContractError on any structural violation.

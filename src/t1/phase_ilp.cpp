@@ -32,8 +32,7 @@ PhaseIlpResult assign_stages_ilp(const Netlist& ntk,
   std::vector<int> svar(ntk.num_nodes(), kNoVar);
   for (std::uint32_t v = 0; v < ntk.num_nodes(); ++v) {
     if (ntk.is_pi(v) || ntk.is_const(v) || ntk.is_tap(v)) continue;
-    svar[v] = model.add_var(1.0, max_stage, 0.0, true,
-                            "s" + std::to_string(v));
+    svar[v] = model.add_var(1.0, max_stage, 0.0, true);
   }
   for (std::uint32_t v = 0; v < ntk.num_nodes(); ++v) {
     if (ntk.is_tap(v)) svar[v] = svar[ntk.fanins(v)[0]];
@@ -46,8 +45,8 @@ PhaseIlpResult assign_stages_ilp(const Netlist& ntk,
   std::vector<int> mvar(ntk.num_nodes(), kNoVar);
   const auto chain_var = [&](std::uint32_t u) {
     if (mvar[u] == kNoVar) {
-      mvar[u] = model.add_var(0.0, std::ceil(double(sigma_po) / n), 1.0, true,
-                              "m" + std::to_string(u));
+      mvar[u] = model.add_var(0.0, std::ceil(double(sigma_po) / n), 1.0,
+                              true);
     }
     return mvar[u];
   };
@@ -98,9 +97,7 @@ PhaseIlpResult assign_stages_ilp(const Netlist& ntk,
     int rvar[3];
     for (int j = 0; j < 3; ++j) {
       const std::uint32_t u = f[j];
-      rvar[j] = model.add_var(0.0, max_stage, 0.0, true,
-                              "r" + std::to_string(t) + "_" +
-                                  std::to_string(j));
+      rvar[j] = model.add_var(0.0, max_stage, 0.0, true);
       const int su = stage_var(u);
       if (su == kNoVar) {
         // r_j >= 0 via bounds.
@@ -114,9 +111,7 @@ PhaseIlpResult assign_stages_ilp(const Netlist& ntk,
       model.add_constraint({{st, 1.0}, {rvar[j], -1.0}}, ilp::Rel::kGe, 1.0);
       // Chain cost: n·C_j ≥ r_j − σ_u.
       const int cvar = model.add_var(0.0, std::ceil(double(sigma_po) / n),
-                                     1.0, true,
-                                     "c" + std::to_string(t) + "_" +
-                                         std::to_string(j));
+                                     1.0, true);
       if (su == kNoVar) {
         model.add_constraint({{cvar, double(n)}, {rvar[j], -1.0}},
                              ilp::Rel::kGe, 0.0);
@@ -128,10 +123,7 @@ PhaseIlpResult assign_stages_ilp(const Netlist& ntk,
     // Pairwise distinct releases via big-M disjunctions.
     for (int a = 0; a < 3; ++a) {
       for (int b = a + 1; b < 3; ++b) {
-        const int bin = model.add_var(0.0, 1.0, 0.0, true,
-                                      "b" + std::to_string(t) + "_" +
-                                          std::to_string(a) +
-                                          std::to_string(b));
+        const int bin = model.add_var(0.0, 1.0, 0.0, true);
         // r_a − r_b ≥ 1 − M·bin      (bin = 0  ⇒  r_a > r_b)
         model.add_constraint({{rvar[a], 1.0}, {rvar[b], -1.0}, {bin, big_m}},
                              ilp::Rel::kGe, 1.0);

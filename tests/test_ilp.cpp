@@ -15,8 +15,8 @@ TEST(Simplex, TextbookLp) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (Hillier-Lieberman)
   // => min -3x - 5y, optimum (2, 6) objective -36.
   Model m;
-  const int x = m.add_var(0, 1e9, -3, false, "x");
-  const int y = m.add_var(0, 1e9, -5, false, "y");
+  const int x = m.add_var(0, 1e9, -3, false);
+  const int y = m.add_var(0, 1e9, -5, false);
   m.add_constraint({{x, 1}}, Rel::kLe, 4);
   m.add_constraint({{y, 2}}, Rel::kLe, 12);
   m.add_constraint({{x, 3}, {y, 2}}, Rel::kLe, 18);
