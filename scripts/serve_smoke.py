@@ -9,11 +9,12 @@ Two transports:
       Stream mode (stdin/stdout pipe), memory tier only — the historical
       smoke, assertions unchanged.
 
-  serve_smoke.py --socket PATH/TO/t1map [extra t1map flags...]
+  serve_smoke.py --socket [--warm-binary WARM] PATH/TO/t1map [flags...]
       Unix-socket mode with a persistent --cache-dir.  Runs the same jobs,
       then SIGTERMs the server mid-connection (graceful drain), restarts it
       on the same cache directory, and asserts every job is served as a
-      warm bit-identical disk hit.
+      warm bit-identical disk hit.  With --warm-binary the restart runs
+      WARM instead, so a directory one build wrote is served by another.
 """
 import json
 import os
@@ -120,7 +121,7 @@ def start_server(t1map, sock_path, cache_dir, extra):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-def run_socket(t1map, extra):
+def run_socket(t1map, extra, warm_t1map):
     tmp = tempfile.mkdtemp(prefix="t1map_smoke_")
     sock_path = os.path.join(tmp, "serve.sock")
     cache_dir = os.path.join(tmp, "cache")
@@ -153,7 +154,7 @@ def run_socket(t1map, extra):
             proc.wait()
 
     # --- Warm run: same cache dir, every job is a bit-identical disk hit. ---
-    proc = start_server(t1map, sock_path, cache_dir, extra)
+    proc = start_server(warm_t1map, sock_path, cache_dir, extra)
     try:
         client = SocketClient(sock_path)
         warm = client.ask(JOBS)
@@ -192,14 +193,19 @@ def run_socket(t1map, extra):
 def main() -> int:
     argv = sys.argv[1:]
     use_socket = False
+    warm_t1map = None
     if argv and argv[0] == "--socket":
         use_socket = True
         argv = argv[1:]
-    if not argv:
+        if argv[:1] == ["--warm-binary"] and len(argv) > 2:
+            warm_t1map, argv = argv[1], argv[2:]
+    if not argv or argv[0] == "--warm-binary":
         print(__doc__, file=sys.stderr)
         return 2
     t1map, extra = argv[0], argv[1:]
-    return run_socket(t1map, extra) if use_socket else run_stream(t1map, extra)
+    if use_socket:
+        return run_socket(t1map, extra, warm_t1map or t1map)
+    return run_stream(t1map, extra)
 
 
 if __name__ == "__main__":
