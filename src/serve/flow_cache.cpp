@@ -46,7 +46,8 @@ std::uint64_t config_fingerprint(const t1::FlowParams& params,
   absorb(static_cast<std::uint64_t>(params.mapper.cuts.max_cuts));
   absorb(static_cast<std::uint64_t>(params.verify_rounds));
   absorb(static_cast<std::uint64_t>(params.cec_conflict_limit));
-  // The pipeline's name, FNV-1a hashed, folds in last.
+  // A run with CEC records a verdict one without it does not, so the
+  // pipeline's name folds in too (FNV-1a, as every stored key expects).
   std::uint64_t pipeline = 0xCBF29CE484222325ull;  // FNV-1a offset basis
   for (const char c : std::string_view(with_cec ? "cec" : "default")) {
     pipeline = (pipeline ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;

@@ -463,6 +463,31 @@ TEST(Server, InBatchDuplicatesCountAMissThenAHit) {
   EXPECT_EQ(cache.at("entries").as_number(), 4);
 }
 
+TEST(Server, InBatchDuplicateOfAnUncachedResultCopiesIt) {
+  // A one-byte memory budget keeps no entry, so the duplicate misses
+  // again after its first occurrence is stored and takes a copy of that
+  // result instead.
+  serve::ServeConfig config = fast_config();
+  config.cache.max_bytes = 1;
+  config.cache.num_shards = 1;
+  const std::vector<std::string> lines = serve_script(
+      "{\"id\":1,\"gen\":\"adder8\"}\n{\"id\":2,\"gen\":\"adder8\"}\n"
+      "{\"id\":3,\"cmd\":\"stats\"}\n",
+      config);
+  ASSERT_EQ(lines.size(), 3u);
+  const io::Json first = io::Json::parse(lines[0]);
+  const io::Json duplicate = io::Json::parse(lines[1]);
+  ASSERT_TRUE(duplicate.at("ok").as_bool()) << lines[1];
+  EXPECT_FALSE(duplicate.at("cached").as_bool());
+  EXPECT_EQ(first.at("stats").dump(-1), duplicate.at("stats").dump(-1));
+
+  const io::Json stats = io::Json::parse(lines[2]);
+  const io::Json& cache = stats.at("serve").at("cache");
+  EXPECT_EQ(cache.at("hits").as_number(), 0);
+  EXPECT_EQ(cache.at("misses").as_number(), 3);
+  EXPECT_EQ(cache.at("entries").as_number(), 0);
+}
+
 /// Every member path of `value` in document order ("a.b", "a.list[1].c"),
 /// values ignored; `latency` is listed but not entered.
 void collect_key_paths(const io::Json& value, const std::string& path,
