@@ -78,6 +78,7 @@ struct Server::Job {
   RunKey key;
   bool cached = false;
   t1::EngineResult result;
+  double cost_ms = 0.0;  // its latency sample: own lookups + own flow run
 };
 
 /// Bookkeeping for one connection's session thread, shared with the
@@ -196,10 +197,20 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
     groups[it->second].push_back(i);
   }
 
+  // Each job's latency sample is its own cost: its cache lookups, plus
+  // its flow run when it computed one.
+  const auto lookup = [this](Job& job) {
+    const auto start = std::chrono::steady_clock::now();
+    const bool hit = cache_.lookup(job.key, job.result);
+    job.cost_ms += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    return hit;
+  };
+
   for (const std::vector<std::size_t>& members : groups) {
     const Job& first = batch[members.front()];
     engine.set_pipeline(t1::Pipeline::default_flow(first.with_cec));
-    const auto start = std::chrono::steady_clock::now();
     // Every member is looked up; the first miss of each key computes.  A
     // later miss of that key (an in-batch duplicate) is looked up again
     // once the first is stored, so it counts one miss, then one hit.
@@ -209,7 +220,7 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
     std::vector<t1::FlowJob> jobs;
     for (const std::size_t i : members) {
       Job& job = batch[i];
-      if (cache_.lookup(job.key, job.result)) {
+      if (lookup(job)) {
         job.cached = true;
       } else if (first_miss.emplace(job.key, i).second) {
         misses.push_back(i);
@@ -222,45 +233,32 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
     for (std::size_t m = 0; m < misses.size(); ++m) {
       Job& job = batch[misses[m]];
       job.result = std::move(results[m]);
+      job.cost_ms += 1e3 * job.result.times.total_wall;
       cache_.store(job.key, job.result);
+      // Only computed ok-runs count, so the reported hit rates cover
+      // actual flow executions.
+      if (!job.result.ok()) continue;
+      const t1::ReuseCounters& r = job.result.reuse;
+      inc_flow_runs_.fetch_add(1, std::memory_order_relaxed);
+      inc_map_total_.fetch_add(r.map_cones_total, std::memory_order_relaxed);
+      inc_map_reused_.fetch_add(r.map_cones_reused,
+                                std::memory_order_relaxed);
+      inc_t1_total_.fetch_add(r.t1_cones_total, std::memory_order_relaxed);
+      inc_t1_reused_.fetch_add(r.t1_cones_reused, std::memory_order_relaxed);
+      if (r.t1_exact) inc_t1_exact_.fetch_add(1, std::memory_order_relaxed);
+      if (r.stage_spliced) {
+        inc_stage_spliced_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     for (const std::size_t i : duplicates) {
       Job& job = batch[i];
-      job.cached = cache_.lookup(job.key, job.result);
+      job.cached = lookup(job);
       // The first occurrence's result was not cacheable: copy it.
       if (!job.cached) job.result = batch[first_miss.at(job.key)].result;
     }
-    const double dispatch_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    for (const std::size_t i : members) {
-      const Job& job = batch[i];
-      // Cache hits carry zeroed reuse counters; count only computed ok-runs
-      // so the reported hit rates cover actual flow executions.
-      if (!job.cached && job.result.ok()) {
-        const t1::ReuseCounters& r = job.result.reuse;
-        inc_flow_runs_.fetch_add(1, std::memory_order_relaxed);
-        inc_map_total_.fetch_add(r.map_cones_total,
-                                 std::memory_order_relaxed);
-        inc_map_reused_.fetch_add(r.map_cones_reused,
-                                  std::memory_order_relaxed);
-        inc_t1_total_.fetch_add(r.t1_cones_total, std::memory_order_relaxed);
-        inc_t1_reused_.fetch_add(r.t1_cones_reused,
-                                 std::memory_order_relaxed);
-        if (r.t1_exact) inc_t1_exact_.fetch_add(1, std::memory_order_relaxed);
-        if (r.stage_spliced) {
-          inc_stage_spliced_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    // One dispatch-latency sample per job in the group: "what did a
-    // request of this config cost end to end", cache hits included.
     const std::lock_guard<std::mutex> lock(latency_mu_);
     LatencyHistogram& hist = latency_[first.config_name];
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      hist.record_ms(dispatch_ms / static_cast<double>(members.size()));
-    }
+    for (const std::size_t i : members) hist.record_ms(batch[i].cost_ms);
   }
 }
 

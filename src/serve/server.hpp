@@ -151,8 +151,9 @@ class Server {
   std::atomic<std::uint64_t> inc_t1_exact_{0};
   std::atomic<std::uint64_t> inc_stage_spliced_{0};
 
-  /// Per-config dispatch-latency histograms ("1phi"/"nphi"/"t1"), merged
-  /// across sessions; guarded because sessions record concurrently.
+  /// Per-config latency histograms ("1phi"/"nphi"/"t1"), one sample per
+  /// flow job: its own cache lookups plus its own flow run.  Merged across
+  /// sessions; guarded because sessions record concurrently.
   mutable std::mutex latency_mu_;
   std::map<std::string, LatencyHistogram> latency_;
 };

@@ -486,6 +486,29 @@ TEST(Server, InBatchDuplicateOfAnUncachedResultCopiesIt) {
   EXPECT_EQ(cache.at("hits").as_number(), 0);
   EXPECT_EQ(cache.at("misses").as_number(), 3);
   EXPECT_EQ(cache.at("entries").as_number(), 0);
+  // The copy ran no flow.
+  EXPECT_EQ(stats.at("serve").at("incremental").at("flow_runs").as_number(),
+            1);
+}
+
+TEST(Server, LatencyRecordsEachRequestsOwnCost) {
+  // README's example session: the miss records its lookup and its flow
+  // run, the in-batch duplicate only its lookups, so the two samples
+  // land in different buckets.
+  const std::vector<std::string> lines = serve_script(
+      "{\"id\":1,\"gen\":\"adder16\"}\n{\"id\":2,\"gen\":\"adder16\"}\n"
+      "{\"id\":3,\"cmd\":\"stats\"}\n",
+      serve::ServeConfig{});
+  ASSERT_EQ(lines.size(), 3u);
+  const io::Json latency =
+      io::Json::parse(lines[2]).at("serve").at("latency").at("t1");
+  EXPECT_EQ(latency.at("count").as_number(), 2);
+  const io::Json& buckets = latency.at("buckets");
+  ASSERT_EQ(buckets.size(), 2u) << latency.dump(-1);
+  EXPECT_EQ(buckets.at(0).at(1).as_number(), 1);
+  EXPECT_EQ(buckets.at(1).at(1).as_number(), 1);
+  EXPECT_LT(latency.at("mean_ms").as_number(),
+            latency.at("max_ms").as_number());
 }
 
 /// Every member path of `value` in document order ("a.b", "a.list[1].c"),
