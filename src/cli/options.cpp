@@ -97,9 +97,6 @@ Options parse_options(int argc, const char* const* argv) {
     } else if (arg == "--cache-mb") {
       serve_only_flag = arg;
       opts.cache_mb = parse_int(arg, value_of(i), 1, 1 << 16);
-    } else if (arg == "--serve-in") {
-      serve_only_flag = arg;
-      opts.serve_in = value_of(i);
     } else if (arg == "--serve-batch") {
       serve_only_flag = arg;
       opts.serve_batch = parse_int(arg, value_of(i), 1, 4096);
@@ -237,10 +234,6 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--serve defaults jobs to the t1 configuration and "
                        "needs --phases >= 3");
     }
-    if (!opts.serve_listen.empty() && opts.serve_in != "-") {
-      throw UsageError("--serve-listen and --serve-in select different "
-                       "transports; use one of them");
-    }
     if (opts.serve_listen.empty() && opts.serve_idle_ms != 0) {
       throw UsageError("--serve-idle bounds socket connections and needs "
                        "--serve-listen");
@@ -347,8 +340,6 @@ std::string usage() {
       "                              workers; results are memoized\n"
       "  --cache-mb N                serve-mode result-cache byte budget in\n"
       "                              MiB (default 256)\n"
-      "  --serve-in FILE             read requests from FILE instead of\n"
-      "                              stdin ('-'; named FIFOs work)\n"
       "  --serve-batch N             max requests per dispatch batch\n"
       "                              (default 16)\n"
       "  --serve-listen ADDR         serve over a socket instead of stdin:\n"

@@ -40,10 +40,9 @@ struct Options {
   // Serving mode (cached JSONL request loop; see README "Serving mode").
   bool serve = false;           // --serve (JSONL request/response loop)
   int cache_mb = 256;           // --cache-mb N (FlowCache byte budget)
-  std::string serve_in = "-";   // --serve-in FILE ("-" = stdin; FIFOs work)
   int serve_batch = 16;         // --serve-batch N (max requests per dispatch)
   std::string serve_listen;     // --serve-listen unix:PATH | tcp:HOST:PORT
-                                //   (empty = stream mode on --serve-in)
+                                //   (empty = stream mode on stdin)
   std::string cache_dir;        // --cache-dir DIR (persistent disk tier)
   int drain_timeout_ms = 5000;  // --drain-timeout MS (shutdown drain bound)
   int serve_idle_ms = 0;        // --serve-idle MS (socket idle disconnect;

@@ -1,10 +1,8 @@
 #include "cli/serve_cmd.hpp"
 
 #include <csignal>
-#include <fstream>
 #include <iostream>
 
-#include "common/require.hpp"
 #include "serve/disk_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -64,25 +62,13 @@ int run_serve(const Options& opts) {
   } else {
     std::cerr << "t1map: serving (threads " << config.threads << ", batch "
               << config.batch_size << ", cache " << opts.cache_mb
-              << " MiB) — "
-              << (opts.serve_in == "-" ? std::string("stdin") : opts.serve_in)
-              << std::endl;
-    if (opts.serve_in == "-") {
-      // Unsynced cin actually buffers, which is what the batch filler's
-      // in_avail() probe needs to see queued request lines; the
-      // stdio-synced default reads character-at-a-time and would degrade
-      // every batch to a single request.
-      std::ios::sync_with_stdio(false);
-      server.serve(std::cin, std::cout);
-    } else {
-      // Regular files and named FIFOs alike: an ifstream on a FIFO blocks
-      // until a writer connects, which is exactly the socket-like
-      // behaviour a local job queue wants.
-      std::ifstream ifs(opts.serve_in);
-      T1MAP_REQUIRE(ifs.good(),
-                    "cannot open request stream: " + opts.serve_in);
-      server.serve(ifs, std::cout);
-    }
+              << " MiB) — stdin" << std::endl;
+    // Unsynced cin actually buffers, which is what the batch filler's
+    // in_avail() probe needs to see queued request lines; the
+    // stdio-synced default reads character-at-a-time and would degrade
+    // every batch to a single request.
+    std::ios::sync_with_stdio(false);
+    server.serve(std::cin, std::cout);
   }
 
   std::cerr << "t1map: serve done: " << server.summary() << std::endl;
