@@ -1,9 +1,22 @@
 // SFQ netlist tests: cell metadata, structural contracts, simulation
-// semantics of every cell kind, area/splitter accounting.
+// semantics of every cell kind, area/splitter accounting, and a digest that
+// pins the random-simulation check's verdicts on real circuits.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "gen/registry.hpp"
+#include "pin_digest.hpp"
 #include "sfq/netlist.hpp"
+#include "sfq/netlist_sim.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map::sfq {
 namespace {
@@ -142,6 +155,204 @@ TEST(Netlist, CountKind) {
   EXPECT_EQ(n.count_kind(CellKind::kAnd2), 2u);
   EXPECT_EQ(n.count_kind(CellKind::kXor2), 1u);
   EXPECT_EQ(n.num_t1(), 0u);
+}
+
+// --- The random-simulation check ---------------------------------------------
+
+/// The materialized (explicit-DFF) netlist of one flow over `aig`.
+Netlist materialized(const Aig& aig, int phases, bool use_t1) {
+  t1::FlowEngine engine;
+  engine.set_incremental(false);
+  t1::FlowParams params;
+  params.num_phases = phases;
+  params.use_t1 = use_t1;
+  params.verify_rounds = 0;
+  t1::EngineResult r = engine.run(aig, params);
+  EXPECT_TRUE(r.ok()) << r.diagnostics.to_string();
+  return std::move(r.materialized.netlist);
+}
+
+/// A node-for-node copy of `ntk` in which `edit` may change each node
+/// before it is added (same ids, same POs).
+Netlist rebuilt(
+    const Netlist& ntk,
+    const std::function<void(std::uint32_t, Netlist::Node&)>& edit) {
+  Netlist out;
+  out.reserve(ntk.num_nodes());
+  for (std::uint32_t id = 0; id < ntk.num_nodes(); ++id) {
+    Netlist::Node node = ntk.node(id);
+    edit(id, node);
+    const auto fanins = std::span<const std::uint32_t>(node.fanin.data(),
+                                                       node.nfanin);
+    switch (node.kind) {
+      case CellKind::kPi:
+        out.add_pi();
+        break;
+      case CellKind::kConst0:
+      case CellKind::kConst1:
+        out.add_const(node.kind == CellKind::kConst1);
+        break;
+      case CellKind::kT1:
+        out.add_t1(fanins[0], fanins[1], fanins[2]);
+        break;
+      default:
+        if (cell_is_t1_tap(node.kind)) {
+          out.add_t1_tap(fanins[0], node.kind);
+        } else {
+          out.add_cell(node.kind, fanins);
+        }
+    }
+  }
+  for (const auto& po : ntk.pos()) out.add_po(po.driver);
+  return out;
+}
+
+/// The signal a node carries once DFF and buffer chains are looked through.
+std::uint32_t chain_root(const Netlist& ntk, std::uint32_t id) {
+  while (ntk.kind(id) == CellKind::kDff || ntk.kind(id) == CellKind::kBuf) {
+    id = ntk.fanins(id)[0];
+  }
+  return id;
+}
+
+/// Three seeded corruptions of `ntk`, each absent when the netlist has
+/// nothing to corrupt: one PO repointed at another node, one DFF re-sourced
+/// from the nearest lower node that carries a different signal, and one T1
+/// tap switched to a kind its core does not yet use.
+std::array<std::optional<Netlist>, 3> corruptions(const Netlist& ntk,
+                                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::array<std::optional<Netlist>, 3> out;
+  std::vector<std::uint32_t> dffs, taps;
+  for (std::uint32_t id = 0; id < ntk.num_nodes(); ++id) {
+    if (ntk.kind(id) == CellKind::kDff) dffs.push_back(id);
+    if (ntk.is_tap(id)) taps.push_back(id);
+  }
+
+  if (ntk.num_pos() > 0 && ntk.num_nodes() > 1) {
+    const auto po = static_cast<std::uint32_t>(rng.below(ntk.num_pos()));
+    std::uint32_t driver = ntk.pos()[po].driver;
+    while (driver == ntk.pos()[po].driver || ntk.is_t1(driver)) {
+      driver = static_cast<std::uint32_t>(rng.below(ntk.num_nodes()));
+    }
+    out[0] = ntk;
+    out[0]->set_po_driver(po, driver);
+  }
+
+  if (!dffs.empty()) {
+    const std::uint32_t dff = dffs[rng.below(dffs.size())];
+    const std::uint32_t root = chain_root(ntk, dff);
+    for (std::uint32_t v = dff; v-- > 0;) {
+      if (ntk.is_t1(v) || chain_root(ntk, v) == root) continue;
+      out[1] = rebuilt(ntk, [&](std::uint32_t id, Netlist::Node& node) {
+        if (id == dff) node.fanin[0] = v;
+      });
+      break;
+    }
+  }
+
+  if (!taps.empty()) {
+    const std::uint32_t tap = taps[rng.below(taps.size())];
+    const std::uint32_t core = ntk.fanins(tap)[0];
+    bool used[kNumCellKinds] = {};
+    for (const std::uint32_t t : taps) {
+      if (ntk.fanins(t)[0] == core) used[static_cast<int>(ntk.kind(t))] = true;
+    }
+    constexpr CellKind kTaps[] = {CellKind::kT1TapS, CellKind::kT1TapC,
+                                  CellKind::kT1TapQ, CellKind::kT1TapCn,
+                                  CellKind::kT1TapQn};
+    for (const CellKind kind : kTaps) {
+      if (used[static_cast<int>(kind)]) continue;
+      out[2] = rebuilt(ntk, [&](std::uint32_t id, Netlist::Node& node) {
+        if (id == tap) node.kind = kind;
+      });
+      break;
+    }
+  }
+  return out;
+}
+
+/// Folds the check's result at rounds 0, 1, 3 and 8 into `d`.
+void digest_checks(const Aig& aig, const Netlist& ntk, PinDigest& d) {
+  for (const int rounds : {0, 1, 3, 8}) {
+    const std::optional<Mismatch> m = find_sim_mismatch(aig, ntk, rounds, 1);
+    d.add(m.has_value());
+    if (!m.has_value()) continue;
+    d.add(m->po_index);
+    d.add(static_cast<std::int64_t>(m->pi_words.size()));
+    for (const std::uint64_t w : m->pi_words) {
+      d.add(static_cast<std::int64_t>(w));
+    }
+  }
+}
+
+struct PinnedSim {
+  const char* circuits;  // a Table-I name, or "fuzz" for the fuzz set
+  int phases;            // 0 on the fuzz row: its flows cycle 1φ, 4φ, 4φ+T1
+  bool use_t1;
+  std::uint64_t digest;
+};
+
+TEST(Sim, FirstMismatchIsPinned) {
+  // Captured from the check that simulated one round at a time, every DFF
+  // a wire.  Each flow's materialized netlist is checked clean and under
+  // each of its seeded corruptions; the digest folds whether a mismatch
+  // was found, its PO and its stimulus.  A failure prints the row as it is
+  // now.
+  // clang-format off
+  static const PinnedSim kRows[] = {
+      // circuits   phi t1     digest
+      {"adder",      1, false, 0xc883ff7862a67f01ull},
+      {"adder",      4, false, 0x32108a733e2154d5ull},
+      {"adder",      4, true,  0x77e2b7300b431112ull},
+      {"c7552",      1, false, 0x26de1f473a820c6dull},
+      {"c7552",      4, false, 0x9b1d870cc0e6139aull},
+      {"c7552",      4, true,  0x0e2eb528d674ea93ull},
+      {"c6288",      1, false, 0xdf5deea001115ab3ull},
+      {"c6288",      4, false, 0xc4c10189ecd0ba76ull},
+      {"c6288",      4, true,  0xfb49eb013b65d72dull},
+      {"sin",        1, false, 0xf376264fe256c42bull},
+      {"sin",        4, false, 0x6d07b1e9678cd339ull},
+      {"sin",        4, true,  0x59bce3b1b2259369ull},
+      {"voter",      1, false, 0x786d7a514865f734ull},
+      {"voter",      4, false, 0x4f40f34a70eeb734ull},
+      {"voter",      4, true,  0xf4809195b5d58714ull},
+      {"square",     1, false, 0x8042bfad3893c4a3ull},
+      {"square",     4, false, 0x1e7216d7a0315bcaull},
+      {"square",     4, true,  0xe845be6fa3c95b06ull},
+      {"multiplier", 1, false, 0x4b248382f644425bull},
+      {"multiplier", 4, false, 0xf81d8ae87b32c944ull},
+      {"multiplier", 4, true,  0x2f8c1ce16c75acc3ull},
+      {"log2",       1, false, 0xd4f5209e62855e79ull},
+      {"log2",       4, false, 0xc9a28e5dacca4b7aull},
+      {"log2",       4, true,  0x90116fd11a26c2caull},
+      {"fuzz",       0, false, 0xbc15a44b70c2eb27ull},
+  };
+  // clang-format on
+  for (const PinnedSim& row : kRows) {
+    const std::string name = row.circuits;
+    PinDigest d;
+    const int flows = name == "fuzz" ? 40 : 1;
+    for (int i = 0; i < flows; ++i) {
+      const std::string gen =
+          name == "fuzz" ? "fuzz" + std::to_string(10 + 9 * i) : name;
+      const int phases = row.phases > 0 ? row.phases : (i % 3 == 0 ? 1 : 4);
+      const bool use_t1 = row.phases > 0 ? row.use_t1 : i % 3 == 2;
+      const Aig aig = gen::make_named(gen);
+      const Netlist ntk = materialized(aig, phases, use_t1);
+      digest_checks(aig, ntk, d);
+      for (const std::optional<Netlist>& bad :
+           corruptions(ntk, ntk.num_nodes())) {
+        d.add(bad.has_value());
+        if (bad.has_value()) digest_checks(aig, *bad, d);
+      }
+    }
+    char now[128];
+    std::snprintf(now, sizeof now, "{\"%s\", %d, %s, 0x%016llxull},",
+                  row.circuits, row.phases, row.use_t1 ? "true" : "false",
+                  static_cast<unsigned long long>(d.h));
+    EXPECT_EQ(d.h, row.digest) << now;
+  }
 }
 
 }  // namespace
