@@ -22,9 +22,22 @@ std::vector<std::uint64_t> simulate(const Aig& aig,
                                     std::span<const std::uint64_t> pi_words);
 
 /// As `simulate`, but returns the value word of every node (index = node id);
-/// useful for cut-function cross-checks.
+/// useful for cut-function cross-checks.  The one-word case of
+/// `simulate_words`.
 std::vector<std::uint64_t> simulate_nodes(
     const Aig& aig, std::span<const std::uint64_t> pi_words);
+
+/// Words per signal in a simulation block: the random-simulation check
+/// (sfq/netlist_sim.hpp) runs this many 64-pattern rounds at once.
+inline constexpr int kSimBlock = 4;
+
+/// Simulates `W` words per signal at once, word-major within a signal:
+/// `pi_words[i * W + w]` is word `w` of PI `i`, and `value` (`W` words per
+/// node) receives word `w` of node `n` at `n * W + w`.  Instantiated for
+/// `W` = 1 and `kSimBlock`.
+template <int W>
+void simulate_words(const Aig& aig, std::span<const std::uint64_t> pi_words,
+                    std::span<std::uint64_t> value);
 
 /// Exhaustive PO truth tables for AIGs with at most 6 PIs.
 std::vector<Tt> exhaustive_po_tts(const Aig& aig);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <functional>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "aig/aig_sim.hpp"
 #include "common/rng.hpp"
 #include "gen/registry.hpp"
 #include "pin_digest.hpp"
@@ -352,6 +354,194 @@ TEST(Sim, FirstMismatchIsPinned) {
                   row.circuits, row.phases, row.use_t1 ? "true" : "false",
                   static_cast<unsigned long long>(d.h));
     EXPECT_EQ(d.h, row.digest) << now;
+  }
+}
+
+// --- Which round and PO the check reports -----------------------------------
+
+/// A pair that agrees on POs 0 and 2 and differs on PO 1 exactly where
+/// `differs` (an AIG literal over the PIs) is 1: the AIG's PO 1 is
+/// `differs`, the netlist's a constant 0.  The netlist reaches POs 0 and 2
+/// through a T1 carry tap and DFF, NOT and buffer chains.
+struct SimPair {
+  Aig aig;
+  Netlist ntk;
+};
+
+SimPair make_pair(
+    std::uint32_t num_pis,
+    const std::function<Lit(Aig&, const std::vector<Lit>&)>& differs) {
+  SimPair p;
+  std::vector<Lit> pis;
+  std::vector<std::uint32_t> ntk_pis;
+  for (std::uint32_t i = 0; i < num_pis; ++i) {
+    pis.push_back(p.aig.create_pi());
+    ntk_pis.push_back(p.ntk.add_pi());
+  }
+  if (num_pis >= 3) {
+    p.aig.create_po(p.aig.create_maj3(pis[0], pis[1], pis[2]));
+    const auto core = p.ntk.add_t1(ntk_pis[0], ntk_pis[1], ntk_pis[2]);
+    const auto carry = p.ntk.add_t1_tap(core, CellKind::kT1TapC);
+    p.ntk.add_po(p.ntk.add_cell(CellKind::kDff, {carry}));
+  } else {
+    p.aig.create_po(Aig::kConst1);
+    p.ntk.add_po(p.ntk.add_const(true));
+  }
+  p.aig.create_po(differs(p.aig, pis));
+  p.ntk.add_po(p.ntk.add_const(false));
+  p.aig.create_po(lit_not(pis.back()));
+  std::uint32_t x = p.ntk.add_cell(CellKind::kDff, {ntk_pis.back()});
+  x = p.ntk.add_cell(CellKind::kNot, {x});
+  x = p.ntk.add_cell(CellKind::kDff, {x});
+  p.ntk.add_po(p.ntk.add_cell(CellKind::kBuf, {x}));
+  return p;
+}
+
+/// The minterm that is 1 exactly where PI i is `one(i)` for every i.
+Lit minterm(Aig& aig, const std::vector<Lit>& pis,
+            const std::function<bool(std::uint32_t)>& one) {
+  Lit m = Aig::kConst1;
+  for (std::uint32_t i = 0; i < pis.size(); ++i) {
+    m = aig.create_and(m, lit_notif(pis[i], !one(i)));
+  }
+  return m;
+}
+
+/// Structured round `k` (after the random ones) of an `n`-PI check: 0 is
+/// all-zero, 1 all-one, 2 + b walking ones over PIs 64b .. 64b + 63.
+std::vector<std::uint64_t> structured_round(std::uint32_t n, int k) {
+  std::vector<std::uint64_t> words(n, k == 1 ? ~0ull : 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (k >= 2 && i / 64 == static_cast<std::uint32_t>(k - 2)) {
+      words[i] = 1ull << (i % 64);
+    }
+  }
+  return words;
+}
+
+/// The check one round at a time through `simulate` and
+/// `Netlist::simulate`, every DFF a wire: the reference the block kernel
+/// must match mismatch for mismatch.
+std::optional<Mismatch> round_by_round(const Aig& aig, const Netlist& ntk,
+                                       int rounds, std::uint64_t seed) {
+  const std::uint32_t n = aig.num_pis();
+  std::vector<std::vector<std::uint64_t>> stimuli;
+  std::uint64_t live = ~0ull;
+  if (n <= Tt::kMaxVars) {
+    std::vector<std::uint64_t> words(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      words[i] = Tt::var(static_cast<int>(n), static_cast<int>(i)).bits();
+    }
+    stimuli.push_back(words);
+    if (n < 6) live = (1ull << (1u << n)) - 1;
+  } else {
+    Rng rng(seed);
+    for (int r = 0; r < rounds; ++r) {
+      std::vector<std::uint64_t> words(n);
+      for (auto& w : words) w = rng.next();
+      stimuli.push_back(words);
+    }
+    for (std::uint32_t k = 0; k < 2 + (n + 63) / 64; ++k) {
+      stimuli.push_back(structured_round(n, static_cast<int>(k)));
+    }
+  }
+  for (const std::vector<std::uint64_t>& words : stimuli) {
+    const std::vector<std::uint64_t> a = simulate(aig, words);
+    const std::vector<std::uint64_t> b = ntk.simulate(words);
+    for (std::uint32_t po = 0; po < a.size(); ++po) {
+      if (((a[po] ^ b[po]) & live) != 0) return Mismatch{po, words};
+    }
+  }
+  return std::nullopt;
+}
+
+void expect_same(const std::optional<Mismatch>& got,
+                 const std::optional<Mismatch>& want,
+                 const std::string& label) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << label;
+  if (!want.has_value()) return;
+  EXPECT_EQ(got->po_index, want->po_index) << label;
+  EXPECT_EQ(got->pi_words, want->pi_words) << label;
+}
+
+TEST(Sim, ReportsTheFirstMismatchingStructuredRound) {
+  // 130 PIs: all-zero, all-one and three walking-ones rounds follow the
+  // random ones.  Each pair differs in exactly one of them; with 0 to 9
+  // random rounds before it, that round takes every position of a block.
+  constexpr std::uint32_t n = 130;
+  for (int k = 0; k < 5; ++k) {
+    const std::uint32_t hot = k >= 2 ? 64 * static_cast<std::uint32_t>(k - 2) + 1
+                                     : n;
+    const SimPair p = make_pair(n, [&](Aig& aig, const std::vector<Lit>& pis) {
+      return minterm(aig, pis,
+                     [&](std::uint32_t i) { return k == 1 || i == hot; });
+    });
+    const std::optional<Mismatch> want = Mismatch{1, structured_round(n, k)};
+    SimScratch scratch;
+    for (int rounds = -3; rounds <= 9; ++rounds) {
+      const std::string label = "round " + std::to_string(k) +
+                                " after " + std::to_string(rounds);
+      expect_same(find_sim_mismatch(p.aig, p.ntk, rounds, 1, &scratch), want,
+                  label);
+      expect_same(round_by_round(p.aig, p.ntk, rounds, 1), want, label);
+    }
+  }
+}
+
+TEST(Sim, MatchesTheRoundByRoundCheck) {
+  // PO 1 differs where the first m of 70 PIs are all 1: one pattern in
+  // 2^m, so the first mismatch falls in varying random rounds (m = 6, 9)
+  // or, mostly, in the all-one round (m = 12).
+  SimScratch scratch;
+  for (const std::uint32_t m : {6u, 9u, 12u}) {
+    const SimPair p = make_pair(70, [&](Aig& aig, const std::vector<Lit>& pis) {
+      Lit all = Aig::kConst1;
+      for (std::uint32_t i = 0; i < m; ++i) all = aig.create_and(all, pis[i]);
+      return all;
+    });
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      for (int rounds = 0; rounds <= 9; ++rounds) {
+        const std::string label = "m " + std::to_string(m) + " seed " +
+                                  std::to_string(seed) + " rounds " +
+                                  std::to_string(rounds);
+        expect_same(find_sim_mismatch(p.aig, p.ntk, rounds, seed, &scratch),
+                    round_by_round(p.aig, p.ntk, rounds, seed), label);
+      }
+    }
+  }
+}
+
+TEST(Sim, SmallDesignsAreCheckedExhaustively) {
+  // The scratch first serves a 130-PI check, so every lane of its buffers
+  // holds stale words when the small designs reuse it.
+  SimScratch scratch;
+  const SimPair wide =
+      make_pair(130, [](Aig&, const std::vector<Lit>&) { return Aig::kConst0; });
+  EXPECT_FALSE(find_sim_mismatch(wide.aig, wide.ntk, 9, 1, &scratch));
+  for (std::uint32_t n = 1; n <= 6; ++n) {
+    // Differs only on the last live bit: the assignment with every PI 1.
+    const SimPair last = make_pair(n, [](Aig& aig, const std::vector<Lit>& pis) {
+      return minterm(aig, pis, [](std::uint32_t) { return true; });
+    });
+    std::vector<std::uint64_t> projections(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      projections[i] = Tt::var(static_cast<int>(n), static_cast<int>(i)).bits();
+    }
+    // Equivalent on all 2^n assignments.  Bits 2^n and up of the
+    // projection words are dead: every PI reads 0 there, so no two designs
+    // can differ in them alone, and the live-bit mask leaves them out.
+    const SimPair same =
+        make_pair(n, [](Aig&, const std::vector<Lit>&) { return Aig::kConst0; });
+    for (const int rounds : {-3, 0, 1, 9}) {
+      const std::string label =
+          std::to_string(n) + " PIs, rounds " + std::to_string(rounds);
+      expect_same(find_sim_mismatch(last.aig, last.ntk, rounds, 1, &scratch),
+                  Mismatch{1, projections}, label);
+      expect_same(find_sim_mismatch(same.aig, same.ntk, rounds, 1, &scratch),
+                  std::nullopt, label);
+      expect_same(round_by_round(last.aig, last.ntk, rounds, 1),
+                  Mismatch{1, projections}, label);
+    }
   }
 }
 
