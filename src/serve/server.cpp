@@ -253,8 +253,13 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
     for (const std::size_t i : duplicates) {
       Job& job = batch[i];
       job.cached = lookup(job);
-      // The first occurrence's result was not cacheable: copy it.
-      if (!job.cached) job.result = batch[first_miss.at(job.key)].result;
+      // The first occurrence's result was not cacheable: copy it.  Like a
+      // hit, the copy ran no pass, so it carries no stage times or reuse.
+      if (!job.cached) {
+        job.result = batch[first_miss.at(job.key)].result;
+        job.result.times = t1::StageTimes{};
+        job.result.reuse = t1::ReuseCounters{};
+      }
     }
     const std::lock_guard<std::mutex> lock(latency_mu_);
     LatencyHistogram& hist = latency_[first.config_name];
