@@ -20,8 +20,9 @@ constexpr std::uint32_t kOneSlot = 1;
 constexpr std::uint32_t kFirstPiSlot = 2;
 
 /// Compiles `ntk` into `ws.slot`, `ws.cells` and `ws.po_slot`.  DFFs and
-/// buffers take their fanin's slot and T1 cores none (they carry no value,
-/// as in `Netlist::simulate_nodes`), so only logic cells and taps remain.
+/// buffers take their fanin's slot and T1 cores the constant-0 slot (they
+/// carry no value, as in `Netlist::simulate_nodes`), so only logic cells
+/// and taps remain.
 void compile(const Netlist& ntk, SimScratch& ws) {
   ws.slot.resize(ntk.num_nodes());
   std::uint32_t* slot = ws.slot.data();
@@ -142,8 +143,9 @@ std::optional<Mismatch> find_sim_mismatch(const Aig& aig, const Netlist& ntk,
   // are distinct assignments.
   const std::uint32_t n = aig.num_pis();
   const bool exhaustive = n <= Tt::kMaxVars;
-  const std::int64_t random = exhaustive ? 0 : std::max(rounds, 0);
-  const std::int64_t total = exhaustive ? 1 : random + 2 + (n + 63) / 64;
+  const std::int64_t random_rounds = exhaustive ? 0 : std::max(rounds, 0);
+  const std::int64_t total =
+      exhaustive ? 1 : random_rounds + 2 + (n + 63) / 64;
   const std::uint64_t live =
       !exhaustive || n == 6 ? ~0ull : (1ull << (1u << n)) - 1;
 
@@ -154,23 +156,23 @@ std::optional<Mismatch> find_sim_mismatch(const Aig& aig, const Netlist& ntk,
   std::fill_n(v + kZeroSlot * W, W, 0);
   std::fill_n(v + kOneSlot * W, W, ~0ull);
   // PI i's word in lane `lane` is pis[i * W + lane]; the AIG reads the
-  // same words.
+  // same words.  The last block's lanes past the last round keep stale
+  // words, and no result reads them.
   std::uint64_t* pis = v + kFirstPiSlot * W;
   const std::span<const std::uint64_t> pi_block(pis, std::size_t{n} * W);
 
   Rng rng(seed);
   for (std::int64_t base = 0; base < total; base += W) {
     const int count = static_cast<int>(std::min<std::int64_t>(W, total - base));
-    for (int lane = 0; lane < W; ++lane) {
+    for (int lane = 0; lane < count; ++lane) {
       const std::int64_t r = base + lane;
-      const std::int64_t walk = r - random - 2;  // -2 all-zero, -1 all-one
+      // -2 is the all-zero round, -1 the all-one round.
+      const std::int64_t walk = r - random_rounds - 2;
       std::uint64_t* word = pis + lane;
       for (std::uint32_t i = 0; i < n; ++i, word += W) {
-        if (lane >= count) {
-          *word = 0;
-        } else if (exhaustive) {
+        if (exhaustive) {
           *word = Tt::var(static_cast<int>(n), static_cast<int>(i)).bits();
-        } else if (r < random) {
+        } else if (r < random_rounds) {
           *word = rng.next();
         } else if (walk == -1) {
           *word = ~0ull;

@@ -123,7 +123,7 @@ struct FlowScratch {
   CutWorkspace cuts;        // map + t1 enumeration arenas
   DetectScratch t1_detect;  // t1 grouping/MFFC flat storage
   sat::Solver solver;       // cec clause arena
-  sfq::SimScratch sim;      // sim stimulus buffer
+  sfq::SimScratch sim;      // sim check: compiled netlist, value words
 };
 
 // --- Pipeline ----------------------------------------------------------------

@@ -359,10 +359,11 @@ TEST(Sim, FirstMismatchIsPinned) {
 
 // --- Which round and PO the check reports -----------------------------------
 
-/// A pair that agrees on POs 0 and 2 and differs on PO 1 exactly where
-/// `differs` (an AIG literal over the PIs) is 1: the AIG's PO 1 is
-/// `differs`, the netlist's a constant 0.  The netlist reaches POs 0 and 2
-/// through a T1 carry tap and DFF, NOT and buffer chains.
+/// A pair that agrees on POs 0 and 2 and differs on POs 1 and 3 exactly
+/// where `differs` (an AIG literal over the PIs) is 1: the AIG's POs 1 and
+/// 3 are `differs`, the netlist's constant 0 (so the lowest differing PO
+/// is 1).  The netlist reaches POs 0 and 2 through a T1 carry tap and DFF,
+/// NOT and buffer chains.
 struct SimPair {
   Aig aig;
   Netlist ntk;
@@ -387,13 +388,17 @@ SimPair make_pair(
     p.aig.create_po(Aig::kConst1);
     p.ntk.add_po(p.ntk.add_const(true));
   }
-  p.aig.create_po(differs(p.aig, pis));
-  p.ntk.add_po(p.ntk.add_const(false));
+  const Lit diff = differs(p.aig, pis);
+  const std::uint32_t zero = p.ntk.add_const(false);
+  p.aig.create_po(diff);
+  p.ntk.add_po(zero);
   p.aig.create_po(lit_not(pis.back()));
   std::uint32_t x = p.ntk.add_cell(CellKind::kDff, {ntk_pis.back()});
   x = p.ntk.add_cell(CellKind::kNot, {x});
   x = p.ntk.add_cell(CellKind::kDff, {x});
   p.ntk.add_po(p.ntk.add_cell(CellKind::kBuf, {x}));
+  p.aig.create_po(diff);
+  p.ntk.add_po(zero);
   return p;
 }
 
@@ -470,8 +475,10 @@ TEST(Sim, ReportsTheFirstMismatchingStructuredRound) {
   // random rounds before it, that round takes every position of a block.
   constexpr std::uint32_t n = 130;
   for (int k = 0; k < 5; ++k) {
-    const std::uint32_t hot = k >= 2 ? 64 * static_cast<std::uint32_t>(k - 2) + 1
-                                     : n;
+    // Walking round k - 2 sets PI `hot` alone in bit 1; no PI is `hot` in
+    // the all-zero and all-one rounds.
+    const std::uint32_t hot =
+        k >= 2 ? 64 * static_cast<std::uint32_t>(k - 2) + 1 : n;
     const SimPair p = make_pair(n, [&](Aig& aig, const std::vector<Lit>& pis) {
       return minterm(aig, pis,
                      [&](std::uint32_t i) { return k == 1 || i == hot; });
@@ -515,14 +522,15 @@ TEST(Sim, SmallDesignsAreCheckedExhaustively) {
   // The scratch first serves a 130-PI check, so every lane of its buffers
   // holds stale words when the small designs reuse it.
   SimScratch scratch;
-  const SimPair wide =
-      make_pair(130, [](Aig&, const std::vector<Lit>&) { return Aig::kConst0; });
+  const auto zero = [](Aig&, const std::vector<Lit>&) { return Aig::kConst0; };
+  const SimPair wide = make_pair(130, zero);
   EXPECT_FALSE(find_sim_mismatch(wide.aig, wide.ntk, 9, 1, &scratch));
   for (std::uint32_t n = 1; n <= 6; ++n) {
     // Differs only on the last live bit: the assignment with every PI 1.
-    const SimPair last = make_pair(n, [](Aig& aig, const std::vector<Lit>& pis) {
-      return minterm(aig, pis, [](std::uint32_t) { return true; });
-    });
+    const SimPair last =
+        make_pair(n, [](Aig& aig, const std::vector<Lit>& pis) {
+          return minterm(aig, pis, [](std::uint32_t) { return true; });
+        });
     std::vector<std::uint64_t> projections(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       projections[i] = Tt::var(static_cast<int>(n), static_cast<int>(i)).bits();
@@ -530,8 +538,7 @@ TEST(Sim, SmallDesignsAreCheckedExhaustively) {
     // Equivalent on all 2^n assignments.  Bits 2^n and up of the
     // projection words are dead: every PI reads 0 there, so no two designs
     // can differ in them alone, and the live-bit mask leaves them out.
-    const SimPair same =
-        make_pair(n, [](Aig&, const std::vector<Lit>&) { return Aig::kConst0; });
+    const SimPair same = make_pair(n, zero);
     for (const int rounds : {-3, 0, 1, 9}) {
       const std::string label =
           std::to_string(n) + " PIs, rounds " + std::to_string(rounds);
