@@ -15,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "cli/options.hpp"
 #include "io/json.hpp"
+#include "pin_digest.hpp"
 
 namespace t1map {
 namespace {
@@ -448,6 +450,120 @@ TEST(Cli, ServeFailsWhenResponsesCannotBeWritten) {
       << err;
   std::remove(requests.c_str());
   std::remove(responses.c_str());
+}
+
+/// `s` split at spaces ("" gives no words).
+std::vector<std::string> words(const std::string& s) {
+  std::vector<std::string> out;
+  std::istringstream is(s);
+  for (std::string w; is >> w;) out.push_back(w);
+  return out;
+}
+
+/// Whether `parse_options` accepts `args` (a UsageError rejects them).
+bool parses(const std::vector<std::string>& args) {
+  std::vector<const char*> argv = {"t1map"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  try {
+    (void)cli::parse_options(static_cast<int>(argv.size()), argv.data());
+    return true;
+  } catch (const cli::UsageError&) {
+    return false;
+  }
+}
+
+// Which flags each run mode reads, decided by the parser alone: every base
+// command line followed by every ordered pair of extras (the empty extra
+// gives the one-extra lines).  A row folds one base's 42 x 42 verdicts and
+// counts the accepted lines; a failure prints the row as it is now.
+TEST(Cli, FlagScopesArePinned) {
+  struct PinnedRow {
+    const char* base;
+    int accepted;
+    std::uint64_t verdicts;
+  };
+  // clang-format off
+  static const PinnedRow kRows[] = {
+      {"",                                   390, 0xab326e1519e11905ull},
+      {"--gen adder8",                       602, 0xea0fe6c2b38e1a85ull},
+      {"--input x.aag",                      579, 0x5b241327d312c4c4ull},
+      {"--gen adder8 --input x.aag",         243, 0xc0d495fb1879b3c4ull},
+      {"--bench --gen adder8",               395, 0xf6a46d92e2d8e3c4ull},
+      {"--bench",                            443, 0xfbebe02bfad37724ull},
+      {"--serve --serve-listen unix:x.sock", 475, 0x597551a2c25f64a4ull},
+      {"--serve",                            449, 0x09a2275f0baee884ull},
+      {"--fuzz 3",                           394, 0x68e75fe0ace77825ull},
+      {"--bench --serve",                    243, 0xc0d495fb1879b3c4ull},
+      {"--bench --fuzz 3",                   243, 0xc0d495fb1879b3c4ull},
+      {"--serve --fuzz 3",                   243, 0xc0d495fb1879b3c4ull},
+  };
+  // clang-format on
+  static const char* const kExtras[] = {
+      "",
+      "--gen adder8",
+      "--input x.aag",
+      "--config all",
+      "--config 1phi",
+      "--config nphi",
+      "--config t1",
+      "--phases 1",
+      "--phases 2",
+      "--phases 3",
+      "--phases 6",
+      "--verify-rounds 0",
+      "--no-cec",
+      "--threads 2",
+      "--bench",
+      "--bench-runs 2",
+      "--bench-set table1",
+      "--bench-set nearduplicate",
+      "--bench-out -",
+      "--serve",
+      "--cache-mb 8",
+      "--serve-batch 4",
+      "--serve-listen unix:x.sock",
+      "--cache-dir x.cache",
+      "--drain-timeout 10",
+      "--serve-idle 0",
+      "--serve-idle 50",
+      "--fuzz 3",
+      "--fuzz-seed 7",
+      "--fuzz-dir x.repros",
+      "--fuzz-nodes 20",
+      "--fuzz-mutate 1",
+      "--incremental-from x.aag",
+      "--json",
+      "--paper",
+      "--out-blif x.blif",
+      "--out-dot x.dot",
+      "--export-aiger x.aig",
+      "--export-verilog x.v",
+      "--list-gens",
+      "--help",
+      "-h",
+  };
+  ASSERT_EQ(std::size(kExtras), 42u);
+
+  for (const PinnedRow& row : kRows) {
+    int accepted = 0;
+    PinDigest verdicts;
+    for (const char* first : kExtras) {
+      for (const char* second : kExtras) {
+        std::vector<std::string> args = words(row.base);
+        for (const char* extra : {first, second}) {
+          for (std::string& w : words(extra)) args.push_back(std::move(w));
+        }
+        const bool ok = parses(args);
+        accepted += ok;
+        verdicts.add(ok);
+      }
+    }
+    char now[128];
+    std::snprintf(now, sizeof now, "{\"%s\", %d, 0x%016llxull},", row.base,
+                  accepted, static_cast<unsigned long long>(verdicts.h));
+    EXPECT_EQ(accepted, row.accepted) << "now: " << now;
+    EXPECT_EQ(verdicts.h, row.verdicts) << "now: " << now;
+  }
 }
 
 TEST(Cli, ListGensAndHelp) {
