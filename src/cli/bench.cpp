@@ -159,9 +159,7 @@ int run_bench_nearduplicate(const Options& opts) {
                                                  "cordic28"};
   constexpr int kMutants = 3;
 
-  t1::FlowParams params;
-  params.num_phases = opts.phases;
-  params.use_t1 = true;
+  t1::FlowParams params = t1::table_params(t1::TableConfig::kT1, opts.phases);
   params.verify_rounds = opts.verify_rounds;
   t1::FlowEngine warm;  // default flow without CEC; pass memo on
   t1::FlowEngine cold;
@@ -268,9 +266,7 @@ int run_bench(const Options& opts) {
                  ? gen::table1_names()
                  : (opts.bench_set == "deep" ? deep_set() : small_set()));
 
-  t1::FlowParams params;
-  params.num_phases = opts.phases;
-  params.use_t1 = true;
+  t1::FlowParams params = t1::table_params(t1::TableConfig::kT1, opts.phases);
   params.verify_rounds = opts.verify_rounds;
 
   const bool with_cec = opts.run_cec;

@@ -33,16 +33,59 @@ int parse_int(const std::string& flag, const std::string& value, int lo,
   return parsed;
 }
 
+/// The run modes.  A mode-specific flag names the modes that read it.
+enum Mode : unsigned { kReport = 1, kBench = 2, kServe = 4, kFuzz = 8 };
+
+struct ScopedFlag {
+  const char* flag;
+  unsigned modes;
+};
+
+/// Every flag that some run mode does not read.  --phases, --verify-rounds
+/// and --threads apply to every mode; --config is scoped by its value.
+constexpr ScopedFlag kScopedFlags[] = {
+    {"--gen", kReport | kBench},
+    {"--input", kReport},
+    {"--no-cec", kReport | kBench | kServe},
+    {"--incremental-from", kReport},
+    {"--json", kReport},
+    {"--paper", kReport},
+    {"--out-blif", kReport},
+    {"--out-dot", kReport},
+    {"--export-aiger", kReport},
+    {"--export-verilog", kReport},
+    {"--bench-runs", kBench},
+    {"--bench-set", kBench},
+    {"--bench-out", kBench},
+    {"--cache-mb", kServe},
+    {"--serve-batch", kServe},
+    {"--serve-listen", kServe},
+    {"--cache-dir", kServe},
+    {"--drain-timeout", kServe},
+    {"--serve-idle", kServe},
+    {"--fuzz-seed", kFuzz},
+    {"--fuzz-dir", kFuzz},
+    {"--fuzz-nodes", kFuzz},
+    {"--fuzz-mutate", kFuzz},
+};
+
+std::string mode_names(unsigned modes) {
+  const char* const names[] = {"report mode (--gen/--input)", "--bench",
+                               "--serve", "--fuzz"};
+  std::string out;
+  for (int m = 0; m < 4; ++m) {
+    if ((modes >> m & 1) == 0) continue;
+    out += (out.empty() ? "" : ", ") + std::string(names[m]);
+  }
+  return out;
+}
+
 }  // namespace
 
 Options parse_options(int argc, const char* const* argv) {
   Options opts;
   std::vector<std::string> args(argv + 1, argv + argc);
-  // First bench-harness / serve-mode flag seen, for the "needs --bench" /
-  // "needs --serve" diagnostics.
-  std::string bench_only_flag;
-  std::string serve_only_flag;
-  std::string fuzz_only_flag;
+  std::vector<const ScopedFlag*> scoped;
 
   const auto value_of = [&](std::size_t& i) -> std::string {
     if (i + 1 >= args.size()) {
@@ -53,6 +96,9 @@ Options parse_options(int argc, const char* const* argv) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    for (const ScopedFlag& s : kScopedFlags) {
+      if (arg == s.flag) scoped.push_back(&s);
+    }
     if (arg == "--gen") {
       opts.gen_name = value_of(i);
     } else if (arg == "--input") {
@@ -78,10 +124,8 @@ Options parse_options(int argc, const char* const* argv) {
     } else if (arg == "--bench") {
       opts.bench = true;
     } else if (arg == "--bench-runs") {
-      bench_only_flag = arg;
       opts.bench_runs = parse_int(arg, value_of(i), 1, 1000);
     } else if (arg == "--bench-set") {
-      bench_only_flag = arg;
       opts.bench_set = value_of(i);
       if (opts.bench_set != "small" && opts.bench_set != "table1" &&
           opts.bench_set != "deep" && opts.bench_set != "nearduplicate") {
@@ -90,51 +134,40 @@ Options parse_options(int argc, const char* const* argv) {
             opts.bench_set + "'");
       }
     } else if (arg == "--bench-out") {
-      bench_only_flag = arg;
       opts.bench_out = value_of(i);
     } else if (arg == "--serve") {
       opts.serve = true;
     } else if (arg == "--cache-mb") {
-      serve_only_flag = arg;
       opts.cache_mb = parse_int(arg, value_of(i), 1, 1 << 16);
     } else if (arg == "--serve-batch") {
-      serve_only_flag = arg;
       opts.serve_batch = parse_int(arg, value_of(i), 1, 4096);
     } else if (arg == "--serve-listen") {
-      serve_only_flag = arg;
       opts.serve_listen = value_of(i);
       if (opts.serve_listen.empty()) {
         throw UsageError("--serve-listen expects unix:PATH or tcp:HOST:PORT");
       }
     } else if (arg == "--cache-dir") {
-      serve_only_flag = arg;
       opts.cache_dir = value_of(i);
       if (opts.cache_dir.empty()) {
         throw UsageError("--cache-dir expects a directory path");
       }
     } else if (arg == "--drain-timeout") {
-      serve_only_flag = arg;
       opts.drain_timeout_ms = parse_int(arg, value_of(i), 0, 1 << 30);
     } else if (arg == "--serve-idle") {
-      serve_only_flag = arg;
       opts.serve_idle_ms = parse_int(arg, value_of(i), 0, 1 << 30);
     } else if (arg == "--fuzz") {
       opts.fuzz = parse_int(arg, value_of(i), 1, 1 << 20);
     } else if (arg == "--fuzz-seed") {
-      fuzz_only_flag = arg;
       opts.fuzz_seed = static_cast<std::uint64_t>(
           parse_int(arg, value_of(i), 0, 1 << 30));
     } else if (arg == "--fuzz-dir") {
-      fuzz_only_flag = arg;
       opts.fuzz_dir = value_of(i);
       if (opts.fuzz_dir.empty()) {
         throw UsageError("--fuzz-dir expects a directory path");
       }
     } else if (arg == "--fuzz-nodes") {
-      fuzz_only_flag = arg;
       opts.fuzz_nodes = parse_int(arg, value_of(i), 5, 1 << 16);
     } else if (arg == "--fuzz-mutate") {
-      fuzz_only_flag = arg;
       opts.fuzz_mutate = parse_int(arg, value_of(i), 0, 64);
     } else if (arg == "--incremental-from") {
       opts.incremental_from = value_of(i);
@@ -163,124 +196,45 @@ Options parse_options(int argc, const char* const* argv) {
   }
 
   if (opts.help || opts.list_gens) return opts;
-  if (!opts.bench && !bench_only_flag.empty()) {
-    throw UsageError(bench_only_flag +
-                     " configures the bench harness and needs --bench");
+  if (opts.bench + opts.serve + (opts.fuzz > 0) > 1) {
+    throw UsageError("--bench, --serve and --fuzz are different run modes; "
+                     "pick one");
   }
-  if (!opts.serve && !serve_only_flag.empty()) {
-    throw UsageError(serve_only_flag +
-                     " configures the serving loop and needs --serve");
+  const Mode mode = opts.bench      ? kBench
+                    : opts.serve    ? kServe
+                    : opts.fuzz > 0 ? kFuzz
+                                    : kReport;
+  const auto require_scope = [mode](const std::string& flag, unsigned modes) {
+    if ((modes & mode) == 0) {
+      throw UsageError(flag + " does not apply to " + mode_names(mode) +
+                       "; it is read by " + mode_names(modes));
+    }
+  };
+  for (const ScopedFlag* s : scoped) require_scope(s->flag, s->modes);
+  // A repeated --config keeps its last value, so it is scoped here.  "all"
+  // is every mode's default; bench mode times t1 alone.
+  if (opts.config != "all") {
+    require_scope("--config " + opts.config,
+                  opts.config == "t1" ? kReport | kBench : kReport);
   }
-  if (opts.fuzz == 0 && !fuzz_only_flag.empty()) {
-    throw UsageError(fuzz_only_flag +
-                     " configures the differential fuzzer and needs --fuzz N");
-  }
-  if (opts.fuzz > 0) {
-    if (opts.bench || opts.serve) {
-      throw UsageError("--fuzz is its own run mode; it conflicts with "
-                       "--bench/--serve");
-    }
-    if (!opts.gen_name.empty() || !opts.input_path.empty()) {
-      throw UsageError("--fuzz generates its own random circuits; "
-                       "--gen/--input do not apply");
-    }
-    if (!opts.incremental_from.empty()) {
-      throw UsageError("--incremental-from primes a report-mode run; for "
-                       "incremental coverage under --fuzz use --fuzz-mutate");
-    }
-    if (opts.config != "all") {
-      throw UsageError("--fuzz always runs all three configurations; "
-                       "--config " + opts.config + " has no effect there");
-    }
-    if (opts.json || opts.paper || !opts.out_blif.empty() ||
-        !opts.out_dot.empty() || !opts.out_aiger.empty() ||
-        !opts.out_verilog.empty()) {
-      throw UsageError("report/export options do not apply to --fuzz "
-                       "(repro .aag files land in --fuzz-dir)");
-    }
-    if (opts.phases < 3) {
-      throw UsageError("--fuzz runs the t1 configuration and needs "
-                       "--phases >= 3");
-    }
-    return opts;
-  }
-  if (opts.serve) {
-    if (opts.bench) {
-      throw UsageError("--serve and --bench are different run modes; "
-                       "pick one");
-    }
-    // Serve mode takes its work from the request stream; per-job fields
-    // override the CLI defaults (--phases, --verify-rounds, --no-cec).
-    if (!opts.gen_name.empty() || !opts.input_path.empty()) {
-      throw UsageError("--serve reads its circuits from the JSONL request "
-                       "stream; --gen/--input do not apply");
-    }
-    if (opts.config != "all") {
-      throw UsageError("--serve jobs carry their own \"config\" field; "
-                       "--config " + opts.config + " has no effect there");
-    }
-    if (opts.json || opts.paper || !opts.out_blif.empty() ||
-        !opts.out_dot.empty() || !opts.out_aiger.empty() ||
-        !opts.out_verilog.empty()) {
-      throw UsageError("--json/--paper and the export options do not apply "
-                       "to --serve (responses are always JSONL on stdout)");
-    }
-    if (!opts.incremental_from.empty()) {
-      throw UsageError("--incremental-from is a report-mode option; serve "
-                       "mode reuses pass results across its request stream "
-                       "on its own");
-    }
-    if (opts.phases < 3) {
-      throw UsageError("--serve defaults jobs to the t1 configuration and "
-                       "needs --phases >= 3");
-    }
-    if (opts.serve_listen.empty() && opts.serve_idle_ms != 0) {
-      throw UsageError("--serve-idle bounds socket connections and needs "
-                       "--serve-listen");
-    }
-    return opts;
-  }
-  if (opts.bench) {
-    // Bench mode runs a built-in circuit set; --gen narrows it to one
-    // circuit, --input is not supported there.
-    if (!opts.input_path.empty()) {
-      throw UsageError("--bench works on generated circuits; use --gen NAME "
-                       "to bench a single one");
-    }
-    if (opts.phases < 3) {
-      throw UsageError("--bench times the t1 configuration and needs "
-                       "--phases >= 3");
-    }
-    if (!opts.gen_name.empty() && !opts.bench_set.empty()) {
-      throw UsageError("--gen benches a single circuit; it conflicts with "
-                       "--bench-set " + opts.bench_set);
-    }
-    if (!opts.incremental_from.empty()) {
-      throw UsageError("--incremental-from is a report-mode option; "
-                       "--bench-set nearduplicate is the bench-mode "
-                       "warm-engine measurement");
-    }
-    // Reject report-mode options bench mode would otherwise ignore.
-    if (opts.config != "all" && opts.config != "t1") {
-      throw UsageError("--bench always times the t1 configuration; "
-                       "--config " + opts.config + " has no effect there");
-    }
-    if (opts.json || opts.paper || !opts.out_blif.empty() ||
-        !opts.out_dot.empty() || !opts.out_aiger.empty() ||
-        !opts.out_verilog.empty()) {
-      throw UsageError("--json/--paper and the export options do not apply "
-                       "to --bench (use --bench-out for the JSON trajectory)");
-    }
-    return opts;
-  }
-  if (opts.gen_name.empty() == opts.input_path.empty()) {
+
+  if (mode == kReport && opts.gen_name.empty() == opts.input_path.empty()) {
     throw UsageError("exactly one of --gen NAME or --input FILE is required");
   }
-  // T1 substitution needs >= 3 phases; fail before any config runs.
-  if ((opts.config == "all" || opts.config == "t1") && opts.phases < 3) {
+  // Only bench mode reads --bench-set, and only serve mode --serve-idle.
+  if (!opts.gen_name.empty() && !opts.bench_set.empty()) {
+    throw UsageError("--gen benches a single circuit; it conflicts with "
+                     "--bench-set " + opts.bench_set);
+  }
+  if (opts.serve_listen.empty() && opts.serve_idle_ms != 0) {
+    throw UsageError("--serve-idle bounds socket connections and needs "
+                     "--serve-listen");
+  }
+  // Every mode but a 1phi or nphi report runs the t1 configuration.
+  if (opts.config != "1phi" && opts.config != "nphi" && opts.phases < 3) {
     throw UsageError("the t1 configuration needs --phases >= 3 (got " +
-                     std::to_string(opts.phases) +
-                     "); use --config 1phi|nphi for fewer phases");
+                     std::to_string(opts.phases) + "); only a report with "
+                     "--config 1phi|nphi runs on fewer");
   }
   return opts;
 }
@@ -300,8 +254,10 @@ std::string usage() {
       "  t1map --gen NAME   [options]    map a generated benchmark\n"
       "  t1map --input FILE [options]    map an AIGER (.aag/.aig) or BLIF\n"
       "                                  file, auto-detected ('-' = stdin)\n"
+      "  t1map --bench      [options]    per-stage timing harness\n"
       "  t1map --serve      [options]    cached JSONL serving loop\n"
       "  t1map --fuzz N     [options]    differential fuzzing of the flow\n"
+      "  A flag outside its run mode is a usage error.\n"
       "\n"
       "Options:\n"
       "  --config all|1phi|nphi|t1   configurations to run (default: all)\n"

@@ -69,7 +69,8 @@ struct Options {
   bool help = false;       // --help
 };
 
-/// Parses argv; throws UsageError on malformed input.
+/// Parses argv; throws UsageError on malformed input and on a flag that
+/// the run mode does not read.
 Options parse_options(int argc, const char* const* argv);
 
 /// The --help text.

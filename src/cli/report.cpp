@@ -11,64 +11,38 @@
 
 namespace t1map::cli {
 
-namespace {
-
-std::string nphi_key(int phases) {
-  return "baseline_" + std::to_string(phases) + "phi";
+std::vector<t1::TableConfig> selected_configs(const Options& opts) {
+  using t1::TableConfig;
+  if (opts.config == "1phi") return {TableConfig::k1phi};
+  if (opts.config == "nphi") return {TableConfig::kNphi};
+  if (opts.config == "t1") return {TableConfig::kT1};
+  return {TableConfig::k1phi, TableConfig::kNphi, TableConfig::kT1};
 }
 
-}  // namespace
-
-std::vector<std::string> selected_configs(const Options& opts) {
-  std::vector<std::string> keys;
-  const bool all = opts.config == "all";
-  if (all || opts.config == "1phi") keys.push_back("baseline_1phi");
-  if ((all && opts.phases != 1) || opts.config == "nphi") {
-    keys.push_back(nphi_key(opts.phases));
-  }
-  if (all || opts.config == "t1") keys.push_back("t1");
-  return keys;
-}
-
-t1::FlowParams config_params(const std::string& key, const Options& opts) {
-  t1::FlowParams params;
-  params.verify_rounds = opts.verify_rounds;
-  if (key == "baseline_1phi") {
-    params.num_phases = 1;
-    params.use_t1 = false;
-  } else if (key == "t1") {
-    params.num_phases = opts.phases;
-    params.use_t1 = true;
-  } else {
-    T1MAP_REQUIRE(key == nphi_key(opts.phases),
-                  "config_params: unknown configuration key " + key);
-    params.num_phases = opts.phases;
-    params.use_t1 = false;
-  }
-  return params;
-}
-
-std::vector<ConfigResult> run_configs(const Aig& aig,
-                                      const std::vector<std::string>& keys,
-                                      const Options& opts,
-                                      const Aig* prime) {
-  std::vector<ConfigResult> results(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    results[i].key = keys[i];
-    results[i].params = config_params(keys[i], opts);
+std::vector<ConfigResult> run_configs(
+    const Aig& aig, const std::vector<t1::TableConfig>& configs,
+    const Options& opts, const Aig* prime) {
+  std::vector<ConfigResult> results(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    results[i].config = configs[i];
+    results[i].key = t1::config_key(configs[i], opts.phases);
+    results[i].params = t1::table_params(configs[i], opts.phases);
+    results[i].params.verify_rounds = opts.verify_rounds;
   }
 
   const t1::Pipeline pipeline = t1::Pipeline::default_flow(opts.run_cec);
-  const bool parallel = prime == nullptr && opts.threads > 1 && keys.size() > 1;
+  const bool parallel =
+      prime == nullptr && opts.threads > 1 && results.size() > 1;
   if (!opts.json) {
     if (parallel) {
-      std::cerr << "t1map: running " << keys.size() << " configurations on "
+      std::cerr << "t1map: running " << results.size()
+                << " configurations on "
                 << std::min<int>(opts.threads,
-                                 static_cast<int>(keys.size()))
+                                 static_cast<int>(results.size()))
                 << " threads ..." << std::endl;
     } else {
-      for (const std::string& key : keys) {
-        std::cerr << "t1map: running " << key << " ..." << std::endl;
+      for (const ConfigResult& c : results) {
+        std::cerr << "t1map: running " << c.key << " ..." << std::endl;
       }
     }
   }
@@ -103,9 +77,9 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
 }
 
 const ConfigResult* find_config(const Report& report,
-                                const std::string& key) {
+                                t1::TableConfig config) {
   for (const ConfigResult& c : report.configs) {
-    if (c.key == key) return &c;
+    if (c.config == config) return &c;
   }
   return nullptr;
 }
@@ -217,11 +191,8 @@ std::string report_text(const Report& report, bool with_paper) {
     }
   }
 
-  const ConfigResult* t1c = find_config(report, "t1");
-  const ConfigResult* base = nullptr;
-  for (const ConfigResult& c : report.configs) {
-    if (c.key != "t1" && c.key != "baseline_1phi") base = &c;
-  }
+  const ConfigResult* t1c = find_config(report, t1::TableConfig::kT1);
+  const ConfigResult* base = find_config(report, t1::TableConfig::kNphi);
   if (t1c != nullptr && base != nullptr && base->flow.stats.area_jj > 0) {
     const double jj_ratio = static_cast<double>(t1c->flow.stats.area_jj) /
                             static_cast<double>(base->flow.stats.area_jj);

@@ -16,7 +16,8 @@ namespace t1map::cli {
 
 /// One executed flow configuration.
 struct ConfigResult {
-  std::string key;  // "baseline_1phi", "baseline_<n>phi" or "t1"
+  t1::TableConfig config;
+  std::string key;  // t1::config_key: "baseline_1phi", ... or "t1"
   t1::FlowParams params;
   t1::EngineResult flow;
 };
@@ -36,26 +37,23 @@ struct Report {
   std::vector<ConfigResult> configs;
 };
 
-/// Expands `--config` into the list of configuration keys to run, in
-/// canonical order (1phi, nphi, t1).
-std::vector<std::string> selected_configs(const Options& opts);
+/// Expands `--config` into the configurations to run, in canonical order
+/// (1phi, nphi, t1).  `all` has at least 3 phases, so its two baselines
+/// differ.
+std::vector<t1::TableConfig> selected_configs(const Options& opts);
 
-/// Flow parameters for one configuration key.
-t1::FlowParams config_params(const std::string& key, const Options& opts);
-
-/// Runs every configuration in `keys` on `aig` through the default flow,
-/// with SAT CEC unless `--no-cec`: one cold `FlowEngine::run_many` batch
-/// (with `--threads`, configurations run in parallel; results stay in
-/// `keys` order).  `prime`, when given (--incremental-from), instead runs
+/// Runs every configuration in `configs` on `aig` through the default
+/// flow, with SAT CEC unless `--no-cec`: one cold `FlowEngine::run_many`
+/// batch (with `--threads`, configurations run in parallel; results stay
+/// in `configs` order).  `prime`, when given (--incremental-from), instead runs
 /// the configurations one after another on worker 0, each on a fresh engine
 /// that maps `prime` first to fill its pass memo; the timed run then reuses
 /// every pass whose input and parameters match, and its reuse counters land
 /// in the results.  Throws ContractError if any configuration's checks
 /// fail.
-std::vector<ConfigResult> run_configs(const Aig& aig,
-                                      const std::vector<std::string>& keys,
-                                      const Options& opts,
-                                      const Aig* prime = nullptr);
+std::vector<ConfigResult> run_configs(
+    const Aig& aig, const std::vector<t1::TableConfig>& configs,
+    const Options& opts, const Aig* prime = nullptr);
 
 /// Machine-readable report (the `--json` output).
 io::Json report_json(const Report& report);
@@ -64,7 +62,7 @@ io::Json report_json(const Report& report);
 /// and the design has a published Table-I row, it is appended.
 std::string report_text(const Report& report, bool with_paper);
 
-/// Finds a config by key; nullptr when it was not run.
-const ConfigResult* find_config(const Report& report, const std::string& key);
+/// Finds a configuration's result; nullptr when it was not run.
+const ConfigResult* find_config(const Report& report, t1::TableConfig config);
 
 }  // namespace t1map::cli

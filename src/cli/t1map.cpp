@@ -131,7 +131,7 @@ int run(const Options& opts) {
   T1MAP_REQUIRE(!report.configs.empty(), "no configuration selected");
 
   // Export the most interesting config: t1 when run, else the last one.
-  const ConfigResult* to_export = find_config(report, "t1");
+  const ConfigResult* to_export = find_config(report, t1::TableConfig::kT1);
   if (to_export == nullptr) to_export = &report.configs.back();
   export_netlist(opts, *to_export);
 

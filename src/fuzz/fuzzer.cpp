@@ -25,18 +25,14 @@ struct Config {
 };
 
 std::vector<Config> make_configs(const FuzzOptions& options) {
-  t1::FlowParams base;
-  base.verify_rounds = options.verify_rounds;
-  Config phi1{"baseline_1phi", base};
-  phi1.params.num_phases = 1;
-  phi1.params.use_t1 = false;
-  Config phin{"baseline_" + std::to_string(options.phases) + "phi", base};
-  phin.params.num_phases = options.phases;
-  phin.params.use_t1 = false;
-  Config t1c{"t1", base};
-  t1c.params.num_phases = options.phases;
-  t1c.params.use_t1 = true;
-  return {phi1, phin, t1c};
+  std::vector<Config> configs;
+  for (const t1::TableConfig config :
+       {t1::TableConfig::k1phi, t1::TableConfig::kNphi, t1::TableConfig::kT1}) {
+    t1::FlowParams params = t1::table_params(config, options.phases);
+    params.verify_rounds = options.verify_rounds;
+    configs.push_back({t1::config_key(config, options.phases), params});
+  }
+  return configs;
 }
 
 /// First failed check ("" = all pass).
@@ -354,8 +350,6 @@ RandomAigOptions jitter(const RandomAigOptions& base, std::uint64_t seed,
 
 FuzzReport run_fuzz(const FuzzOptions& options) {
   T1MAP_REQUIRE(options.iterations >= 1, "--fuzz needs at least 1 iteration");
-  T1MAP_REQUIRE(options.phases >= 3,
-                "fuzz: the T1 configuration needs >= 3 phases");
   const auto start = std::chrono::steady_clock::now();
 
   FuzzReport report;

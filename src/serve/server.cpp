@@ -154,20 +154,17 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
     T1MAP_REQUIRE(config == "1phi" || config == "nphi" || config == "t1",
                   "config must be one of 1phi|nphi|t1, got '" + config + "'");
     job.config_name = config;
-    job.params.use_t1 = config == "t1";
     // The phases field is validated whenever present — config 1phi pins
     // the value, it does not exempt the request from type checking.
     const int phases = int_field(request, "phases", defaults.phases, 1, 64);
-    if (config == "1phi") {
-      T1MAP_REQUIRE(request.find("phases") == nullptr || phases == 1,
-                    "config 1phi is single-phase; it conflicts with phases " +
-                        std::to_string(phases));
-      job.params.num_phases = 1;
-    } else {
-      job.params.num_phases = phases;
-    }
-    T1MAP_REQUIRE(!job.params.use_t1 || job.params.num_phases >= 3,
-                  "the t1 config needs phases >= 3");
+    T1MAP_REQUIRE(config != "1phi" || request.find("phases") == nullptr ||
+                      phases == 1,
+                  "config 1phi is single-phase; it conflicts with phases " +
+                      std::to_string(phases));
+    job.params = t1::table_params(config == "1phi"   ? t1::TableConfig::k1phi
+                                  : config == "nphi" ? t1::TableConfig::kNphi
+                                                     : t1::TableConfig::kT1,
+                                  phases);
     job.params.verify_rounds = int_field(request, "verify_rounds",
                                          defaults.verify_rounds, 0, 1 << 20);
     job.with_cec = defaults.cec;

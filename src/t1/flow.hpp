@@ -46,6 +46,20 @@ struct FlowParams {
   std::int64_t cec_conflict_limit = -1;
 };
 
+/// The three configurations Table I compares on every circuit: the 1φ
+/// baseline, the nφ baseline and nφ with T1 cells.
+enum class TableConfig { k1phi, kNphi, kT1 };
+
+/// The flow parameters of `config` at `phases` clock phases (k1phi runs
+/// one whatever `phases` says); every other field keeps its default.
+/// Throws ContractError when kT1 gets fewer than 3 phases: a T1 cell's
+/// three data inputs need pairwise distinct phases.
+FlowParams table_params(TableConfig config, int phases);
+
+/// The configuration's report key: "baseline_1phi", "baseline_<phases>phi"
+/// or "t1".
+std::string config_key(TableConfig config, int phases);
+
 /// The quantities Table I reports (plus a few internals).
 struct FlowStats {
   long dffs = 0;        // path-balancing DFFs ("#DFF")

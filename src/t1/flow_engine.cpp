@@ -216,6 +216,28 @@ void cec_check(FlowContext& ctx) {
 
 }  // namespace
 
+// --- Table-I configurations --------------------------------------------------
+
+FlowParams table_params(TableConfig config, int phases) {
+  T1MAP_REQUIRE(config != TableConfig::kT1 || phases >= 3,
+                "the t1 configuration needs at least 3 phases, got " +
+                    std::to_string(phases));
+  FlowParams params;
+  params.num_phases = config == TableConfig::k1phi ? 1 : phases;
+  params.use_t1 = config == TableConfig::kT1;
+  return params;
+}
+
+std::string config_key(TableConfig config, int phases) {
+  switch (config) {
+    case TableConfig::k1phi: return "baseline_1phi";
+    case TableConfig::kNphi:
+      return "baseline_" + std::to_string(phases) + "phi";
+    case TableConfig::kT1: return "t1";
+  }
+  return "?";
+}
+
 // --- Diagnostics -------------------------------------------------------------
 
 const char* severity_name(Severity severity) {

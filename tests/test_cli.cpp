@@ -484,7 +484,7 @@ TEST(Cli, FlagScopesArePinned) {
   };
   // clang-format off
   static const PinnedRow kRows[] = {
-      {"",                                   390, 0xab326e1519e11905ull},
+      {"",                                   388, 0x2b1706e6a5d554e5ull},
       {"--gen adder8",                       602, 0xea0fe6c2b38e1a85ull},
       {"--input x.aag",                      579, 0x5b241327d312c4c4ull},
       {"--gen adder8 --input x.aag",         243, 0xc0d495fb1879b3c4ull},
@@ -492,7 +492,7 @@ TEST(Cli, FlagScopesArePinned) {
       {"--bench",                            443, 0xfbebe02bfad37724ull},
       {"--serve --serve-listen unix:x.sock", 475, 0x597551a2c25f64a4ull},
       {"--serve",                            449, 0x09a2275f0baee884ull},
-      {"--fuzz 3",                           394, 0x68e75fe0ace77825ull},
+      {"--fuzz 3",                           371, 0xf3cd0aaf2a550e44ull},
       {"--bench --serve",                    243, 0xc0d495fb1879b3c4ull},
       {"--bench --fuzz 3",                   243, 0xc0d495fb1879b3c4ull},
       {"--serve --fuzz 3",                   243, 0xc0d495fb1879b3c4ull},
@@ -564,6 +564,9 @@ TEST(Cli, FlagScopesArePinned) {
     EXPECT_EQ(accepted, row.accepted) << "now: " << now;
     EXPECT_EQ(verdicts.h, row.verdicts) << "now: " << now;
   }
+  // The fuzzer's oracle is SAT CEC, so it cannot run without it.
+  const char* const fuzz_no_cec[] = {"t1map", "--fuzz", "3", "--no-cec"};
+  EXPECT_THROW(cli::parse_options(4, fuzz_no_cec), cli::UsageError);
 }
 
 TEST(Cli, ListGensAndHelp) {
