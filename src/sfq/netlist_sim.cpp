@@ -139,15 +139,13 @@ std::optional<Mismatch> find_sim_mismatch(const Aig& aig, const Netlist& ntk,
 
   // The rounds, in order: `rounds` random ones, all-zero, all-one, and one
   // walking-ones round per 64 PIs.  With at most 6 PIs, one exhaustive
-  // round of projection words replaces them all; only its first 2^n bits
-  // are distinct assignments.
+  // round of projection words replaces them all.  Its bits past 2^n repeat
+  // bit 0's all-zero assignment, so they hold no difference of their own.
   const std::uint32_t n = aig.num_pis();
   const bool exhaustive = n <= Tt::kMaxVars;
   const std::int64_t random_rounds = exhaustive ? 0 : std::max(rounds, 0);
   const std::int64_t total =
       exhaustive ? 1 : random_rounds + 2 + (n + 63) / 64;
-  const std::uint64_t live =
-      !exhaustive || n == 6 ? ~0ull : (1ull << (1u << n)) - 1;
 
   const std::uint32_t first_cell = kFirstPiSlot + n;
   ws.ntk_value.resize((first_cell + ws.cells.size()) * W);
@@ -189,7 +187,7 @@ std::optional<Mismatch> find_sim_mismatch(const Aig& aig, const Netlist& ntk,
       const std::uint64_t a =
           ws.aig_value[std::size_t{lit_node(lit)} * W + lane] ^
           (lit_is_complemented(lit) ? ~0ull : 0);
-      return (a ^ v[std::size_t{ws.po_slot[po]} * W + lane]) & live;
+      return a ^ v[std::size_t{ws.po_slot[po]} * W + lane];
     };
     // The first round of the block with any difference, then its lowest PO.
     std::uint64_t any[W] = {};
