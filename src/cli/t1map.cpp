@@ -40,36 +40,29 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// Reads the circuit at `path` ("-" = stdin): AIGER when the text starts
+/// with either variant's magic word, else BLIF.  `report`, when given,
+/// gets the circuit's source and design names.
+Aig read_circuit(const std::string& path, Report* report = nullptr) {
+  const std::string text = slurp(path);
+  const bool aiger = text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0;
+  std::string model_name;
+  Aig aig = aiger ? io::read_aiger_string(text)
+                  : io::read_blif_string(text, &model_name);
+  if (report != nullptr) {
+    report->source = (aiger ? "aiger:" : "blif:") + path;
+    report->design = aiger ? (path == "-" ? "aiger" : path) : model_name;
+  }
+  return aig;
+}
+
 Aig load_input(const Options& opts, Report& report) {
   if (!opts.gen_name.empty()) {
     report.design = opts.gen_name;
     report.source = "gen:" + opts.gen_name;
     return gen::make_named(opts.gen_name);
   }
-  // Auto-detect from the leading bytes: both AIGER variants start with
-  // their magic word, anything else is treated as BLIF.
-  const std::string text = slurp(opts.input_path);
-  const bool aiger = text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0;
-  report.source = (aiger ? "aiger:" : "blif:") + opts.input_path;
-  if (aiger) {
-    report.design = opts.input_path == "-" ? "aiger" : opts.input_path;
-    return io::read_aiger_string(text);
-  }
-  std::string model_name;
-  Aig aig = io::read_blif_string(text, &model_name);
-  report.design = model_name;
-  return aig;
-}
-
-/// Loads the --incremental-from priming design (AIGER or BLIF,
-/// auto-detected like --input; stdin is not allowed here).
-Aig load_prime(const std::string& path) {
-  T1MAP_REQUIRE(path != "-", "--incremental-from cannot read stdin");
-  const std::string text = slurp(path);
-  if (text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0) {
-    return io::read_aiger_string(text);
-  }
-  return io::read_blif_string(text);
+  return read_circuit(opts.input_path, &report);
 }
 
 void export_netlist(const Options& opts, const ConfigResult& config) {
@@ -122,7 +115,9 @@ int run(const Options& opts) {
 
   Aig prime;
   if (!opts.incremental_from.empty()) {
-    prime = load_prime(opts.incremental_from);
+    T1MAP_REQUIRE(opts.incremental_from != "-",
+                  "--incremental-from cannot read stdin");
+    prime = read_circuit(opts.incremental_from);
     report.incremental_from = opts.incremental_from;
   }
   report.configs =
