@@ -152,10 +152,11 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
     // The phases field is validated whenever present — config 1phi pins
     // the value, it does not exempt the request from type checking.
     const int phases = int_field(request, "phases", defaults.phases, 1, 64);
-    T1MAP_REQUIRE(config != "1phi" || request.find("phases") == nullptr ||
-                      phases == 1,
-                  "config 1phi is single-phase; it conflicts with phases " +
-                      std::to_string(phases));
+    if (config == "1phi") {
+      T1MAP_REQUIRE(request.find("phases") == nullptr || phases == 1,
+                    "config 1phi is single-phase; it conflicts with phases " +
+                        std::to_string(phases));
+    }
     job.params = t1::table_params(config == "1phi"   ? t1::TableConfig::k1phi
                                   : config == "nphi" ? t1::TableConfig::kNphi
                                                      : t1::TableConfig::kT1,
