@@ -45,12 +45,12 @@ std::vector<t1::TableConfig> selected_configs(const Options& opts);
 /// Runs every configuration in `configs` on `aig` through the default
 /// flow, with SAT CEC unless `--no-cec`: one cold `FlowEngine::run_many`
 /// batch (with `--threads`, configurations run in parallel; results stay
-/// in `configs` order).  `prime`, when given (--incremental-from), instead runs
-/// the configurations one after another on worker 0, each on a fresh engine
-/// that maps `prime` first to fill its pass memo; the timed run then reuses
-/// every pass whose input and parameters match, and its reuse counters land
-/// in the results.  Throws ContractError if any configuration's checks
-/// fail.
+/// in `configs` order).  `prime`, when given (--incremental-from), instead
+/// runs the configurations one after another on worker 0, each on a fresh
+/// engine that maps `prime` first to fill its pass memo; the timed run then
+/// reuses every pass whose input and parameters match, and its reuse
+/// counters land in the results.  Throws ContractError if any
+/// configuration's checks fail.
 std::vector<ConfigResult> run_configs(
     const Aig& aig, const std::vector<t1::TableConfig>& configs,
     const Options& opts, const Aig* prime = nullptr);
