@@ -1,7 +1,8 @@
 // End-to-end smoke tests of the `t1map` driver binary: spawns the real
 // executable (path injected by CMake as T1MAP_CLI_PATH), parses its JSON
 // report, and asserts the paper's headline claim — the T1 configuration
-// beats the plain 4-phase baseline on JJ count.
+// beats the plain 4-phase baseline on JJ count.  The flag-scope pin calls
+// the CLI library's parser directly.
 
 #include <gtest/gtest.h>
 
