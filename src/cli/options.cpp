@@ -70,6 +70,7 @@ constexpr ScopedFlag kScopedFlags[] = {
 };
 
 std::string mode_names(unsigned modes) {
+  // names[m] is the mode whose bit is 1 << m.
   const char* const names[] = {"report mode (--gen/--input)", "--bench",
                                "--serve", "--fuzz"};
   std::string out;
@@ -205,10 +206,9 @@ Options parse_options(int argc, const char* const* argv) {
                     : opts.fuzz > 0 ? kFuzz
                                     : kReport;
   const auto require_scope = [mode](const std::string& flag, unsigned modes) {
-    if ((modes & mode) == 0) {
-      throw UsageError(flag + " does not apply to " + mode_names(mode) +
-                       "; it is read by " + mode_names(modes));
-    }
+    if ((modes & mode) != 0) return;
+    throw UsageError(flag + " does not apply to " + mode_names(mode) +
+                     "; it is read by " + mode_names(modes));
   };
   for (const ScopedFlag* s : scoped) require_scope(s->flag, s->modes);
   // A repeated --config keeps its last value, so it is scoped here.  "all"
