@@ -370,9 +370,9 @@ TEST(Cli, IncrementalFromRunsTheConfigurationsOneAfterAnother) {
 }
 
 // A disk tier whose writes fail rejects the stores, and the server keeps
-// answering from memory.  The file-size limit makes the writes fail: one
-// block holds the files' headers but no record, and with SIGXFSZ ignored
-// the write returns EFBIG instead of killing the process.
+// answering from memory.  A first run stamps the files' headers; under a
+// file-size limit of zero every record write then fails, and with SIGXFSZ
+// ignored the write returns EFBIG instead of killing the process.
 TEST(Cli, ServeSurvivesFailingDiskWrites) {
   const std::string dir = "/tmp/t1map_cli_xfsz";
   const std::string requests = "/tmp/t1map_cli_xfsz.jsonl";
@@ -387,7 +387,12 @@ TEST(Cli, ServeSurvivesFailingDiskWrites) {
            << "{\"id\":4,\"cmd\":\"stats\"}\n";
   }
   std::string out;
-  ASSERT_EQ(run_command("(trap '' XFSZ; ulimit -f 1; " + kCli +
+  ASSERT_EQ(run_command("echo '{\"cmd\":\"stats\"}' | " + kCli +
+                            " --serve --cache-dir " + dir + " >/dev/null "
+                            "2>&1",
+                        out),
+            0);
+  ASSERT_EQ(run_command("(trap '' XFSZ; ulimit -f 0; " + kCli +
                             " --serve --cache-dir " + dir + ") < " +
                             requests + " 2>/dev/null",
                         out),

@@ -281,6 +281,26 @@ TEST(DiskCache, RejectsForeignAndIncompatibleFiles) {
   serve::DiskCacheConfig config;
   config.dir = dir.string();
   EXPECT_THROW(serve::DiskCache{config}, ContractError);
+
+  // A t1map cache of another codec version: the records magic ("T1CR"),
+  // then the next version, both little-endian.  It is refused at open.
+  {
+    std::ofstream records(dir / "records.t1c", std::ios::binary);
+    for (const std::uint32_t word :
+         {std::uint32_t{0x54314352}, serve::kResultCodecVersion + 1}) {
+      for (int i = 0; i < 4; ++i) {
+        records.put(static_cast<char>((word >> (8 * i)) & 0xFF));
+      }
+    }
+  }
+  try {
+    serve::DiskCache cache(config);
+    ADD_FAILURE() << "a cache of another codec version must be refused";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("incompatible cache version"),
+              std::string::npos)
+        << e.what();
+  }
   fs::remove_all(dir);
 }
 
