@@ -248,11 +248,6 @@ bool DiskCache::lookup(const RunKey& key, t1::EngineResult& out) {
 }
 
 void DiskCache::store(const RunKey& key, const t1::EngineResult& result) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (index_.count(key) != 0) return;  // first write wins; results agree
-  }
-
   // Serialize outside the lock; append under it.
   const std::string payload = encode_result(result);
   std::string record(kRecordHeaderBytes, '\0');
@@ -264,7 +259,7 @@ void DiskCache::store(const RunKey& key, const t1::EngineResult& result) {
   record += payload;
 
   const std::lock_guard<std::mutex> lock(mu_);
-  if (index_.count(key) != 0) return;  // raced with another store
+  if (index_.count(key) != 0) return;  // first write wins; results agree
   if (config_.max_bytes != 0 &&
       records_size_ + record.size() > config_.max_bytes) {
     rejected_.fetch_add(1, std::memory_order_relaxed);

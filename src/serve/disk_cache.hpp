@@ -8,7 +8,8 @@
 ///                 version), then back-to-back records:
 ///                 [magic u32][payload_len u32][key.hi u64][key.lo u64]
 ///                 [checksum u64][payload bytes]
-///                 where the payload is `encode_result` output and the
+///                 where the payload is `encode_result` output (status,
+///                 CEC verdict and statistics: about 70 bytes) and the
 ///                 checksum is `payload_checksum` over it.
 ///   index.t1c     append-only entry list mirroring the log.  8-byte
 ///                 header, then 28-byte entries:
@@ -31,11 +32,15 @@
 /// per-lookup checksums already handle.
 ///
 /// Keys are the platform-stable 128-bit digest × params fingerprints, so a
-/// cache directory written by one build/host warm-starts any other.
+/// cache directory written by one build/host warm-starts any other of the
+/// same `kResultCodecVersion`.  Both headers carry that version; a
+/// directory written under another one is refused at open ("incompatible
+/// cache version") and must be removed to rebuild.  There is no migration.
 ///
-/// Thread safety: the index map and the append path are mutex-guarded;
-/// record reads go through `pread` on immutable log regions, so concurrent
-/// lookups proceed without serializing on the file position.
+/// Thread safety: the index map and the append path are mutex-guarded; a
+/// store encodes first and takes the mutex once, to check for its key and
+/// append.  Record reads go through `pread` on immutable log regions, so
+/// concurrent lookups proceed without serializing on the file position.
 
 #pragma once
 
@@ -73,8 +78,8 @@ class DiskCache {
 
   /// Fills `out` and returns true when `key` has a sound record.
   bool lookup(const RunKey& key, t1::EngineResult& out);
-  /// Appends `result` unless `key` is present; a failed write rejects the
-  /// store.
+  /// Appends the payload of `result` unless `key` is present; a failed
+  /// write rejects the store.
   void store(const RunKey& key, const t1::EngineResult& result);
   CacheStats stats() const;
 

@@ -6,25 +6,9 @@
 #include <utility>
 
 #include "common/hash_mix.hpp"
+#include "serve/result_codec.hpp"
 
 namespace t1map::serve {
-
-namespace {
-
-std::size_t netlist_bytes(const sfq::Netlist& ntk) {
-  std::size_t bytes = sizeof(sfq::Netlist);
-  bytes += ntk.num_nodes() * sizeof(sfq::Netlist::Node);
-  bytes += ntk.num_pis() * sizeof(std::uint32_t);
-  for (std::uint32_t i = 0; i < ntk.num_pis(); ++i) {
-    bytes += sizeof(std::string) + ntk.pi_name(i).size();
-  }
-  for (const sfq::Netlist::Po& po : ntk.pos()) {
-    bytes += sizeof(sfq::Netlist::Po) + po.name.size();
-  }
-  return bytes;
-}
-
-}  // namespace
 
 std::uint64_t config_fingerprint(const t1::FlowParams& params,
                                  bool with_cec) {
@@ -61,16 +45,7 @@ RunKey run_key(const Digest& digest, std::uint64_t config) {
 }
 
 std::size_t estimate_result_bytes(const t1::EngineResult& result) {
-  std::size_t bytes = sizeof(t1::EngineResult);
-  bytes += netlist_bytes(result.mapped);
-  bytes += netlist_bytes(result.materialized.netlist);
-  bytes += result.materialized.stages.sigma.size() * sizeof(int);
-  bytes += result.materialized.node_map.size() * sizeof(std::uint32_t);
-  bytes += result.cec.size();
-  for (const t1::Diagnostic& d : result.diagnostics.entries()) {
-    bytes += sizeof(t1::Diagnostic) + d.pass.size() + d.message.size();
-  }
-  return bytes;
+  return sizeof(FlowCache::Entry) + encode_result(result).size();
 }
 
 FlowCache::FlowCache(CacheConfig config)
@@ -90,35 +65,18 @@ bool FlowCache::lookup(const RunKey& key, t1::EngineResult& out) {
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   ++shard.hits;
-  out = it->second->result;
+  out = decode_result(it->second->payload);
   return true;
 }
 
 void FlowCache::store(const RunKey& key, const t1::EngineResult& result) {
+  Entry entry{key, encode_result(result)};
+  entry.bytes = sizeof(Entry) + entry.payload.size();
+
   Shard& shard = shard_for(key);
-  {
-    // Duplicate stores (several threads missed, all computed) are common
-    // under contention; detect them before paying the deep result copy.
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
-      // Same key, same deterministic payload — just touch the LRU spot.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return;
-    }
-  }
-
-  Entry entry;  // the deep copy happens outside the shard lock
-  entry.key = key;
-  entry.result = result;
-  // A hit runs no pass: the computing run's stage times and memo reuse
-  // would read as a (wrong) measurement of the hit.
-  entry.result.times = t1::StageTimes{};
-  entry.result.reuse = t1::ReuseCounters{};
-  entry.bytes = estimate_result_bytes(entry.result);
-
   const std::lock_guard<std::mutex> lock(shard.mu);
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    // Raced with another store of the same key between the two lockings.
+    // Same key, same deterministic payload — just touch the LRU spot.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -127,9 +85,8 @@ void FlowCache::store(const RunKey& key, const t1::EngineResult& result) {
   shard.bytes += shard.lru.front().bytes;
   ++shard.insertions;
 
-  // Evict strictly from the cold tail.  An entry larger than the whole
-  // shard budget evicts everything including itself: oversized results
-  // simply don't cache.
+  // Evict strictly from the cold tail.  A shard budget smaller than one
+  // entry evicts everything including the new entry: it caches nothing.
   while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
     const Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;

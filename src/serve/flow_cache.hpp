@@ -1,21 +1,23 @@
 /// \file flow_cache.hpp
-/// \brief Sharded, thread-safe in-memory LRU cache of mapped flow results
-/// — the memory tier of the serving cache.
+/// \brief Sharded, thread-safe in-memory LRU cache of flow results — the
+/// memory tier of the serving cache.
 ///
 /// The first tier of `TieredCache`: keys are 128-bit `RunKey`s (an AIG
-/// digest folded with a configuration fingerprint), entries hold the
-/// complete `EngineResult` — mapped netlist, materialized netlist, Table-I
-/// statistics, diagnostics and the CEC verdict — so a hit reproduces a
-/// cold `run` bit for bit (stage times and reuse counters excepted: a hit
-/// runs no pass, so they are zeroed).  It stores whatever it is given;
+/// digest folded with a configuration fingerprint), and an entry is its
+/// key plus the result's `encode_result` payload: the status, the CEC
+/// verdict and the Table-I statistics, the fields a serve response reads
+/// (result_codec.hpp).  `store` encodes and `lookup` decodes, so a hit
+/// fills those fields and leaves the netlists, diagnostics, stage times
+/// and reuse counters at their defaults.  It stores whatever it is given;
 /// `TieredCache::store` decides what may be cached.
 ///
 /// Concurrency: the key space is split across `num_shards` independently
 /// locked shards, so concurrent lookups/stores contend only when they land
-/// on the same shard.  Memory: every entry is charged an estimated byte
-/// size; each shard evicts from its LRU tail once its share of `max_bytes`
-/// overflows.  Hit/miss/insertion/eviction counters are maintained per
-/// shard and aggregated by `stats()`.
+/// on the same shard; a store encodes first and then locks its shard once.
+/// Memory: every entry is charged a fixed overhead plus its payload size
+/// (`estimate_result_bytes`); each shard evicts from its LRU tail once its
+/// share of `max_bytes` overflows.  Hit/miss/insertion/eviction counters
+/// are maintained per shard and aggregated by `stats()`.
 ///
 /// The cache key (`RunKey` and its one recipe, `config_fingerprint` plus
 /// `run_key`) and `CacheStats` live here too: the disk tier and the tiered
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -74,15 +77,16 @@ std::uint64_t config_fingerprint(const t1::FlowParams& params, bool with_cec);
 RunKey run_key(const Digest& digest, std::uint64_t config);
 
 struct CacheConfig {
-  /// Total byte budget across all shards (estimated entry sizes).
+  /// Total byte budget across all shards (charged entry sizes).
   std::size_t max_bytes = 256ull << 20;
   /// Shard count; rounded up to a power of two, minimum 1.
   int num_shards = 8;
 };
 
-/// Estimated resident size of a cached result in bytes (vectors, strings
-/// and both netlists included).  An estimate, not an accounting audit —
-/// the budget exists to bound memory, not to bill it exactly.
+/// Bytes a memory entry of `result` is charged: the entry's fixed size
+/// plus its `encode_result` payload.  An estimate, not an accounting audit
+/// (the LRU links and the index node go uncounted): the budget exists to
+/// bound memory, not to bill it exactly.
 std::size_t estimate_result_bytes(const t1::EngineResult& result);
 
 class FlowCache {
@@ -91,8 +95,8 @@ class FlowCache {
 
   /// Fills `out` and returns true when `key` is present.
   bool lookup(const RunKey& key, t1::EngineResult& out);
-  /// Keeps a copy of `result` under `key` (times and reuse zeroed); a key
-  /// already present keeps its entry.
+  /// Keeps the payload of `result` under `key`; a key already present
+  /// keeps its entry.
   void store(const RunKey& key, const t1::EngineResult& result);
   CacheStats stats() const;
 
@@ -101,10 +105,13 @@ class FlowCache {
   std::vector<std::uint64_t> shard_occupancy() const;
 
  private:
+  friend std::size_t estimate_result_bytes(  // reads sizeof(Entry)
+      const t1::EngineResult& result);
+
   struct Entry {
     RunKey key;
-    t1::EngineResult result;
-    std::size_t bytes = 0;
+    std::string payload;  // `encode_result` bytes
+    std::size_t bytes = 0;  // charged: sizeof(Entry) + payload.size()
   };
 
   struct Shard {

@@ -350,7 +350,7 @@ void Server::write_response(Connection& conn, const Job& job) {
     w.key("input").value(aig_input_json(job.aig, /*with_depth=*/false));
     w.key("stats").value(flow_stats_json(job.result.stats));
     // Flow compute time, as the latency histogram counts it; a cache hit
-    // costs none (stored times are zeroed), so this is the only response
+    // costs none (cache entries keep no times), so this is the only response
     // field that varies between sessions.
     w.key("ms").value(1e3 * job.result.times.total_wall);
     w.end_object();

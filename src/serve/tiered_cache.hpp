@@ -2,12 +2,15 @@
 /// \brief The serving cache: memory first, then an optional disk log.
 ///
 /// `TieredCache` owns one `FlowCache` and, when given a directory, one
-/// `DiskCache`:
+/// `DiskCache`.  Both keep one record per key, the result's
+/// `encode_result` payload (status, CEC verdict and statistics; about 70
+/// bytes), and never a netlist:
 ///
 ///   * `lookup` tries memory, then disk; a disk hit is *promoted* into
-///     memory, so a result recovered after a restart pays the decode once
-///     and is served from memory thereafter.  A hit ran no pass, so it
-///     reports zero `times` and zero `reuse`, whichever tier served it;
+///     memory, so a result recovered after a restart is read from the log
+///     once and served from memory thereafter.  A hit from either tier
+///     fills `status`, `cec` and `stats` and leaves every other field at
+///     its default: it ran no pass, so its `times` and `reuse` are zero;
 ///   * `store` is the one place that decides what may be cached, and
 ///     writes what it admits through to both tiers;
 ///   * `stats` reports the composition's own lookup/store outcomes (a hit

@@ -1,9 +1,9 @@
-// The persistent cache tier: the binary result codec (round-trip,
-// corruption rejection), the log-structured DiskCache (reopen warm
-// start, torn-tail crash recovery, checksum self-healing, capacity
-// rejection), and the TieredCache composition (promotion, write-through,
-// zeroed reuse counters on hits from either tier, concurrent two-tier
-// hammering — the TSan CI leg runs this suite).
+// The persistent cache tier: the binary result codec (round-trip, pinned
+// payload layout, corruption rejection), the log-structured DiskCache
+// (reopen warm start, torn-tail crash recovery, checksum self-healing,
+// capacity rejection, version refusal), and the TieredCache composition
+// (promotion, write-through, zeroed reuse counters on hits from either
+// tier, concurrent two-tier hammering — the TSan CI leg runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gen/registry.hpp"
+#include "golden_flow.hpp"
 #include "serve/disk_cache.hpp"
 #include "serve/flow_cache.hpp"
 #include "serve/result_codec.hpp"
@@ -37,8 +38,7 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// One real flow result (adder8, t1 config, no verification) — enough
-/// structure to exercise every codec branch with a materialized netlist.
+/// One real flow result (adder8, t1 config, no verification).
 const t1::EngineResult& sample_result() {
   static const t1::EngineResult result = [] {
     t1::FlowEngine engine;
@@ -59,16 +59,62 @@ t1::FlowParams fast_params() {
 
 // --- Result codec ------------------------------------------------------------
 
-TEST(ResultCodec, RoundTripsAFullResultBitIdentically) {
+TEST(ResultCodec, RoundTripsStatusVerdictAndStats) {
   const t1::EngineResult& original = sample_result();
   const std::string bytes = serve::encode_result(original);
   const t1::EngineResult decoded = serve::decode_result(bytes);
   expect_results_identical(original, decoded, "codec round-trip");
-  // Stage times are not persisted: a cached result costs no flow time.
+  // Nothing else is persisted: a cached result costs no flow time and
+  // carries no netlist or diagnostics.
   EXPECT_EQ(decoded.times.map, 0.0);
   EXPECT_EQ(decoded.times.cec, 0.0);
+  EXPECT_EQ(decoded.mapped.num_nodes(), 0u);
+  EXPECT_FALSE(decoded.has_materialized);
+  EXPECT_TRUE(decoded.diagnostics.empty());
   // The encoding itself is deterministic (same result -> same bytes).
   EXPECT_EQ(bytes, serve::encode_result(decoded));
+}
+
+// The payload's exact bytes.  Changing them (a field added, dropped or
+// reordered) needs a kResultCodecVersion bump: a directory of the old
+// layout would otherwise decode into the wrong stats without an error.
+TEST(ResultCodec, PayloadLayoutIsPinned) {
+  const std::string bytes = serve::encode_result(sample_result());
+  std::string hex;
+  for (const char c : bytes) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[(static_cast<unsigned char>(c) >> 4) & 0xF];
+    hex += kDigits[static_cast<unsigned char>(c) & 0xF];
+  }
+  EXPECT_EQ(bytes.size(), 68u);
+  EXPECT_EQ(hex,
+            "00"                        // status: ok
+            "07000000"                  // cec: length 7,
+            "736b6970706564"            //   "skipped"
+            "1300000000000000"          // dffs: 19
+            "6c01000000000000"          // area_jj: 364
+            "03000000"                  // depth_cycles: 3
+            "07000000"                  // t1_found: 7
+            "07000000"                  // t1_used: 7
+            "0700000000000000"          // t1_cores: 7
+            "0200000000000000"          // logic_cells: 2
+            "0200000000000000"          // splitters: 2
+            "0a000000")                 // num_stages: 10
+      << hex;
+
+  // Every Table-I golden row fits in one small record.
+  t1::FlowEngine engine;
+  for (const Golden& g : golden_rows()) {
+    t1::FlowParams params;
+    params.num_phases = g.phases;
+    params.use_t1 = g.use_t1;
+    params.verify_rounds = 0;
+    const t1::EngineResult result =
+        engine.run(gen::make_named(g.gen), params);
+    ASSERT_TRUE(result.ok()) << g.gen;
+    EXPECT_LE(serve::encode_result(result).size(), 128u)
+        << g.gen << "/" << g.phases << (g.use_t1 ? "/t1" : "/base");
+  }
 }
 
 TEST(ResultCodec, RejectsTruncationAndTrailingGarbage) {
@@ -96,7 +142,7 @@ TEST(ResultCodec, ChecksumCoversEveryByte) {
 
 // --- DiskCache ---------------------------------------------------------------
 
-TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
+TEST(DiskCache, ReopenServesWarmHitsWithTheColdStats) {
   const fs::path dir = fresh_dir("disk_reopen");
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();

@@ -1,9 +1,9 @@
 // The serving layer: canonical AIG hashing (stability, sensitivity,
 // collision sanity), the configuration fingerprint of the cache key, the
-// sharded LRU FlowCache (bit-identical hits, byte-budget eviction,
-// concurrent hammering — the TSan CI leg runs this suite), and the JSONL
-// server protocol (ordering, hit counters, in-batch duplicates, error
-// handling, thread-count determinism).
+// sharded LRU FlowCache (hits carry the cold run's stats, byte-budget
+// eviction, concurrent hammering — the TSan CI leg runs this suite), and
+// the JSONL server protocol (ordering, hit counters, in-batch duplicates,
+// error handling, thread-count determinism).
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 namespace t1map {
 namespace {
 
-using testutil::blif_of;
 using testutil::expect_results_identical;
 using testutil::key_of;
 
@@ -193,9 +192,9 @@ TEST(ConfigFingerprint, SensitiveToEveryResultField) {
 
 // --- FlowCache ---------------------------------------------------------------
 
-TEST(FlowCache, HitIsBitIdenticalToColdRun) {
+TEST(FlowCache, HitCarriesTheColdRunsStatusVerdictAndStats) {
   // Golden circuits through a cold engine and back out of the cache: the
-  // hit must reproduce the cold result exactly (and the golden stats).
+  // hit must reproduce the cold run's status, verdict and (golden) stats.
   serve::FlowCache cache;
   t1::FlowEngine engine;
   std::string last_gen;
