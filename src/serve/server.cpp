@@ -502,7 +502,7 @@ std::string Server::summary() const {
      << n.errors << " errors), ";
   if (n.undelivered > 0) os << n.undelivered << " responses undelivered, ";
   os << "cache: " << c.hits << " hits / " << c.misses
-     << " misses, " << c.entries << " entries, " << c.bytes / 1024 << " KiB";
+     << " misses, " << c.entries << " entries, " << c.bytes << " bytes";
   if (c.evictions > 0) os << ", " << c.evictions << " evictions";
   const std::uint64_t map_total =
       inc_map_total_.load(std::memory_order_relaxed);
