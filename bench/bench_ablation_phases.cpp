@@ -30,16 +30,12 @@ int main() {
     std::printf("  n | %9s %9s %6s | %9s %9s %6s %5s\n", "DFF base",
                 "area base", "depth", "DFF T1", "area T1", "depth", "used");
     for (int n = 1; n <= 8; ++n) {
-      t1::FlowParams base;
-      base.num_phases = n;
-      base.use_t1 = false;
+      t1::FlowParams base = t1::table_params(t1::TableConfig::kNphi, n);
       base.verify_rounds = 1;
       const t1::FlowStats rb = stats_of(aig, base);
 
       if (n >= 3) {
-        t1::FlowParams with;
-        with.num_phases = n;
-        with.use_t1 = true;
+        t1::FlowParams with = t1::table_params(t1::TableConfig::kT1, n);
         with.verify_rounds = 1;
         const t1::FlowStats rt = stats_of(aig, with);
         std::printf("  %d | %9ld %9ld %6d | %9ld %9ld %6d %5d\n", n, rb.dffs,

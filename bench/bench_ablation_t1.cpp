@@ -30,9 +30,7 @@ int main() {
     std::printf("  min_gain | %5s %5s | %9s %9s %6s\n", "found", "used",
                 "DFFs", "area", "depth");
     for (const long threshold : {1l, 10l, 20l, 40l, 80l}) {
-      t1::FlowParams p;
-      p.num_phases = 4;
-      p.use_t1 = true;
+      t1::FlowParams p = t1::table_params(t1::TableConfig::kT1, 4);
       p.verify_rounds = 1;
       p.detect.min_gain = threshold;
       const t1::FlowStats s = stats_of(aig, p);
@@ -44,9 +42,7 @@ int main() {
     std::printf("  negation | %5s %5s | %9s %9s\n", "found", "used", "DFFs",
                 "area");
     for (const bool allow : {false, true}) {
-      t1::FlowParams p;
-      p.num_phases = 4;
-      p.use_t1 = true;
+      t1::FlowParams p = t1::table_params(t1::TableConfig::kT1, 4);
       p.verify_rounds = 1;
       p.detect.allow_input_negation = allow;
       const t1::FlowStats s = stats_of(aig, p);

@@ -19,6 +19,7 @@ using t1map::t1::EngineResult;
 using t1map::t1::FlowEngine;
 using t1map::t1::FlowParams;
 using t1map::t1::FlowStats;
+using t1map::t1::TableConfig;
 
 struct Row {
   std::string name;
@@ -26,10 +27,8 @@ struct Row {
   double seconds;
 };
 
-FlowParams config(int phases, bool use_t1) {
-  FlowParams p;
-  p.num_phases = phases;
-  p.use_t1 = use_t1;
+FlowParams config(TableConfig table_config) {
+  FlowParams p = t1map::t1::table_params(table_config, 4);
   p.verify_rounds = 2;  // equivalence self-check on every flow run
   return p;
 }
@@ -51,9 +50,9 @@ int main() {
     const t1map::Aig aig = t1map::gen::make_benchmark(name);
     Row row;
     row.name = name;
-    row.s1 = stats_of(aig, config(1, false));
-    row.s4 = stats_of(aig, config(4, false));
-    row.st = stats_of(aig, config(4, true));
+    row.s1 = stats_of(aig, config(TableConfig::k1phi));
+    row.s4 = stats_of(aig, config(TableConfig::kNphi));
+    row.st = stats_of(aig, config(TableConfig::kT1));
     row.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -31,16 +31,15 @@ using sfq::CellKind;
 using sfq::Netlist;
 constexpr std::uint32_t kKeep = 0xFFFFFFFFu;
 
-t1::FlowParams config_params(int phases, bool use_t1) {
-  t1::FlowParams params;
-  params.num_phases = phases;
-  params.use_t1 = use_t1;
-  return params;
+/// A Table-I configuration at the paper's four phases.
+t1::FlowParams config_params(t1::TableConfig config) {
+  return t1::table_params(config, 4);
 }
 
 /// The materialized netlist of the default flow (no CEC pass).
-Netlist flow_netlist(const Aig& aig,
-                     const t1::FlowParams& params = config_params(4, true)) {
+Netlist flow_netlist(
+    const Aig& aig,
+    const t1::FlowParams& params = config_params(t1::TableConfig::kT1)) {
   t1::FlowEngine engine;
   const t1::EngineResult r = engine.run(aig, params);
   EXPECT_TRUE(r.ok()) << r.diagnostics.to_string();
@@ -171,7 +170,7 @@ TEST(CecContract, FlowNetlistsProveLocally) {
 TEST(CecContract, CecPassReportsCounters) {
   const Aig aig = gen::make_named("mul8");
   t1::FlowEngine engine(t1::Pipeline::default_flow(/*with_cec=*/true));
-  const t1::EngineResult r = engine.run(aig, config_params(4, true));
+  const t1::EngineResult r = engine.run(aig, config_params(t1::TableConfig::kT1));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.cec, "equivalent");
   EXPECT_NE(r.diagnostics.to_string().find(
@@ -312,7 +311,7 @@ TEST(CecContract, ZeroBudgetProvesFlowNetlistsOnly) {
 }
 
 TEST(CecContract, IdenticalAtEveryThreadCount) {
-  t1::FlowParams params = config_params(4, true);
+  t1::FlowParams params = config_params(t1::TableConfig::kT1);
   params.verify_rounds = 0;
   const std::vector<std::string> names = {"adder16", "comparator16",
                                           "voter25"};
@@ -345,12 +344,13 @@ TEST(CecContract, IdenticalAtEveryThreadCount) {
 TEST(CecTable1, AllFlowsVerifyWithoutBudget) {
   for (const std::string& name : gen::table1_names()) {
     const Aig aig = gen::make_benchmark(name);
-    for (const auto& [phases, use_t1] :
-         {std::pair{1, false}, std::pair{4, false}, std::pair{4, true}}) {
-      const Netlist ntk = flow_netlist(aig, config_params(phases, use_t1));
+    for (const t1::TableConfig config :
+         {t1::TableConfig::k1phi, t1::TableConfig::kNphi,
+          t1::TableConfig::kT1}) {
+      const Netlist ntk = flow_netlist(aig, config_params(config));
       const CecResult r = sat::check_equivalence(aig, ntk);
       EXPECT_EQ(r.verdict, CecResult::Verdict::kEquivalent)
-          << name << " phases " << phases << " t1 " << use_t1;
+          << name << " " << t1::config_key(config, 4);
     }
   }
 }
