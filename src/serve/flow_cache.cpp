@@ -70,8 +70,8 @@ bool FlowCache::lookup(const RunKey& key, t1::EngineResult& out) {
 }
 
 void FlowCache::store(const RunKey& key, const t1::EngineResult& result) {
-  Entry entry{key, encode_result(result)};
-  entry.bytes = sizeof(Entry) + entry.payload.size();
+  std::string payload = encode_result(result);
+  const std::size_t bytes = sizeof(Entry) + payload.size();
 
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
@@ -80,9 +80,9 @@ void FlowCache::store(const RunKey& key, const t1::EngineResult& result) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(std::move(entry));
+  shard.lru.push_front(Entry{key, std::move(payload), bytes});
   shard.index.emplace(key, shard.lru.begin());
-  shard.bytes += shard.lru.front().bytes;
+  shard.bytes += bytes;
   ++shard.insertions;
 
   // Evict strictly from the cold tail.  A shard budget smaller than one

@@ -27,8 +27,7 @@ namespace t1map::serve {
 
 /// Bumped whenever the payload layout changes; part of the record header,
 /// so mixed-version cache directories fail loudly at open, not at decode.
-/// `ResultCodec.PayloadLayoutIsPinned` pins the layout.  Version 1 also
-/// carried both netlists and the diagnostics.
+/// `ResultCodec.PayloadLayoutIsPinned` pins the layout.
 constexpr std::uint32_t kResultCodecVersion = 2;
 
 /// Serializes the status, CEC verdict and statistics of `result` into a
