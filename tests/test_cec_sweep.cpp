@@ -170,7 +170,8 @@ TEST(CecContract, FlowNetlistsProveLocally) {
 TEST(CecContract, CecPassReportsCounters) {
   const Aig aig = gen::make_named("mul8");
   t1::FlowEngine engine(t1::Pipeline::default_flow(/*with_cec=*/true));
-  const t1::EngineResult r = engine.run(aig, config_params(t1::TableConfig::kT1));
+  const t1::EngineResult r =
+      engine.run(aig, config_params(t1::TableConfig::kT1));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.cec, "equivalent");
   EXPECT_NE(r.diagnostics.to_string().find(
