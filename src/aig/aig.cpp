@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash_mix.hpp"
+
 namespace t1map {
 
 Lit Aig::create_pi(std::string name) {
@@ -24,14 +26,33 @@ Lit Aig::create_and(Lit a, Lit b) {
   if (a == b) return a;
   if (a == lit_not(b)) return kConst0;
 
-  const std::uint64_t key = strash_key(a, b);
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return make_lit(it->second);
+  // Keep the table at most half full, counting the node this call may add.
+  if (2 * (std::size_t{num_ands()} + 1) > strash_.size()) {
+    rehash_strash(std::max<std::size_t>(16, 2 * strash_.size()));
   }
-  const std::uint32_t node = num_nodes();
+  std::uint32_t& slot = strash_[strash_slot(a, b)];
+  if (slot != 0) return make_lit(slot);
+  slot = num_nodes();
   nodes_.push_back(Node{a, b});
-  strash_.emplace(key, node);
-  return make_lit(node);
+  return make_lit(slot);
+}
+
+std::size_t Aig::strash_slot(Lit a, Lit b) const {
+  const std::size_t mask = strash_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(mix64(strash_key(a, b))) & mask;
+  while (strash_[i] != 0) {
+    const Node& n = nodes_[strash_[i]];
+    if (n.fanin0 == a && n.fanin1 == b) break;
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Aig::rehash_strash(std::size_t capacity) {
+  strash_.assign(capacity, 0);
+  for (std::uint32_t n = 1; n < num_nodes(); ++n) {
+    if (is_and(n)) strash_[strash_slot(nodes_[n].fanin0, nodes_[n].fanin1)] = n;
+  }
 }
 
 Lit Aig::create_xor(Lit a, Lit b) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/require.hpp"
@@ -164,12 +163,24 @@ class Aig {
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
 
+  /// Index of the slot of (a, b) in `strash_`: the slot holding the AND
+  /// node with those fanins, or the empty slot where it would go.
+  std::size_t strash_slot(Lit a, Lit b) const;
+  /// Resizes `strash_` to `capacity` slots (a power of two) and re-inserts
+  /// every AND node from `nodes_`.
+  void rehash_strash(std::size_t capacity);
+
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> pis_;
   std::vector<Lit> pos_;
   std::vector<std::string> pi_names_;
   std::vector<std::string> po_names_;
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_;
+  /// Structural hash: an open-addressing table of AND node ids, probed
+  /// linearly from `mix64(strash_key(fanin0, fanin1))`, at most half full.
+  /// 0 marks an empty slot (node 0 is the constant, never an AND).  It
+  /// holds node ids only, so it never allocates per AND, and a copied Aig
+  /// copies one flat array.
+  std::vector<std::uint32_t> strash_;
 };
 
 }  // namespace t1map
