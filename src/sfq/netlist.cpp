@@ -92,22 +92,23 @@ std::vector<std::uint32_t> Netlist::fanout_counts() const {
   return count;
 }
 
-long Netlist::splitter_count() const {
-  const auto fanout = fanout_counts();
-  long splitters = 0;
-  for (std::uint32_t id = 0; id < num_nodes(); ++id) {
-    if (is_t1(id)) continue;  // taps are distinct physical pins
-    if (fanout[id] > 1) splitters += fanout[id] - 1;
-  }
-  return splitters;
-}
-
-long Netlist::cell_area_jj_total() const {
-  long area = 0;
+Netlist::CellTally Netlist::cell_tally() const {
+  CellTally t;
+  std::vector<std::uint32_t> fanout(num_nodes(), 0);
   for (const Node& node : nodes_) {
-    area += cell_area_jj(node.kind);
+    t.dffs += node.kind == CellKind::kDff;
+    t.t1_cores += node.kind == CellKind::kT1;
+    t.logic_cells += cell_is_logic(node.kind);
+    t.area_jj += cell_area_jj(node.kind);
+    for (int i = 0; i < node.nfanin; ++i) ++fanout[node.fanin[i]];
   }
-  return area + kSplitterAreaJj * splitter_count();
+  for (const Po& po : pos_) ++fanout[po.driver];
+  for (std::uint32_t id = 0; id < num_nodes(); ++id) {
+    // T1 cores are exempt: taps are distinct physical pins.
+    if (fanout[id] > 1 && !is_t1(id)) t.splitters += fanout[id] - 1;
+  }
+  t.area_jj += kSplitterAreaJj * t.splitters;
+  return t;
 }
 
 void Netlist::check_well_formed() const {

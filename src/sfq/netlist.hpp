@@ -148,11 +148,22 @@ class Netlist {
 
   /// Total pulse splitters needed: max(0, fanout-1) per node, where T1
   /// cores are exempt (each tap is a distinct physical pin).
-  long splitter_count() const;
+  long splitter_count() const { return cell_tally().splitters; }
 
   /// Cell area in JJs of every node, *including* splitters; DFFs count only
   /// once `retime::insert_dffs` has made them nodes.
-  long cell_area_jj_total() const;
+  long cell_area_jj_total() const { return cell_tally().area_jj; }
+
+  /// The netlist's Table-I figures, from one walk over the nodes plus one
+  /// fanout array.
+  struct CellTally {
+    long dffs = 0;
+    long t1_cores = 0;
+    long logic_cells = 0;  // `cell_is_logic` kinds
+    long splitters = 0;    // as `splitter_count`
+    long area_jj = 0;      // as `cell_area_jj_total`
+  };
+  CellTally cell_tally() const;
 
   /// Throws ContractError on any structural violation.
   void check_well_formed() const;

@@ -149,15 +149,15 @@ void dff_pass(FlowContext& ctx) {
   r.materialized = retime::insert_dffs(r.mapped, ctx.assignment);
   r.has_materialized = true;
 
-  const sfq::Netlist& mat = r.materialized.netlist;
+  const sfq::Netlist::CellTally tally = r.materialized.netlist.cell_tally();
   FlowStats& s = r.stats;
-  s.dffs = mat.count_kind(sfq::CellKind::kDff);
-  s.area_jj = mat.cell_area_jj_total();
+  s.dffs = tally.dffs;
+  s.area_jj = tally.area_jj;
   s.depth_cycles = r.materialized.stages.depth_cycles();
   s.num_stages = r.materialized.stages.sigma_po;
-  s.t1_cores = mat.num_t1();
-  s.splitters = mat.splitter_count();
-  s.logic_cells = count_logic_cells(mat);
+  s.t1_cores = tally.t1_cores;
+  s.splitters = tally.splitters;
+  s.logic_cells = tally.logic_cells;
 }
 
 // --- Checks ------------------------------------------------------------------
