@@ -395,12 +395,14 @@ void Server::run_session(Connection& conn, Transport& transport) {
       if (!batch.back().error.empty()) {
         errors_.fetch_add(1, std::memory_order_relaxed);
       }
-      // A rejected quit (e.g. one carrying job fields) must not shut the
-      // session down.
-      if (batch.back().cmd == "quit" && batch.back().error.empty()) {
+      // A quit or a stats ends its batch, so a stats response counts the
+      // lines up to its own and none after it.  A rejected command (e.g.
+      // one carrying job fields) ends nothing.
+      if (batch.back().error.empty() && batch.back().cmd == "quit") {
         quit = true;
         break;
       }
+      if (batch.back().error.empty() && batch.back().cmd == "stats") break;
     }
     if (batch.empty()) break;  // EOF / shutdown
 

@@ -23,7 +23,8 @@
 ///
 /// Execution model: the server accepts connections from a `Transport` and
 /// runs one session thread per connection.  Each session reads requests in
-/// batches (up to `ServeConfig::batch_size` lines), hashes them
+/// batches (up to `ServeConfig::batch_size` lines; a `stats` or `quit`
+/// line ends its batch, so `stats` counts no line after it), hashes them
 /// (`AigHasher`), groups them by configuration fingerprint and looks every
 /// job up in the cache.  Per group, the first miss of each key runs in one
 /// `FlowEngine::run_many` on the engine's `threads` persistent workers; a

@@ -734,6 +734,49 @@ TEST(JsonParser, BoundsNestingDepth) {
   EXPECT_THROW(io::Json::parse(std::string(100000, '[')), ContractError);
 }
 
+TEST(Server, StatsEndsItsBatchAsQuitDoes) {
+  // Lines 1-16 fill a batch; the stats on line 18 follows one job, and
+  // lines 19-32 (two of them bad) come after it.  Its counters must cover
+  // lines 1-18 only: exactly what the same script cut after line 18
+  // reports.
+  std::string head;
+  for (int id = 1; id <= 17; ++id) {
+    const char* gen = id % 3 == 0 ? "adder4" : id % 3 == 1 ? "adder6" : "adder8";
+    head += "{\"id\":" + std::to_string(id) + ",\"gen\":\"" + gen + "\"}\n";
+  }
+  head += "{\"id\":18,\"cmd\":\"stats\"}\n";
+  std::string tail;
+  for (int id = 19; id <= 32; ++id) {
+    if (id == 27) {
+      tail += "{\"id\":27,\"gen\":\"no_such_gen\"}\n";
+    } else if (id == 28) {
+      tail += "{\"id\":28,\"nope\":true}\n";
+    } else {
+      const char* gen = id % 2 == 0 ? "adder10" : "adder6";
+      tail += "{\"id\":" + std::to_string(id) + ",\"gen\":\"" + gen + "\"}\n";
+    }
+  }
+  tail += "{\"id\":33,\"cmd\":\"stats\"}\n";
+  serve::ServeConfig config = fast_config();
+  config.batch_size = 16;
+
+  const std::vector<std::string> lines = serve_script(head + tail, config);
+  ASSERT_EQ(lines.size(), 33u);
+  const io::Json mid = io::Json::parse(lines[17]);
+  EXPECT_EQ(mid.at("serve").at("requests").as_number(), 18) << lines[17];
+  EXPECT_EQ(mid.at("serve").at("errors").as_number(), 0) << lines[17];
+  EXPECT_EQ(mid.at("serve").at("batches").as_number(), 2) << lines[17];
+  const std::vector<std::string> alone = serve_script(head, config);
+  ASSERT_EQ(alone.size(), 18u);
+  EXPECT_EQ(strip_ms(lines[17]), strip_ms(alone[17]));
+
+  // The rest of the script is one more batch, ended by the last stats.
+  const io::Json last = io::Json::parse(lines[32]);
+  EXPECT_EQ(last.at("serve").at("requests").as_number(), 33) << lines[32];
+  EXPECT_EQ(last.at("serve").at("errors").as_number(), 2) << lines[32];
+  EXPECT_EQ(last.at("serve").at("batches").as_number(), 3) << lines[32];
+}
+
 TEST(Server, QuitCommandStopsTheLoop) {
   const std::string script =
       "{\"id\":1,\"cmd\":\"quit\"}\n"
