@@ -44,8 +44,34 @@ RunKey run_key(const Digest& digest, std::uint64_t config) {
                 digest.lo ^ (config * 0x9E3779B97F4A7C15ull)};
 }
 
+namespace {
+
+/// Heap bytes an `n`-byte allocation takes: one header word, rounded up to
+/// 16 bytes.
+constexpr std::size_t heap_block(std::size_t n) {
+  return (n + sizeof(void*) + 15) / 16 * 16;
+}
+
+}  // namespace
+
+std::size_t FlowCache::entry_bytes(const std::string& payload) {
+  using Index = decltype(Shard::index);
+  const std::size_t lru_node = sizeof(Entry) + 2 * sizeof(void*);
+  const std::size_t index_node =  // next link, key and value, cached hash
+      sizeof(void*) + sizeof(Index::value_type) + sizeof(std::size_t);
+  const std::size_t buckets = 2 * sizeof(void*);
+  const std::size_t payload_block =  // none while the string is inline
+      payload.capacity() > std::string().capacity()
+          ? heap_block(payload.capacity() + 1)
+          : 0;
+  return heap_block(lru_node) + heap_block(index_node) + buckets +
+         payload_block;
+}
+
 std::size_t estimate_result_bytes(const t1::EngineResult& result) {
-  return sizeof(FlowCache::Entry) + encode_result(result).size();
+  std::string payload = encode_result(result);
+  payload.shrink_to_fit();
+  return FlowCache::entry_bytes(payload);
 }
 
 FlowCache::FlowCache(CacheConfig config)
@@ -71,7 +97,8 @@ bool FlowCache::lookup(const RunKey& key, t1::EngineResult& out) {
 
 void FlowCache::store(const RunKey& key, const t1::EngineResult& result) {
   std::string payload = encode_result(result);
-  const std::size_t bytes = sizeof(Entry) + payload.size();
+  payload.shrink_to_fit();  // appending left spare capacity on the heap
+  const std::size_t bytes = entry_bytes(payload);
 
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mu);

@@ -14,7 +14,8 @@
 /// Concurrency: the key space is split across `num_shards` independently
 /// locked shards, so concurrent lookups/stores contend only when they land
 /// on the same shard; a store encodes first and then locks its shard once.
-/// Memory: every entry is charged a fixed overhead plus its payload size
+/// Memory: every entry is charged the heap its storage takes, the LRU
+/// node, the index node and buckets and the payload's block
 /// (`estimate_result_bytes`); each shard evicts from its LRU tail once its
 /// share of `max_bytes` overflows.  Hit/miss/insertion/eviction counters
 /// are maintained per shard and aggregated by `stats()`.
@@ -83,10 +84,12 @@ struct CacheConfig {
   int num_shards = 8;
 };
 
-/// Bytes a memory entry of `result` is charged: the entry's fixed size
-/// plus its `encode_result` payload.  An estimate, not an accounting audit
-/// (the LRU links and the index node go uncounted): the budget exists to
-/// bound memory, not to bill it exactly.
+/// Bytes a memory entry of `result` is charged: the heap blocks storing
+/// it takes, as a 16-byte-granular malloc with one header word sizes them
+/// (glibc's on 64-bit hosts): its LRU node, its index node, two index
+/// buckets (the index keeps between one and two per entry) and its
+/// `encode_result` payload's block.  So `max_bytes` bounds the heap the
+/// tier holds, not just the payloads in it.
 std::size_t estimate_result_bytes(const t1::EngineResult& result);
 
 class FlowCache {
@@ -105,14 +108,17 @@ class FlowCache {
   std::vector<std::uint64_t> shard_occupancy() const;
 
  private:
-  friend std::size_t estimate_result_bytes(  // reads sizeof(Entry)
+  friend std::size_t estimate_result_bytes(  // reads entry_bytes
       const t1::EngineResult& result);
 
   struct Entry {
     RunKey key;
-    std::string payload;  // `encode_result` bytes
-    std::size_t bytes = 0;  // charged: sizeof(Entry) + payload.size()
+    std::string payload;  // `encode_result` bytes, capacity trimmed
+    std::size_t bytes = 0;  // charged: entry_bytes(payload)
   };
+
+  /// The charge of an entry holding `payload` (estimate_result_bytes).
+  static std::size_t entry_bytes(const std::string& payload);
 
   struct Shard {
     mutable std::mutex mu;

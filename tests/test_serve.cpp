@@ -6,7 +6,9 @@
 // error handling, thread-count determinism).
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash_mix.hpp"
 #include "gen/registry.hpp"
 #include "golden_flow.hpp"
 #include "io/aiger.hpp"
@@ -273,6 +276,47 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
   EXPECT_TRUE(cache.lookup(keys[0], out));   // recently used: survived
   EXPECT_FALSE(cache.lookup(keys[1], out));  // LRU: evicted
   EXPECT_TRUE(cache.lookup(keys[2], out));
+}
+
+TEST(FlowCache, ChargeCoversTheHeapItsEntriesTake) {
+  // The byte budget bounds memory only if an entry's charge covers what
+  // storing it allocates: the LRU node, the index node and bucket, and the
+  // payload's own block.  glibc's heap counters measure that growth over
+  // 100000 keys; an allocator that reports none (ASan's) skips the test.
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+  };
+  t1::FlowEngine engine;
+  t1::FlowParams params;
+  params.verify_rounds = 0;
+  const t1::EngineResult result = engine.run(gen::make_named("adder8"), params);
+  ASSERT_TRUE(result.ok());
+
+  constexpr std::uint64_t kKeys = 100000;
+  serve::CacheConfig config;
+  config.max_bytes = std::size_t{1} << 40;  // evicts nothing
+  serve::FlowCache cache(config);
+  const std::int64_t before = heap_in_use();
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    cache.store(serve::RunKey{mix64(i), i}, result);
+  }
+  const std::int64_t growth = heap_in_use() - before;
+  if (growth <= 0) GTEST_SKIP() << "the allocator reports no heap use";
+
+  const serve::CacheStats stats = cache.stats();
+  ASSERT_EQ(stats.entries, kKeys);
+  EXPECT_EQ(stats.bytes, kKeys * serve::estimate_result_bytes(result));
+  const auto charged = static_cast<std::int64_t>(stats.bytes);
+  EXPECT_GE(charged, growth) << "per entry: charged " << charged / kKeys
+                             << ", heap " << growth / kKeys;
+  EXPECT_LE(charged, growth + growth / 10)
+      << "per entry: charged " << charged / kKeys << ", heap "
+      << growth / kKeys;
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 TEST(FlowCache, ConcurrentHitMissHammering) {
