@@ -94,18 +94,15 @@ std::vector<std::uint32_t> Netlist::fanout_counts() const {
 
 Netlist::CellTally Netlist::cell_tally() const {
   CellTally t;
-  std::vector<std::uint32_t> fanout(num_nodes(), 0);
-  for (const Node& node : nodes_) {
-    t.dffs += node.kind == CellKind::kDff;
-    t.t1_cores += node.kind == CellKind::kT1;
-    t.logic_cells += cell_is_logic(node.kind);
-    t.area_jj += cell_area_jj(node.kind);
-    for (int i = 0; i < node.nfanin; ++i) ++fanout[node.fanin[i]];
-  }
-  for (const Po& po : pos_) ++fanout[po.driver];
+  const std::vector<std::uint32_t> fanout = fanout_counts();
   for (std::uint32_t id = 0; id < num_nodes(); ++id) {
+    const CellKind kind = nodes_[id].kind;
+    t.dffs += kind == CellKind::kDff;
+    t.t1_cores += kind == CellKind::kT1;
+    t.logic_cells += cell_is_logic(kind);
+    t.area_jj += cell_area_jj(kind);
     // T1 cores are exempt: taps are distinct physical pins.
-    if (fanout[id] > 1 && !is_t1(id)) t.splitters += fanout[id] - 1;
+    if (fanout[id] > 1 && kind != CellKind::kT1) t.splitters += fanout[id] - 1;
   }
   t.area_jj += kSplitterAreaJj * t.splitters;
   return t;
