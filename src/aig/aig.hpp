@@ -57,7 +57,9 @@ class Aig {
   }
   Lit create_xor(Lit a, Lit b);
   Lit create_or3(Lit a, Lit b, Lit c) { return create_or(create_or(a, b), c); }
-  Lit create_xor3(Lit a, Lit b, Lit c) { return create_xor(create_xor(a, b), c); }
+  Lit create_xor3(Lit a, Lit b, Lit c) {
+    return create_xor(create_xor(a, b), c);
+  }
   /// if s then t else e
   Lit create_ite(Lit s, Lit t, Lit e) {
     return create_or(create_and(s, t), create_and(lit_not(s), e));

@@ -113,7 +113,7 @@ class FlowCache {
 
   struct Entry {
     RunKey key;
-    std::string payload;  // `encode_result` bytes, capacity trimmed
+    std::string payload;    // `encode_result` bytes, capacity trimmed
     std::size_t bytes = 0;  // charged: entry_bytes(payload)
   };
 

@@ -71,10 +71,10 @@ namespace detail {
 struct KindInfo {
   std::string_view name;
   int fanins;
-  int area;      // JJs
+  int area;  // JJs
   bool clocked;
-  bool logic;    // plain single-output logic cell
-  bool t1_tap;   // one of the five T1 output taps
+  bool logic;   // plain single-output logic cell
+  bool t1_tap;  // one of the five T1 output taps
 };
 
 // The flow's hot loops (stage assignment, DFF insertion, the timing check,

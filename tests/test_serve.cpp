@@ -785,7 +785,8 @@ TEST(Server, StatsEndsItsBatchAsQuitDoes) {
   // reports.
   std::string head;
   for (int id = 1; id <= 17; ++id) {
-    const char* gen = id % 3 == 0 ? "adder4" : id % 3 == 1 ? "adder6" : "adder8";
+    const char* gen =
+        id % 3 == 0 ? "adder4" : id % 3 == 1 ? "adder6" : "adder8";
     head += "{\"id\":" + std::to_string(id) + ",\"gen\":\"" + gen + "\"}\n";
   }
   head += "{\"id\":18,\"cmd\":\"stats\"}\n";
